@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Run the full adversary catalog against one network configuration.
+"""Run the standard adversary battery against one network configuration.
 
 Auto-sizes the qubit budget so the conservative per-run success bound
-reaches --q-run, runs every strategy (equivocator at several separations),
-and writes one report.csv row per strategy.
+reaches --q-run, runs every entry of ``adversaries.standard_battery``
+(equivocator at several separations), and writes one report.csv row each.
 """
 
 import argparse
-import math
 import os
 
+from rfagree.adversaries import standard_battery
 from rfagree.config import ExperimentConfig
 from rfagree.harness import emit_report, run_experiment
+from rfagree.quantum_link import ted_accuracy_bound
 
 
 def main():
@@ -37,21 +38,11 @@ def main():
         trials=1,
     )
     n = sizing.resolved_n()
-    delta_eff = (1.0 - args.epsilon) * args.delta + 2.5 * args.epsilon
-    strategies = [
-        ("crash", {}),
-        ("random-noise", {}),
-        ("equivocator", {"separation": 0.9 * 8.0 * delta_eff}),
-        ("equivocator", {"separation": 1.1 * 8.0 * delta_eff}),
-        ("equivocator", {"separation": min(2.0, math.sqrt(2.0))}),
-        ("equivocator", {"separation": 2.0}),
-        ("grade-poisoner", {}),
-        ("rusher", {"shift": math.pi / 6}),
-    ]
+    delta_eff = ted_accuracy_bound(args.delta, args.epsilon)
 
     os.makedirs(args.out, exist_ok=True)
     summaries = []
-    for idx, (name, kwargs) in enumerate(strategies):
+    for idx, (name, kwargs) in enumerate(standard_battery(delta_eff)):
         tag = name if not kwargs else f"{name}_{idx}"
         config = ExperimentConfig(
             m=args.m,

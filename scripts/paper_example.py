@@ -10,8 +10,8 @@ per link) scale and prints the observed agreement quality.
 import argparse
 import json
 
-from rfagree.config import ExperimentConfig
-from rfagree.harness import run_experiment
+from rfagree.config import ExperimentConfig, success_exponent
+from rfagree.harness import CONSISTENCY_FACTOR, run_experiment
 from rfagree.quantum_link import required_qubits, ted_success_bound
 
 
@@ -26,8 +26,8 @@ def main():
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    delta = args.accuracy / 30.0
-    q_link = args.overall_success ** (1.0 / (args.m * args.m))
+    delta = args.accuracy / CONSISTENCY_FACTOR
+    q_link = args.overall_success ** (1.0 / success_exponent("overall", args.m))
     n = required_qubits(delta, q_link)
     print(f"delta = {delta:.6g}, per-link target = {q_link:.8f}")
     print(f"sized n = {n} qubits per axis ({3 * n} per link per phase)")

@@ -342,6 +342,24 @@ _CATALOG = {
 }
 
 
+def standard_battery(delta_eff: float) -> list:
+    """(name, params) pairs probing the t < m/3 consistency claim.
+
+    Equivocator clusters sit just inside and outside the 8 delta_eff
+    weak-consistency radius, at a right angle, and antipodal.
+    """
+    return [
+        ("crash", {}),
+        ("random-noise", {}),
+        ("equivocator", {"separation": 0.9 * 8.0 * delta_eff}),
+        ("equivocator", {"separation": 1.1 * 8.0 * delta_eff}),
+        ("equivocator", {"separation": math.sqrt(2.0)}),  # right angle
+        ("equivocator", {"separation": 2.0}),  # antipodal
+        ("grade-poisoner", {}),
+        ("rusher", {"shift": math.pi / 6}),
+    ]
+
+
 def strategy_catalog():
     """Names of all built-in strategies."""
     return sorted(_CATALOG)

@@ -34,8 +34,6 @@ guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 NO_CLAIM = 2
 
 VALUE_ROUND = 0
@@ -54,12 +52,6 @@ def coerce_bit(value) -> int:
 
 def coerce_claim(value) -> int:
     return value if value in (0, 1) else NO_CLAIM
-
-
-@dataclass
-class ConsensusInput:
-    node_id: int
-    g: int
 
 
 class PhaseKingNode:

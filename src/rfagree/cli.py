@@ -24,8 +24,8 @@ import json
 import os
 import sys
 
-from .config import ConfigError, ExperimentConfig
-from .harness import emit_report, run_experiment, verify_records
+from .config import ConfigError, ExperimentConfig, success_exponent
+from .harness import CONSISTENCY_FACTOR, emit_report, run_experiment, verify_records
 from .quantum_link import required_qubits, ted_accuracy_bound, ted_success_bound
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def cmd_run(args) -> int:
 
 def cmd_calc(args) -> int:
     if args.accuracy is not None:
-        delta_eff = args.accuracy / 30.0
+        delta_eff = args.accuracy / CONSISTENCY_FACTOR
         delta = (delta_eff - 2.5 * args.epsilon) / (1.0 - args.epsilon) if args.epsilon < 1.0 else 0.0
         if delta <= 0.0:
             raise ConfigError(
@@ -100,17 +100,17 @@ def cmd_calc(args) -> int:
     else:
         raise ConfigError("one of --accuracy / --delta is required")
 
+    # Per-run success is per-link success to the m^2 power (every node
+    # estimates every other node once per phase, and the deciding phase
+    # includes the king's broadcast links).
     if args.overall_success is not None:
-        # Per-run success is per-link success to the m^2 power (every node
-        # estimates every other node once per phase, and the deciding phase
-        # includes the king's broadcast links).
-        exponent = args.m * args.m
-        q_link = args.overall_success ** (1.0 / exponent)
+        scope, target = "overall", args.overall_success
     elif args.q_target is not None:
-        q_link = args.q_target
-        exponent = 1
+        scope, target = "per_link", args.q_target
     else:
         raise ConfigError("one of --overall-success / --q-target is required")
+    exponent = success_exponent(scope, args.m)
+    q_link = target ** (1.0 / exponent)
 
     n = required_qubits(delta, q_link)
     out = {
@@ -118,7 +118,7 @@ def cmd_calc(args) -> int:
         "epsilon": args.epsilon,
         "delta": delta,
         "accuracy_bound": ted_accuracy_bound(delta, args.epsilon),
-        "consensus_diameter": 30.0 * ted_accuracy_bound(delta, args.epsilon),
+        "consensus_diameter": CONSISTENCY_FACTOR * ted_accuracy_bound(delta, args.epsilon),
         "per_link_target": q_link,
         "per_link_exponent": exponent,
         "n": n,

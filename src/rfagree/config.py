@@ -16,7 +16,18 @@ from typing import Optional
 
 CONFIG_VERSION = 1
 
-_SCOPES = ("per_link", "overall", "overall_strict")
+#: q_target_scope -> how many per-link successes one success at that scope takes.
+_EXPONENTS = {
+    "per_link": lambda m, t: 1,
+    "overall": lambda m, t: m * m,
+    "overall_strict": lambda m, t: m * m * (t + 1),
+}
+_SCOPES = tuple(_EXPONENTS)
+
+
+def success_exponent(scope: str, m: int, t=None) -> int:
+    """1, m^2 or m^2 (t+1) by scope; ``t`` is read only by ``overall_strict``."""
+    return _EXPONENTS[scope](m, t)
 
 
 class ConfigError(ValueError):
@@ -86,12 +97,7 @@ class ExperimentConfig:
     def per_link_target(self) -> Optional[float]:
         if self.q_target is None:
             return None
-        if self.q_target_scope == "per_link":
-            return self.q_target
-        exponent = self.m * self.m
-        if self.q_target_scope == "overall_strict":
-            exponent *= self.t + 1
-        return self.q_target ** (1.0 / exponent)
+        return self.q_target ** (1.0 / success_exponent(self.q_target_scope, self.m, self.t))
 
     def resolved_n(self) -> int:
         if self.n is not None:

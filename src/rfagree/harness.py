@@ -29,18 +29,20 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .adversaries import make_adversary
-from .config import ExperimentConfig
+from .config import ExperimentConfig, success_exponent
 from .geometry import distance, random_frame, to_global
 from .netsim import QUANTUM_STEPS, TranscriptEntry, substream
 from .quantum_link import (
     ChannelParams,
     MeasurementTally,
     QuantumMessage,
+    ted_accuracy_bound,
     ted_receive,
     ted_success_bound,
 )
@@ -64,19 +66,7 @@ class TrialMetrics:
     fully_successful: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "eta_emp": self.eta_emp,
-            "consistency_ok": self.consistency_ok,
-            "termination_ok": self.termination_ok,
-            "accept_phase": self.accept_phase,
-            "accept_agreement": self.accept_agreement,
-            "phases_used": self.phases_used,
-            "persistency": self.persistency,
-            "persistency_ok": self.persistency_ok,
-            "estimation_failures": self.estimation_failures,
-            "degenerate": self.degenerate,
-            "fully_successful": self.fully_successful,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def estimation_failures(transcript, frames, faulty_ids, delta_eff: float) -> int:
@@ -103,15 +93,13 @@ def estimation_failures(transcript, frames, faulty_ids, delta_eff: float) -> int
     return failures
 
 
-def compute_metrics(result: TrialResult) -> TrialMetrics:
-    params = result.params
-    delta_eff = params.delta_eff
-    frames = result.frames
-    honest = sorted(result.outputs)
+def agreement_metrics(global_outputs: dict, honest_ids, delta_eff: float):
+    """(eta_emp, consistency_ok, termination_ok) of the correct outputs.
 
-    global_outputs = {
-        i: to_global(v, frames[i]) for i, v in result.outputs.items() if v is not None
-    }
+    ``global_outputs`` maps each correct node that output a direction to
+    that direction in the global frame; ``honest_ids`` lists every correct
+    node, so the ones missing from ``global_outputs`` output bottom.
+    """
     produced = sorted(global_outputs)
     eta = None
     if len(produced) >= 2:
@@ -120,14 +108,24 @@ def compute_metrics(result: TrialResult) -> TrialMetrics:
             for idx, i in enumerate(produced)
             for j in produced[idx + 1:]
         )
-
-    termination_ok = len(produced) == len(honest)
+    termination_ok = len(produced) == len(honest_ids)
     if not produced:
         consistency_ok = True  # jointly bottom is a consistent outcome
     elif not termination_ok:
         consistency_ok = False  # some output a direction, some did not
     else:
         consistency_ok = eta is None or eta <= CONSISTENCY_FACTOR * delta_eff
+    return eta, consistency_ok, termination_ok
+
+
+def compute_metrics(result: TrialResult) -> TrialMetrics:
+    delta_eff = result.params.delta_eff
+    frames = result.frames
+    honest = sorted(result.outputs)
+    global_outputs = {
+        i: to_global(v, frames[i]) for i, v in result.outputs.items() if v is not None
+    }
+    eta, consistency_ok, termination_ok = agreement_metrics(global_outputs, honest, delta_eff)
 
     phases = sorted({p for p in result.accept_phase.values() if p is not None})
     accept_agreement = len(set(result.accept_phase.values())) == 1
@@ -287,14 +285,17 @@ def parse_transcript_record(rec: dict) -> TranscriptEntry:
 
 
 def _worker(args):
+    """One trial, serially or in a pool worker; times its own run_trial."""
     config_dict, trial = args
     config = ExperimentConfig.from_dict(config_dict)
+    t0 = time.monotonic()
     result, metrics = run_trial(config, trial)
+    seconds = time.monotonic() - t0
     record = trial_record(config, trial, result, metrics)
     transcript = (
         transcript_records(trial, result.transcript) if config.write_transcript else None
     )
-    return trial, record, metrics, transcript
+    return trial, record, metrics, transcript, seconds
 
 
 def allowed_violation_rate(bound: float, trials: int) -> float:
@@ -319,20 +320,13 @@ def run_experiment(config: ExperimentConfig):
     transcripts = [None] * config.trials
     trial_times = []
 
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for trial, record, metrics, transcript in pool.map(_worker, jobs):
-                records[trial] = record
-                metrics_list[trial] = metrics
-                transcripts[trial] = transcript
-    else:
-        for job in jobs:
-            t0 = time.monotonic()
-            trial, record, metrics, transcript = _worker(job)
-            trial_times.append(time.monotonic() - t0)
+    with ProcessPoolExecutor(config.jobs) if config.jobs > 1 else nullcontext() as pool:
+        results = pool.map(_worker, jobs) if pool else map(_worker, jobs)
+        for trial, record, metrics, transcript, seconds in results:
             records[trial] = record
             metrics_list[trial] = metrics
             transcripts[trial] = transcript
+            trial_times.append(seconds)
 
     elapsed = time.monotonic() - start
     violations = sum(
@@ -341,7 +335,7 @@ def run_experiment(config: ExperimentConfig):
     violation_rate = violations / config.trials
     etas = [m.eta_emp for m in metrics_list if m.eta_emp is not None]
     q_link = ted_success_bound(n, config.delta)
-    bound = q_link ** (config.m * config.m * (config.t + 1))
+    bound = q_link ** success_exponent("overall_strict", config.m, config.t)
     allowed = (
         config.max_violation_rate
         if config.max_violation_rate is not None
@@ -358,9 +352,7 @@ def run_experiment(config: ExperimentConfig):
     summary = {
         "config": config.to_dict(),
         "n": n,
-        "delta_eff": ProtocolParams(
-            config.m, config.t, config.delta, ChannelParams(config.epsilon, n)
-        ).delta_eff,
+        "delta_eff": ted_accuracy_bound(config.delta, config.epsilon),
         "trials": config.trials,
         "violations": violations,
         "violation_rate": violation_rate,
@@ -441,42 +433,23 @@ def emit_report(summaries, path) -> None:
 
 
 def recompute_metrics_from_records(record: dict, transcript_entries, config: ExperimentConfig) -> dict:
-    """Second code path for the headline metrics, from exported artifacts only.
+    """Recompute the headline metrics from exported artifacts only.
 
     Reconstructs eta/consistency from the recorded outputs and frames, and
-    the estimation-failure count from logged wire payloads and tallies.
-    Used by the ``verify`` subcommand to cross-check trials.jsonl.
+    the estimation-failure count from logged wire payloads and tallies.  The
+    formulas are the ones :func:`compute_metrics` uses; only the inputs
+    differ.  Used by the ``verify`` subcommand to cross-check trials.jsonl.
     """
-    n = record["n"]
-    params = ProtocolParams(
-        config.m, config.t, config.delta, ChannelParams(config.epsilon, n)
-    )
-    delta_eff = params.delta_eff
+    delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
     frames = [np.array(f) for f in record["frames"]]
     faulty = frozenset(record["faulty_ids"])
     honest = [i for i in range(config.m) if i not in faulty]
-
-    outputs = {}
-    for key, v in record["outputs_local"].items():
-        outputs[int(key)] = None if v is None else np.array(v)
     global_outputs = {
-        i: to_global(v, frames[i]) for i, v in outputs.items() if v is not None
+        int(key): to_global(np.array(v), frames[int(key)])
+        for key, v in record["outputs_local"].items()
+        if v is not None
     }
-    produced = sorted(global_outputs)
-    eta = None
-    if len(produced) >= 2:
-        eta = max(
-            distance(global_outputs[i], global_outputs[j])
-            for idx, i in enumerate(produced)
-            for j in produced[idx + 1:]
-        )
-    termination_ok = len(produced) == len(honest)
-    if not produced:
-        consistency_ok = True
-    elif not termination_ok:
-        consistency_ok = False
-    else:
-        consistency_ok = eta is None or eta <= CONSISTENCY_FACTOR * delta_eff
+    eta, consistency_ok, termination_ok = agreement_metrics(global_outputs, honest, delta_eff)
 
     failures = None
     if transcript_entries is not None:

@@ -129,7 +129,6 @@ class RoundEngine:
     frames: list
     master_seed: int
     trial: int
-    record_transcript: bool = True
     transcript: list = field(default_factory=list)
     round_index: int = 0
 
@@ -237,19 +236,18 @@ class RoundEngine:
                 payload = None
                 deliveries[slot] = None
 
-            if self.record_transcript:
-                self.transcript.append(
-                    TranscriptEntry(
-                        round_index=self.round_index,
-                        phase=step.phase,
-                        step=step.kind,
-                        cc_round=step.cc_round,
-                        sender=sender,
-                        receiver=receiver,
-                        kind=kind,
-                        payload=payload,
-                        tally=tally,
-                    )
+            self.transcript.append(
+                TranscriptEntry(
+                    round_index=self.round_index,
+                    phase=step.phase,
+                    step=step.kind,
+                    cc_round=step.cc_round,
+                    sender=sender,
+                    receiver=receiver,
+                    kind=kind,
+                    payload=payload,
+                    tally=tally,
                 )
+            )
         self.round_index += 1
         return deliveries

@@ -79,8 +79,9 @@ class QuantumMessage:
                 raise ValueError("segment state must be a 3-vector")
             if not int(count) == count or count < 1:
                 raise ValueError(f"segment count must be a positive integer, got {count}")
-            if math.sqrt(dot(arr, arr)) > 1.0 + BLOCH_TOL:
-                raise ValueError("segment Bloch vector longer than 1")
+            # Negated so that NaN and inf lengths fail the check too.
+            if not math.sqrt(dot(arr, arr)) <= 1.0 + BLOCH_TOL:
+                raise ValueError("segment Bloch vector non-finite or longer than 1")
         if self.total_count() != 3 * n:
             raise ValueError(
                 f"segment counts sum to {self.total_count()}, expected {3 * n}"

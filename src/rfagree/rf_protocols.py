@@ -334,7 +334,6 @@ def run_rf_consensus(
     adversary,
     master_seed: int,
     trial: int = 0,
-    record_transcript: bool = True,
 ) -> TrialResult:
     """Full run: t+1 king phases, kings are node ids 0..t.
 
@@ -350,7 +349,6 @@ def run_rf_consensus(
         frames=frames,
         master_seed=master_seed,
         trial=trial,
-        record_transcript=record_transcript,
     )
     nodes = {i: HonestNode(i, params) for i in range(params.m) if i not in faulty_set}
     result = TrialResult(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from rfagree.adversaries import standard_battery
 from rfagree.cli import main as cli_main
 from rfagree.config import ExperimentConfig
 from rfagree.geometry import distance, random_direction
@@ -251,19 +252,6 @@ def test_criterion_6_all_honest(honest_runs):
 ADVERSARIAL_M, ADVERSARIAL_T, ADVERSARIAL_DELTA = 10, 3, 0.05
 
 
-def adversarial_strategies(delta_eff):
-    return [
-        ("crash", {}),
-        ("random-noise", {}),
-        ("equivocator", {"separation": 0.9 * 8.0 * delta_eff}),
-        ("equivocator", {"separation": 1.1 * 8.0 * delta_eff}),
-        ("equivocator", {"separation": math.sqrt(2.0)}),  # right angle
-        ("equivocator", {"separation": 2.0}),  # antipodal
-        ("grade-poisoner", {}),
-        ("rusher", {"shift": math.pi / 6}),
-    ]
-
-
 @pytest.fixture(scope="module")
 def adversarial_runs():
     sizing = ExperimentConfig(
@@ -277,7 +265,7 @@ def adversarial_runs():
     n = sizing.resolved_n()
     delta_eff = ADVERSARIAL_DELTA  # epsilon = 0
     runs = []
-    for idx, (name, kwargs) in enumerate(adversarial_strategies(delta_eff)):
+    for idx, (name, kwargs) in enumerate(standard_battery(delta_eff)):
         config = ExperimentConfig(
             m=ADVERSARIAL_M,
             t=ADVERSARIAL_T,

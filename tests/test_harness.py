@@ -312,3 +312,9 @@ def test_run_trial_with_explicit_frames():
     r1, m1 = run_trial(cfg, 0, frames=frames)
     r2, m2 = run_trial(cfg, 0)
     assert m1.eta_emp == m2.eta_emp
+
+
+def test_parallel_jobs_fill_trial_timings():
+    # Each worker times its own trial, so pools report timings too.
+    summary, _, _ = run_experiment(small_config(trials=4, jobs=2))
+    assert 0.0 < summary["p50_trial_seconds"] <= summary["p99_trial_seconds"]

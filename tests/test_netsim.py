@@ -177,3 +177,56 @@ def test_absent_payload_recorded_and_none_delivered():
     deliveries = engine.run_round(step, payloads, frozenset(), NullAdversary())
     assert set(deliveries.values()) == {None}
     assert all(e.kind == "absent" for e in engine.transcript)
+
+
+def direction_round_with(adversary, faulty, seed=11):
+    """One direction exchange with honest senders outside ``faulty``."""
+    engine, _ = make_engine(m=4, seed=seed)
+    rng = np.random.default_rng(seed)
+    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, exchange_slots(4))
+    payloads = {}
+    for i in range(4):
+        if i not in faulty:
+            msg = QuantumMessage.uniform(random_direction(rng), engine.channel.n)
+            payloads.update({(i, r): msg for r in range(4) if r != i})
+    deliveries = engine.run_round(step, payloads, frozenset(faulty), adversary)
+    return deliveries, engine.transcript
+
+
+@pytest.mark.parametrize(
+    "state", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [0.0, -math.inf, math.nan]]
+)
+def test_non_finite_faulty_state_becomes_absent(state):
+    params = ProtocolParams(4, 1, 0.05, ChannelParams(epsilon=0.0, n=1000))
+
+    class NonFinite(Rusher):
+        def emit(self, view, slots):
+            return {slot: QuantumMessage.uniform(state, params.channel.n) for slot in slots}
+
+    deliveries, transcript = direction_round_with(NonFinite([3], params), {3})
+    crashed, _ = direction_round_with(make_adversary("crash", [3], params), {3})
+    faulty_slots = [slot for slot in deliveries if slot[0] == 3]
+    assert len(faulty_slots) == 3
+    assert all(deliveries[slot] is None for slot in faulty_slots)
+    assert all(e.kind == "absent" and e.payload is None for e in transcript if e.sender == 3)
+    assert deliveries == crashed
+
+
+@pytest.mark.parametrize("round_index", [0, 1, 17])
+def test_fast_link_rng_matches_link_rng(round_index):
+    # The fast path writes into Philox's internal state dict; this pins it
+    # to the documented per-link stream so a numpy change cannot drift it.
+    engine, _ = make_engine(m=5, seed=2**40 + 3, trial=6)
+    engine.round_index = round_index
+
+    def draws(gen):
+        return (
+            [int(gen.binomial(10**8, p)) for p in (0.5, 0.03, 0.999)]
+            + gen.random(3).tolist()
+            + gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+            + [int(gen.binomial(7, 0.3))]
+        )
+
+    for sender, receiver in [(0, 1), (4, 2), (1, 0), (3, 4)]:
+        fast = draws(engine._fast_link_rng(sender, receiver))
+        assert fast == draws(engine.link_rng(sender, receiver))
