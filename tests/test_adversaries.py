@@ -43,10 +43,12 @@ def test_faulty_set_must_respect_bound():
         make_adversary("crash", (0, 1), params_for(4, 1))
 
 
-def test_honest_shadow_transcript_matches_all_honest():
+@pytest.mark.parametrize("m, t", [(4, 1), (7, 2), (10, 3)])
+def test_honest_shadow_transcript_matches_all_honest(m, t):
     # Shadow nodes reuse the per-node streams an honest node would use, so
     # the transcript is bit-identical to a genuinely all-honest run.
-    m, t, seed = 7, 2, 77
+    seed = 77
+    faulty = tuple(range(t))
     params = params_for(m, t)
     frames = frames_for(m, seed)
     honest = run_rf_consensus(
@@ -55,8 +57,8 @@ def test_honest_shadow_transcript_matches_all_honest():
     shadow = run_rf_consensus(
         params,
         frames,
-        (0, 1),
-        make_adversary("honest-shadow", (0, 1), params),
+        faulty,
+        make_adversary("honest-shadow", faulty, params),
         master_seed=seed,
     )
     assert transcript_signature(honest.transcript) == transcript_signature(shadow.transcript)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from rfagree.adversaries import strategy_catalog
 from rfagree.config import ExperimentConfig
 from rfagree.harness import run_experiment
 
@@ -37,8 +38,45 @@ GOLDEN = {
 }
 
 
+# Every catalog strategy at m=7 with t=2 faulty nodes (0 and 1: two faulty
+# kings, then an honest one), so each strategy's emit path is pinned too.
+STRATEGY_GOLDEN = {
+    "crash": (
+        "75dc9ef5b720b3ec291c099c8f2a817972cff09f0ea10aadd3585e5eff51c9f5",
+        "0f05d70e686ea5ee3014e8e03eb2be286fddfece749bdc5e870d771c810d5ced",
+    ),
+    "equivocator": (
+        "82160c3184ffef1a44d35d2c134e8c330b7816511c7fbe08aeb80cd3fb25c0cf",
+        "d620071962f38618e1e5ef5237ebeddfbad78e5a6898fffc3971c654d31403c7",
+    ),
+    "grade-poisoner": (
+        "e77c709be16769ee5bd479859fd4e3f751f0ee4bd920fd53a59d0757b0520503",
+        "3ba227e4b2036f1af2d5da62015ba7b840d36fc5ea83465abcec0f9131cad68a",
+    ),
+    "honest-shadow": (
+        "fcc20ab9a434f3f759b1dc68035a47ca56cdad4225ce381cc4635c2f29b281e9",
+        "42569581f0eaa21a4af62e01d1db79c6685da4bedf53efe5efd02ba451e04a41",
+    ),
+    "random-noise": (
+        "cfdb6ceb28bbdda9a422e6e48092c4bdfd3420149dabc7ef67481a555fe9e1c8",
+        "626f8088d7101673ad323d4eeb9503d34de76abec09be4f436cfb2ec04253ace",
+    ),
+    "rusher": (
+        "e77c709be16769ee5bd479859fd4e3f751f0ee4bd920fd53a59d0757b0520503",
+        "f0771a26f60528c16e1d12aae9adb5e25e617cca4bf590a95bb44f6bc9c4da9f",
+    ),
+}
+
+
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def output_digests(config, out_dir) -> tuple:
+    config.out_dir = str(out_dir)
+    config.write_transcript = True
+    run_experiment(config)
+    return sha256(out_dir / "trials.jsonl"), sha256(out_dir / "transcript.jsonl")
 
 
 def test_every_config_is_pinned():
@@ -49,8 +87,17 @@ def test_every_config_is_pinned():
 def test_golden_digests(name, tmp_path):
     config = ExperimentConfig.load(CONFIG_DIR / name)
     config.trials = GOLDEN_TRIALS
-    config.out_dir = str(tmp_path)
-    config.write_transcript = True
-    run_experiment(config)
-    digests = (sha256(tmp_path / "trials.jsonl"), sha256(tmp_path / "transcript.jsonl"))
-    assert digests == GOLDEN[name]
+    assert output_digests(config, tmp_path) == GOLDEN[name]
+
+
+def test_every_strategy_is_pinned():
+    assert sorted(STRATEGY_GOLDEN) == strategy_catalog()
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGY_GOLDEN))
+def test_strategy_golden_digests(name, tmp_path):
+    config = ExperimentConfig(
+        m=7, t=2, delta=0.05, epsilon=0.02, n=2000, adversary=name,
+        trials=GOLDEN_TRIALS, master_seed=4242,
+    )
+    assert output_digests(config, tmp_path) == STRATEGY_GOLDEN[name]
