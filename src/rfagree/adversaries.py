@@ -2,9 +2,10 @@
 
 One strategy object controls all faulty nodes of a trial jointly and fills
 every slot whose sender is faulty, after seeing the current round's honest
-traffic (the engine guarantees the rushing order).  The catalog is a test
-battery, not a worst-case construction: each strategy probes a different
-part of the stack (thresholds, grades, the classical subprotocol, replay).
+traffic (the engine guarantees the rushing order) and the previous round's
+deliveries.  The catalog is a test battery, not a worst-case construction:
+each strategy probes a different part of the stack (thresholds, grades, the
+classical subprotocol, replay).
 
 Strategies only read wire-visible data (payloads, tallies, bits) plus their
 own random streams, never honest private state, so every strategy is
@@ -16,14 +17,9 @@ from __future__ import annotations
 import math
 
 from .geometry import any_orthogonal, angle_from_chord, random_direction, rotate_about
-from .netsim import (
-    CLASSICAL_ROUND,
-    DIRECTION_EXCHANGE,
-    FLAG_EXCHANGE,
-    KING_BROADCAST,
-)
+from .netsim import CLASSICAL_ROUND, DIRECTION_EXCHANGE, FLAG_EXCHANGE, KING_BROADCAST
 from .quantum_link import SENTINEL, QuantumMessage, ted_receive
-from .rf_protocols import HonestNode
+from .rf_protocols import HonestNode, absorb_round, node_payloads, start_phase
 
 
 class Adversary:
@@ -41,106 +37,41 @@ class Adversary:
         raise NotImplementedError
 
 
-class TranscriptFollower(Adversary):
-    """Base for strategies that track deliveries through the public log.
+def _king_estimates(previous, receivers) -> dict:
+    """Estimates (local coords) that ``receivers`` took from the king broadcast.
 
-    ``emit`` for round r runs before round r is resolved, so every earlier
-    round is fully present in the transcript; the follower consumes rounds
-    lazily and hands complete ones to :meth:`_process_round`.
+    ``previous`` is the view's last resolved round, the king broadcast when
+    the direction exchange is being emitted.
     """
-
-    def __init__(self, faulty_ids, params):
-        super().__init__(faulty_ids, params)
-        self._cursor = 0
-
-    def catch_up(self, view) -> None:
-        ts = view.transcript
-        n = len(ts)
-        while self._cursor < n:
-            r = ts[self._cursor].round_index
-            j = self._cursor
-            while j < n and ts[j].round_index == r:
-                j += 1
-            self._process_round(ts[self._cursor:j])
-            self._cursor = j
-
-    def _process_round(self, entries) -> None:
-        pass
-
-    def _king_estimates(self, entries) -> dict:
-        """Faulty receivers' estimates from a king-broadcast round (local coords)."""
-        estimates = {}
-        for e in entries:
-            if e.receiver in self.faulty_set:
-                if e.tally is None:
-                    estimates[e.receiver] = SENTINEL.copy()
-                else:
-                    estimates[e.receiver] = ted_receive(e.tally)[0]
-        return estimates
+    _, deliveries = previous
+    return {
+        r: SENTINEL.copy() if tally is None else ted_receive(tally)[0]
+        for (_, r), tally in deliveries.items()
+        if r in receivers
+    }
 
 
-class HonestShadow(TranscriptFollower):
+class HonestShadow(Adversary):
     """Faulty nodes run the real protocol; baseline for every metric.
 
-    Shadow nodes use the same per-node streams an honest node would, so a
-    run with this strategy is bit-identical to an all-honest run.
+    Shadow nodes are driven by the same payload builder, inbox router and
+    per-node streams as correct nodes, so a run with this strategy is
+    bit-identical to an all-honest run.
     """
 
     name = "honest-shadow"
 
     def __init__(self, faulty_ids, params):
         super().__init__(faulty_ids, params)
-        self.nodes = {i: HonestNode(i, params) for i in self.faulty_set}
-
-    def _process_round(self, entries):
-        step = entries[0].step
-        if step == KING_BROADCAST:
-            for e in entries:
-                node = self.nodes.get(e.receiver)
-                if node is not None and e.sender != e.receiver:
-                    node.receive_king(e.tally)
-        elif step == DIRECTION_EXCHANGE:
-            for i, node in self.nodes.items():
-                inbox = {e.sender: e.tally for e in entries if e.receiver == i}
-                node.receive_directions(inbox)
-        elif step == FLAG_EXCHANGE:
-            for i, node in self.nodes.items():
-                inbox = {
-                    e.sender: (e.payload if e.kind == "bit" else None)
-                    for e in entries
-                    if e.receiver == i
-                }
-                node.receive_flags(inbox)
-        elif step == CLASSICAL_ROUND:
-            r = entries[0].cc_round
-            for i, node in self.nodes.items():
-                inbox = [None] * self.params.m
-                for e in entries:
-                    if e.receiver == i and e.kind == "bit":
-                        inbox[e.sender] = e.payload
-                node.cc_absorb(r, inbox)
+        self.nodes = {i: HonestNode(i, params) for i in sorted(self.faulty_set)}
 
     def emit(self, view, slots):
-        self.catch_up(view)
-        step = view.step
-        if step.kind == KING_BROADCAST:
-            for i, node in self.nodes.items():
-                rng = view.node_rng(i) if i == step.king_id else None
-                node.begin_phase(step.king_id, rng)
-        out = {}
-        for slot in slots:
-            node = self.nodes[slot[0]]
-            if step.kind == KING_BROADCAST:
-                out[slot] = node.king_payload()
-            elif step.kind == DIRECTION_EXCHANGE:
-                out[slot] = node.direction_payload()
-            elif step.kind == FLAG_EXCHANGE:
-                out[slot] = node.flag_payload()
-            else:
-                payload = node.cc_payload(step.cc_round)
-                if payload is not None:
-                    out[slot] = payload
-        return out
+        if view.previous is not None:
+            step, deliveries = view.previous
+            absorb_round(step, self.nodes, deliveries, self.params.m)
+        if view.step.kind == KING_BROADCAST:
+            start_phase(self.nodes, view.step.king_id, view.node_rng)
+        return node_payloads(view.step, self.nodes)
 
 
 class Crash(Adversary):
@@ -173,7 +104,7 @@ class RandomNoise(Adversary):
         return out
 
 
-class Equivocator(TranscriptFollower):
+class Equivocator(Adversary):
     """A faulty king splits receivers into two direction clusters.
 
     The cluster directions sit a configurable chord ``separation`` apart;
@@ -192,20 +123,13 @@ class Equivocator(TranscriptFollower):
         self.separation = separation
         self._clusters = {}
         self._base = None
-        self._estimates = {}
-
-    def _process_round(self, entries):
-        if entries[0].step == KING_BROADCAST and entries[0].sender not in self.faulty_set:
-            self._estimates = self._king_estimates(entries)
 
     def emit(self, view, slots):
-        self.catch_up(view)
         step = view.step
         n = self.params.channel.n
         out = {}
         if step.kind == KING_BROADCAST:
             self._clusters = {}
-            self._estimates = {}
             if step.king_id in self.faulty_set:
                 base = random_direction(view.rng)
                 other = rotate_about(
@@ -219,13 +143,15 @@ class Equivocator(TranscriptFollower):
                 for slot in slots:
                     out[slot] = QuantumMessage.uniform(self._clusters[slot[1]], n)
         elif step.kind == DIRECTION_EXCHANGE:
-            for slot in slots:
-                s, r = slot
-                if self._clusters:
-                    d = self._clusters.get(r, self._base)
-                else:
-                    d = self._estimates.get(s, SENTINEL)
-                out[slot] = QuantumMessage.uniform(d, n)
+            if self._clusters:
+                for slot in slots:
+                    d = self._clusters.get(slot[1], self._base)
+                    out[slot] = QuantumMessage.uniform(d, n)
+            else:
+                estimates = _king_estimates(view.previous, self.faulty_set)
+                for slot in slots:
+                    d = estimates.get(slot[0], SENTINEL)
+                    out[slot] = QuantumMessage.uniform(d, n)
         elif step.kind == FLAG_EXCHANGE:
             for slot in slots:
                 out[slot] = 1
@@ -235,7 +161,7 @@ class Equivocator(TranscriptFollower):
         return out
 
 
-class GradePoisoner(TranscriptFollower):
+class GradePoisoner(Adversary):
     """Honest-looking directions, but flags always on and split consensus bits."""
 
     name = "grade-poisoner"
@@ -243,19 +169,12 @@ class GradePoisoner(TranscriptFollower):
     def __init__(self, faulty_ids, params):
         super().__init__(faulty_ids, params)
         self._king_direction = None
-        self._estimates = {}
-
-    def _process_round(self, entries):
-        if entries[0].step == KING_BROADCAST:
-            self._estimates = self._king_estimates(entries)
 
     def emit(self, view, slots):
-        self.catch_up(view)
         step = view.step
         n = self.params.channel.n
         out = {}
         if step.kind == KING_BROADCAST:
-            self._estimates = {}
             self._king_direction = None
             if step.king_id in self.faulty_set:
                 self._king_direction = random_direction(view.rng)
@@ -263,12 +182,13 @@ class GradePoisoner(TranscriptFollower):
                 for slot in slots:
                     out[slot] = msg
         elif step.kind == DIRECTION_EXCHANGE:
+            estimates = _king_estimates(view.previous, self.faulty_set)
             for slot in slots:
                 s = slot[0]
                 if s == step.king_id and self._king_direction is not None:
                     d = self._king_direction
                 else:
-                    d = self._estimates.get(s, SENTINEL)
+                    d = estimates.get(s, SENTINEL)
                 out[slot] = QuantumMessage.uniform(d, n)
         elif step.kind == FLAG_EXCHANGE:
             for slot in slots:

@@ -3,8 +3,10 @@
 Communication model:
 
 * public: before the faulty nodes commit their messages for a round, the
-  adversary is shown the full transcript so far plus every honest message of
-  the current round (a rushing adversary, the strongest reading);
+  adversary is shown every delivery of the previous round plus every honest
+  message of the current round (a rushing adversary, the strongest reading).
+  Round by round that covers every delivery before the last, and every
+  honest payload was already in an earlier rushing view;
 * authenticated: the engine stamps sender identities, so the adversary can
   only fill slots whose sender is in its faulty set; anything else raises
   :class:`AuthenticationError`;
@@ -68,14 +70,15 @@ class TranscriptEntry(NamedTuple):
 class AdversaryView:
     """What the adversary sees before filling the current round's slots.
 
-    ``node_rng`` hands out the per-round stream a node would use if it were
-    honest, but only for nodes the adversary controls; honest randomness
-    stays private.
+    ``previous`` is ``(step, deliveries)`` of the last resolved round, or
+    None before the first.  ``node_rng`` hands out the per-round stream a
+    node would use if it were honest, but only for nodes the adversary
+    controls; honest randomness stays private.
     """
 
     step: RoundStep
     honest_payloads: dict
-    transcript: list
+    previous: Optional[tuple]
     rng: np.random.Generator
     node_rng: object = None
 
@@ -112,7 +115,7 @@ def deliver_quantum(
     """
     try:
         msg.validate(params.n)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         return None
     global_msg = QuantumMessage(
         tuple((sender_frame @ np.asarray(state, dtype=np.float64), count) for state, count in msg.segments)
@@ -131,6 +134,7 @@ class RoundEngine:
     trial: int
     transcript: list = field(default_factory=list)
     round_index: int = 0
+    previous: Optional[tuple] = field(default=None, init=False)
 
     # Counter word c1 tags the purpose: 0 for setup draws, 1 + round for
     # per-round streams.  c2/c3 carry node or link ids; sender == receiver
@@ -175,9 +179,11 @@ class RoundEngine:
         """Resolve every slot of ``step``; returns {(sender, receiver): delivery}.
 
         Deliveries are MeasurementTally for quantum payloads, int for bits,
-        and None for absent or malformed messages.  Honest payloads must
-        cover exactly the honest slots; the adversary fills the rest after
-        seeing them (missing faulty slots count as absent).
+        and None for absent or malformed messages.  A classical symbol must
+        be a Python ``int`` (not ``bool``); anything else, numpy integers
+        included, is delivered as absent.  Honest payloads must cover
+        exactly the honest slots; the adversary fills the rest after seeing
+        them (missing faulty slots count as absent).
         """
         faulty_payloads = {}
         if faulty_set:
@@ -193,7 +199,7 @@ class RoundEngine:
             view = AdversaryView(
                 step=step,
                 honest_payloads=dict(honest_payloads),
-                transcript=self.transcript,
+                previous=self.previous,
                 rng=self.adversary_rng(),
                 node_rng=faulty_node_rng,
             )
@@ -250,4 +256,7 @@ class RoundEngine:
                 )
             )
         self.round_index += 1
+        # Not copied: correct nodes absorb these deliveries before the next
+        # round shows them to the adversary.
+        self.previous = (step, deliveries)
         return deliveries

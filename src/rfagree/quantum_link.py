@@ -50,6 +50,17 @@ class ChannelParams:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
 
+def _is_count(count) -> bool:
+    """A positive integral qubit count; bools and non-finite floats are not."""
+    if isinstance(count, (bool, np.bool_)):
+        return False
+    if isinstance(count, (int, np.integer)):
+        return count >= 1
+    if isinstance(count, (float, np.floating)):
+        return math.isfinite(count) and count >= 1 and count == int(count)
+    return False
+
+
 @dataclass(frozen=True)
 class QuantumMessage:
     """Bloch segments making up one 3n-qubit batch.
@@ -77,8 +88,8 @@ class QuantumMessage:
             arr = np.asarray(state, dtype=np.float64)
             if arr.shape != (3,):
                 raise ValueError("segment state must be a 3-vector")
-            if not int(count) == count or count < 1:
-                raise ValueError(f"segment count must be a positive integer, got {count}")
+            if not _is_count(count):
+                raise ValueError(f"segment count must be a positive integer, got {count!r}")
             # Negated so that NaN and inf lengths fail the check too.
             if not math.sqrt(dot(arr, arr)) <= 1.0 + BLOCH_TOL:
                 raise ValueError("segment Bloch vector non-finite or longer than 1")

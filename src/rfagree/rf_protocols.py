@@ -41,6 +41,7 @@ from .netsim import (
     DIRECTION_EXCHANGE,
     FLAG_EXCHANGE,
     KING_BROADCAST,
+    QUANTUM_STEPS,
     RoundEngine,
     RoundStep,
     broadcast_slots,
@@ -153,8 +154,13 @@ class HonestNode:
         self.y = None
         self._cc = None
 
-    def king_payload(self) -> QuantumMessage:
-        return QuantumMessage.uniform(self.w, self.params.channel.n)
+    def payload(self, step: RoundStep):
+        """What this node sends on each of its slots in ``step``."""
+        if step.kind in QUANTUM_STEPS:
+            return QuantumMessage.uniform(self.w, self.params.channel.n)
+        if step.kind == FLAG_EXCHANGE:
+            return self.flag
+        return self._cc.payload(step.cc_round)
 
     def receive_king(self, delivery) -> None:
         if delivery is None:
@@ -163,9 +169,6 @@ class HonestNode:
             self.w, degenerate = ted_receive(delivery)
             if degenerate:
                 self.degenerate += 1
-
-    def direction_payload(self) -> QuantumMessage:
-        return QuantumMessage.uniform(self.w, self.params.channel.n)
 
     def receive_directions(self, inbox) -> None:
         """inbox: sender -> tally or None, for every other node."""
@@ -182,9 +185,6 @@ class HonestNode:
         self.u = weak_consensus(self.w, a, p.m, p.t, p.delta_eff)
         self.flag = 0 if self.u is None else 1
 
-    def flag_payload(self) -> int:
-        return self.flag
-
     def receive_flags(self, inbox) -> None:
         p = self.params
         flags = {self.node_id: self.flag}
@@ -195,9 +195,6 @@ class HonestNode:
             self.w, self.a, flags, self.flag, p.m, p.t, p.delta_eff
         )
         self._cc = PhaseKingNode(self.node_id, p.m, p.t, self.g)
-
-    def cc_payload(self, r: int):
-        return self._cc.payload(r)
 
     def cc_absorb(self, r: int, received) -> None:
         self._cc.absorb(r, received)
@@ -236,6 +233,61 @@ class TrialResult:
     transcript: list = field(default_factory=list)
 
 
+def phase_steps(m: int, t: int, phase: int, king_id: int):
+    """The rounds of one king phase, in order."""
+    yield RoundStep(KING_BROADCAST, phase, king_id, None, broadcast_slots(m, king_id))
+    yield RoundStep(DIRECTION_EXCHANGE, phase, king_id, None, exchange_slots(m))
+    yield RoundStep(FLAG_EXCHANGE, phase, king_id, None, exchange_slots(m))
+    for r in range(rounds_for(t)):
+        # Every third classical round is the classical king's broadcast.
+        slots = broadcast_slots(m, r // 3) if r % 3 == 2 else exchange_slots(m)
+        yield RoundStep(CLASSICAL_ROUND, phase, king_id, r, slots)
+
+
+def start_phase(nodes: dict, king_id: int, node_rng) -> None:
+    """Reset ``nodes`` for a new phase; the king draws from ``node_rng(king_id)``."""
+    for i, node in nodes.items():
+        node.begin_phase(king_id, node_rng(i) if i == king_id else None)
+
+
+def node_payloads(step: RoundStep, nodes: dict) -> dict:
+    """{slot: payload} for every slot of ``step`` sent by one of ``nodes``.
+
+    A node sends the same payload on all of its slots, so it is built once
+    per sender.
+    """
+    built = {}
+    payloads = {}
+    for slot in step.slots:
+        sender = slot[0]
+        node = nodes.get(sender)
+        if node is not None:
+            if sender not in built:
+                built[sender] = node.payload(step)
+            payloads[slot] = built[sender]
+    return payloads
+
+
+def absorb_round(step: RoundStep, nodes: dict, deliveries: dict, m: int) -> None:
+    """Hand each of ``nodes`` its inbox from the deliveries of ``step``."""
+    if step.kind == KING_BROADCAST:
+        king = step.king_id
+        for i, node in nodes.items():
+            if i != king:
+                node.receive_king(deliveries[(king, i)])
+    elif step.kind == CLASSICAL_ROUND:
+        for i, node in nodes.items():
+            # Own slot and unsent slots (a classical king round) are None.
+            node.cc_absorb(step.cc_round, [deliveries.get((j, i)) for j in range(m)])
+    else:
+        for i, node in nodes.items():
+            inbox = {j: deliveries[(j, i)] for j in range(m) if j != i}
+            if step.kind == DIRECTION_EXCHANGE:
+                node.receive_directions(inbox)
+            else:
+                node.receive_flags(inbox)
+
+
 def run_king_phase(
     engine: RoundEngine,
     params: ProtocolParams,
@@ -246,83 +298,22 @@ def run_king_phase(
     phase: int,
 ) -> PhaseResult:
     """One complete king phase driven over the round engine."""
-    m, t = params.m, params.t
-    honest_ids = sorted(nodes)
+    start_phase(nodes, king_id, engine.node_rng)
+    for step in phase_steps(params.m, params.t, phase, king_id):
+        deliveries = engine.run_round(step, node_payloads(step, nodes), faulty_set, adversary)
+        absorb_round(step, nodes, deliveries, params.m)
 
-    for i in honest_ids:
-        rng = engine.node_rng(i) if i == king_id else None
-        nodes[i].begin_phase(king_id, rng)
-
-    step = RoundStep(KING_BROADCAST, phase, king_id, None, broadcast_slots(m, king_id))
-    payloads = {}
-    if king_id in nodes:
-        msg = nodes[king_id].king_payload()
-        payloads = {slot: msg for slot in step.slots}
-    deliveries = engine.run_round(step, payloads, faulty_set, adversary)
-    for i in honest_ids:
-        if i != king_id:
-            nodes[i].receive_king(deliveries[(king_id, i)])
-
-    step = RoundStep(DIRECTION_EXCHANGE, phase, king_id, None, exchange_slots(m))
-    payloads = {}
-    for i in honest_ids:
-        msg = nodes[i].direction_payload()
-        for r in range(m):
-            if r != i:
-                payloads[(i, r)] = msg
-    deliveries = engine.run_round(step, payloads, faulty_set, adversary)
-    for i in honest_ids:
-        nodes[i].receive_directions({j: deliveries[(j, i)] for j in range(m) if j != i})
-
-    step = RoundStep(FLAG_EXCHANGE, phase, king_id, None, exchange_slots(m))
-    payloads = {}
-    for i in honest_ids:
-        bit = nodes[i].flag_payload()
-        for r in range(m):
-            if r != i:
-                payloads[(i, r)] = bit
-    deliveries = engine.run_round(step, payloads, faulty_set, adversary)
-    for i in honest_ids:
-        nodes[i].receive_flags({j: deliveries[(j, i)] for j in range(m) if j != i})
-
-    for r in range(rounds_for(t)):
-        if r % 3 == 2:
-            cc_king = r // 3
-            slots = broadcast_slots(m, cc_king)
-            payloads = {}
-            if cc_king in nodes:
-                bit = nodes[cc_king].cc_payload(r)
-                payloads = {slot: bit for slot in slots}
-        else:
-            slots = exchange_slots(m)
-            payloads = {}
-            for i in honest_ids:
-                sym = nodes[i].cc_payload(r)
-                for rr in range(m):
-                    if rr != i:
-                        payloads[(i, rr)] = sym
-        step = RoundStep(CLASSICAL_ROUND, phase, king_id, r, slots)
-        deliveries = engine.run_round(step, payloads, faulty_set, adversary)
-        for i in honest_ids:
-            inbox = [None] * m
-            for j in range(m):
-                if j != i:
-                    slot = (j, i)
-                    if slot in deliveries:
-                        inbox[j] = deliveries[slot]
-            nodes[i].cc_absorb(r, inbox)
-
-    outputs = {i: nodes[i].finish_phase() for i in honest_ids}
+    outputs = {i: node.finish_phase() for i, node in nodes.items()}
     king_honest = king_id in nodes
     return PhaseResult(
         phase=phase,
         king_id=king_id,
         king_honest=king_honest,
         king_direction=np.array(nodes[king_id].w) if king_honest else None,
-        inputs={i: np.array(nodes[i].w) for i in honest_ids},
-        values={i: np.array(nodes[i].v) for i in honest_ids},
-        grades={i: nodes[i].g for i in honest_ids},
-        decisions={i: nodes[i].y for i in honest_ids},
+        inputs={i: np.array(node.w) for i, node in nodes.items()},
+        values={i: np.array(node.v) for i, node in nodes.items()},
+        grades={i: node.g for i, node in nodes.items()},
+        decisions={i: node.y for i, node in nodes.items()},
         outputs=outputs,
     )
 

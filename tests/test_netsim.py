@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rfagree.geometry import distance, random_direction, random_frame, to_global
 from rfagree.netsim import (
+    CLASSICAL_ROUND,
     DIRECTION_EXCHANGE,
     FLAG_EXCHANGE,
     AuthenticationError,
@@ -193,15 +195,33 @@ def direction_round_with(adversary, faulty, seed=11):
     return deliveries, engine.transcript
 
 
+UP = [0.0, 0.0, 1.0]
+
+
 @pytest.mark.parametrize(
-    "state", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [0.0, -math.inf, math.nan]]
+    "state",
+    [
+        [math.nan, 0.0, 0.0],
+        [math.inf, 0.0, 0.0],
+        [0.0, -math.inf, math.nan],
+        # Whole segment tuples: a valid state under a count that is no count.
+        pytest.param(((UP, math.inf),), id="count-inf"),
+        pytest.param(((UP, -math.inf), (UP, 3000)), id="count-minus-inf"),
+        pytest.param(((UP, math.nan),), id="count-nan"),
+        pytest.param(((UP, True), (UP, 2999)), id="count-bool"),
+        pytest.param(((UP, np.True_), (UP, 2999)), id="count-numpy-bool"),
+    ],
 )
 def test_non_finite_faulty_state_becomes_absent(state):
     params = ProtocolParams(4, 1, 0.05, ChannelParams(epsilon=0.0, n=1000))
+    if isinstance(state, tuple):
+        msg = QuantumMessage(state)
+    else:
+        msg = QuantumMessage.uniform(state, params.channel.n)
 
     class NonFinite(Rusher):
         def emit(self, view, slots):
-            return {slot: QuantumMessage.uniform(state, params.channel.n) for slot in slots}
+            return {slot: msg for slot in slots}
 
     deliveries, transcript = direction_round_with(NonFinite([3], params), {3})
     crashed, _ = direction_round_with(make_adversary("crash", [3], params), {3})
@@ -230,3 +250,109 @@ def test_fast_link_rng_matches_link_rng(round_index):
     for sender, receiver in [(0, 1), (4, 2), (1, 0), (3, 4)]:
         fast = draws(engine._fast_link_rng(sender, receiver))
         assert fast == draws(engine.link_rng(sender, receiver))
+
+
+def test_numpy_integer_classical_symbol_is_absent():
+    # Only a Python int is a classical symbol (see RoundEngine.run_round).
+    engine, _ = make_engine(m=4)
+
+    class NumpyBits:
+        def emit(self, view, slots):
+            return {slot: np.int64(1) for slot in slots}
+
+    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, exchange_slots(4))
+    payloads = {(i, r): 1 for i in range(3) for r in range(4) if r != i}
+    deliveries = engine.run_round(step, payloads, frozenset({3}), NumpyBits())
+    assert [deliveries[(3, r)] for r in range(3)] == [None, None, None]
+    assert all(e.kind == "absent" and e.payload is None for e in engine.transcript if e.sender == 3)
+
+
+def test_adversary_view_carries_previous_round():
+    engine, _ = make_engine(m=4)
+    seen = []
+
+    class Recorder:
+        def emit(self, view, slots):
+            seen.append(view.previous)
+            return {}
+
+    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, exchange_slots(4))
+    payloads = {(i, r): 1 for i in range(3) for r in range(4) if r != i}
+    first = engine.run_round(step, payloads, frozenset({3}), Recorder())
+    engine.run_round(step, payloads, frozenset({3}), Recorder())
+    assert seen[0] is None
+    assert seen[1][0] == step and seen[1][1] is first
+
+
+# Wire fuzzing: 3n = 12 qubits, so random segment splits often form a
+# well-formed batch and reach the measurement path.
+FUZZ_N = 4
+
+_odd = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-3, 3).map(np.int64),
+    st.floats(),  # NaN and +-inf included
+    st.text(max_size=3),
+    st.just(10**400),  # overflows float conversion
+)
+_bloch = st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3)  # |r| < 1
+_states = st.one_of(
+    st.lists(st.floats(-1.01, 1.01), min_size=3, max_size=3),
+    st.lists(_odd, max_size=4),
+    _odd,
+)
+_splits = st.sets(st.integers(1, 3 * FUZZ_N - 1), max_size=3).map(
+    lambda cuts: [b - a for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), 3 * FUZZ_N])]
+)
+_segments = st.one_of(
+    st.lists(st.one_of(st.tuples(_states, st.one_of(_odd, st.integers(1, 3 * FUZZ_N))), _odd)),
+    _odd,
+)
+# Well formed: mixed states over a split of the 3n qubits.
+_well_formed = _splits.flatmap(
+    lambda counts: st.tuples(*(st.tuples(_bloch, st.just(c)) for c in counts))
+)
+_wire = st.one_of(_odd, _segments.map(QuantumMessage), _well_formed.map(QuantumMessage))
+
+
+def fuzz_rounds(adversary):
+    """A direction exchange and a classical round with faulty node 3.
+
+    Returns the honest-to-honest deliveries of both rounds.
+    """
+    engine, _ = make_engine(m=4, n=FUZZ_N, seed=13)
+    rng = np.random.default_rng(13)
+    directions = [random_direction(rng) for _ in range(3)]
+    rounds = [
+        (
+            RoundStep(DIRECTION_EXCHANGE, 0, 0, None, exchange_slots(4)),
+            lambda i: QuantumMessage.uniform(directions[i], FUZZ_N),
+        ),
+        (RoundStep(CLASSICAL_ROUND, 0, 0, 0, exchange_slots(4)), lambda i: i % 2),
+    ]
+    honest = []
+    for step, payload_of in rounds:
+        payloads = {slot: payload_of(slot[0]) for slot in step.slots if slot[0] != 3}
+        deliveries = engine.run_round(step, payloads, frozenset({3}), adversary)
+        honest.append({slot: d for slot, d in deliveries.items() if 3 not in slot})
+    return honest
+
+
+class Scripted:
+    """Emits a fixed list of objects, in order, over the faulty slots."""
+
+    def __init__(self, objects):
+        self.objects = list(objects)
+
+    def emit(self, view, slots):
+        return {slot: self.objects.pop(0) for slot in slots}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_wire, min_size=6, max_size=6))
+@example([QuantumMessage(((UP, math.inf),))] * 6)
+def test_wire_fuzz_never_raises_and_spares_honest_links(objects):
+    crashed = fuzz_rounds(NullAdversary())
+    assert fuzz_rounds(Scripted(objects)) == crashed

@@ -1,0 +1,37 @@
+"""The benchmark's tracing hooks still attach to the program.
+
+``perfbench/tracing.py`` patches entry points by name from outside the
+package.  A renamed or bypassed entry point leaves a counter at zero or a
+layer without spans; this catches that in the ordinary test run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from rfagree import harness
+from rfagree.config import ExperimentConfig
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_counter_and_layer_is_hit(tmp_path):
+    tracing = load_tracing()
+    # crash leaves the faulty node's slots absent, so every counter moves.
+    config = ExperimentConfig(
+        m=4, t=1, delta=0.05, n=2000, adversary="crash", trials=1,
+        master_seed=3, out_dir=str(tmp_path), write_transcript=True,
+    )
+    original = harness.run_experiment
+    with tracing.installed(tracing.Tracer()) as tracer:
+        harness.run_experiment(config)
+    assert [name for name in tracing.COUNTERS if not tracer.counts[name]] == []
+    layers = {span[0] for span in tracer.spans}
+    assert set(tracing.SELF_TIME_METRICS) - layers == set()
+    assert harness.run_experiment is original  # restored on exit
