@@ -43,10 +43,9 @@ def _king_estimates(previous, receivers) -> dict:
     ``previous`` is the view's last resolved round, the king broadcast when
     the direction exchange is being emitted.
     """
-    _, deliveries = previous
     return {
         r: SENTINEL.copy() if tally is None else ted_receive(tally)[0]
-        for (_, r), tally in deliveries.items()
+        for (_, r), tally in previous.deliveries.items()
         if r in receivers
     }
 
@@ -66,9 +65,9 @@ class HonestShadow(Adversary):
         self.nodes = {i: HonestNode(i, params) for i in sorted(self.faulty_set)}
 
     def emit(self, view, slots):
-        if view.previous is not None:
-            step, deliveries = view.previous
-            absorb_round(step, self.nodes, deliveries, self.params.m)
+        previous = view.previous
+        if previous is not None:
+            absorb_round(previous.step, self.nodes, previous.deliveries, self.params.m)
         if view.step.kind == KING_BROADCAST:
             start_phase(self.nodes, view.step.king_id, view.node_rng)
         return node_payloads(view.step, self.nodes)

@@ -74,10 +74,6 @@ def angle_between(u, v) -> float:
     return math.acos(min(1.0, max(-1.0, dot(u, v))))
 
 
-def chord_from_angle(theta: float) -> float:
-    return 2.0 * math.sin(theta / 2.0)
-
-
 def angle_from_chord(d: float) -> float:
     return 2.0 * math.asin(min(1.0, max(0.0, d / 2.0)))
 

@@ -37,11 +37,10 @@ import numpy as np
 from .adversaries import make_adversary
 from .config import ExperimentConfig, success_exponent
 from .geometry import distance, random_frame, to_global
-from .netsim import QUANTUM_STEPS, TranscriptEntry, substream
+from .netsim import QUANTUM_STEPS, substream
 from .quantum_link import (
     ChannelParams,
     MeasurementTally,
-    QuantumMessage,
     ted_accuracy_bound,
     ted_receive,
     ted_success_bound,
@@ -69,25 +68,35 @@ class TrialMetrics:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def estimation_failures(transcript, frames, faulty_ids, delta_eff: float) -> int:
-    """Replay every correct-to-correct quantum envelope against ground truth.
+def quantum_links(transcript):
+    """(sender, receiver, sent_local, tally) of every delivered quantum envelope.
 
-    The wire payload is the sent direction in sender-local coordinates (one
-    segment for honest senders); the receiver's estimate is recomputed from
-    the logged tally.  A link fails when the two differ by more than
-    delta_eff in the global frame.
+    ``sent_local`` is the state of the first segment in sender-local
+    coordinates: the sent direction, for an honest sender.
+    """
+    for rnd in transcript:
+        if rnd.step.kind in QUANTUM_STEPS:
+            for (sender, receiver), tally in rnd.deliveries.items():
+                if tally is not None:
+                    sent_local = rnd.payloads[(sender, receiver)].segments[0][0]
+                    yield sender, receiver, sent_local, tally
+
+
+def estimation_failures(links, frames, faulty_ids, delta_eff: float) -> int:
+    """Replay every correct-to-correct quantum link against ground truth.
+
+    ``links`` yields (sender, receiver, sent_local, tally) tuples; the
+    receiver's estimate is recomputed from the tally.  A link fails when it
+    and the sent direction differ by more than delta_eff in the global frame.
     """
     faulty = frozenset(faulty_ids)
     failures = 0
-    for e in transcript:
-        if e.step not in QUANTUM_STEPS:
+    for sender, receiver, sent_local, tally in links:
+        if sender in faulty or receiver in faulty:
             continue
-        if e.sender in faulty or e.receiver in faulty:
-            continue
-        sent_local = e.payload.segments[0][0]
-        sent = to_global(sent_local, frames[e.sender])
-        estimate_local, _ = ted_receive(e.tally)
-        estimate = to_global(estimate_local, frames[e.receiver])
+        sent = to_global(sent_local, frames[sender])
+        estimate_local, _ = ted_receive(tally)
+        estimate = to_global(estimate_local, frames[receiver])
         if distance(sent, estimate) > delta_eff:
             failures += 1
     return failures
@@ -154,7 +163,7 @@ def compute_metrics(result: TrialResult) -> TrialMetrics:
         persistency_ok = persistency_ok and ok
 
     failures = estimation_failures(
-        result.transcript, frames, result.faulty_ids, delta_eff
+        quantum_links(result.transcript), frames, result.faulty_ids, delta_eff
     )
     return TrialMetrics(
         eta_emp=eta,
@@ -236,52 +245,37 @@ def trial_record(config: ExperimentConfig, trial: int, result: TrialResult, metr
 
 
 def transcript_records(trial: int, transcript) -> list:
+    """One record per slot, rounds in order and slots in round order."""
     records = []
-    for e in transcript:
-        if isinstance(e.payload, QuantumMessage):
-            payload = [[[float(c) for c in state], int(count)] for state, count in e.payload.segments]
-        else:
-            payload = e.payload
-        tally = None
-        if e.tally is not None:
-            tally = {"k_x": e.tally.k_x, "k_y": e.tally.k_y, "k_z": e.tally.k_z, "n": e.tally.n}
-        records.append(
-            {
-                "trial": trial,
-                "round": e.round_index,
-                "phase": e.phase,
-                "step": e.step,
-                "cc_round": e.cc_round,
-                "sender": e.sender,
-                "receiver": e.receiver,
-                "kind": e.kind,
-                "payload": payload,
-                "tally": tally,
-            }
-        )
+    for index, rnd in enumerate(transcript):
+        step = rnd.step
+        quantum = step.kind in QUANTUM_STEPS
+        for (sender, receiver), payload in rnd.payloads.items():
+            tally = None
+            if payload is None:
+                kind = "absent"
+            elif quantum:
+                kind = "quantum"
+                payload = [[[float(c) for c in state], int(count)] for state, count in payload.segments]
+                t = rnd.deliveries[(sender, receiver)]
+                tally = {"k_x": t.k_x, "k_y": t.k_y, "k_z": t.k_z, "n": t.n}
+            else:
+                kind = "bit"
+            records.append(
+                {
+                    "trial": trial,
+                    "round": index,
+                    "phase": step.phase,
+                    "step": step.kind,
+                    "cc_round": step.cc_round,
+                    "sender": sender,
+                    "receiver": receiver,
+                    "kind": kind,
+                    "payload": payload,
+                    "tally": tally,
+                }
+            )
     return records
-
-
-def parse_transcript_record(rec: dict) -> TranscriptEntry:
-    payload = rec["payload"]
-    if rec["kind"] == "quantum":
-        payload = QuantumMessage(
-            tuple((np.array(state, dtype=np.float64), int(count)) for state, count in payload)
-        )
-    tally = rec["tally"]
-    if tally is not None:
-        tally = MeasurementTally(tally["k_x"], tally["k_y"], tally["k_z"], tally["n"])
-    return TranscriptEntry(
-        round_index=rec["round"],
-        phase=rec["phase"],
-        step=rec["step"],
-        cc_round=rec["cc_round"],
-        sender=rec["sender"],
-        receiver=rec["receiver"],
-        kind=rec["kind"],
-        payload=payload,
-        tally=tally,
-    )
 
 
 def _worker(args):
@@ -432,11 +426,12 @@ def emit_report(summaries, path) -> None:
             )
 
 
-def recompute_metrics_from_records(record: dict, transcript_entries, config: ExperimentConfig) -> dict:
+def recompute_metrics_from_records(record: dict, links, config: ExperimentConfig) -> dict:
     """Recompute the headline metrics from exported artifacts only.
 
     Reconstructs eta/consistency from the recorded outputs and frames, and
-    the estimation-failure count from logged wire payloads and tallies.  The
+    the estimation-failure count from the quantum ``links`` (see
+    :func:`estimation_failures`) taken from the transcript, if any.  The
     formulas are the ones :func:`compute_metrics` uses; only the inputs
     differ.  Used by the ``verify`` subcommand to cross-check trials.jsonl.
     """
@@ -452,8 +447,8 @@ def recompute_metrics_from_records(record: dict, transcript_entries, config: Exp
     eta, consistency_ok, termination_ok = agreement_metrics(global_outputs, honest, delta_eff)
 
     failures = None
-    if transcript_entries is not None:
-        failures = estimation_failures(transcript_entries, frames, faulty, delta_eff)
+    if links is not None:
+        failures = estimation_failures(links, frames, faulty, delta_eff)
     return {
         "eta_emp": eta,
         "consistency_ok": consistency_ok,
@@ -464,21 +459,23 @@ def recompute_metrics_from_records(record: dict, transcript_entries, config: Exp
 
 def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> list:
     """Cross-check exported records; returns a list of mismatch strings."""
-    by_trial_transcript = {}
+    links_by_trial = {}
     if transcript_path is not None:
         with open(transcript_path) as fh:
             for line in fh:
                 rec = json.loads(line)
-                by_trial_transcript.setdefault(rec["trial"], []).append(
-                    parse_transcript_record(rec)
-                )
+                links = links_by_trial.setdefault(rec["trial"], [])
+                if rec["kind"] == "quantum":
+                    t = rec["tally"]
+                    tally = MeasurementTally(t["k_x"], t["k_y"], t["k_z"], t["n"])
+                    links.append((rec["sender"], rec["receiver"], rec["payload"][0][0], tally))
     mismatches = []
     with open(trials_path) as fh:
         for line in fh:
             record = json.loads(line)
             trial = record["trial"]
-            entries = by_trial_transcript.get(trial) if transcript_path else None
-            redone = recompute_metrics_from_records(record, entries, config)
+            links = links_by_trial.get(trial) if transcript_path else None
+            redone = recompute_metrics_from_records(record, links, config)
             stored = record["metrics"]
             for key, value in redone.items():
                 if value is None:

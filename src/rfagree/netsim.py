@@ -20,6 +20,11 @@ frame to obtain the physical, global-frame state and measures it in the
 receiver's frame; that keeps the only stochastic step in one place and makes
 the logged wire data independent of how the hidden global frame is oriented.
 
+The engine writes each resolved round down once, as a :class:`Round` of its
+step, deliveries and wire payloads; the adversary's view of the previous
+round is the last of them, and the estimation oracle and the transcript
+export read them all.
+
 Randomness is derived per (trial, round, sender, receiver) from counter-based
 Philox streams, so replays are stable: adding adversary draws or reordering
 queries can never shift honest randomness.
@@ -32,7 +37,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .quantum_link import ChannelParams, MeasurementTally, QuantumMessage, measure_batch
+from .quantum_link import ChannelParams, QuantumMessage, measure_batch
 
 KING_BROADCAST = "king_broadcast"
 DIRECTION_EXCHANGE = "direction_exchange"
@@ -54,31 +59,34 @@ class RoundStep(NamedTuple):
     slots: tuple
 
 
-class TranscriptEntry(NamedTuple):
-    round_index: int
-    phase: int
-    step: str
-    cc_round: Optional[int]
-    sender: int
-    receiver: int
-    kind: str  # "quantum" | "bit" | "absent"
-    payload: object  # QuantumMessage (sender-local coords) | int | None
-    tally: Optional[MeasurementTally]
+class Round(NamedTuple):
+    """One resolved round: what every slot of ``step`` carried and delivered.
+
+    ``payloads[slot]`` is the wire payload (a message in sender-local
+    coordinates, or a symbol) and ``deliveries[slot]`` what the receiver got
+    (a tally, or the symbol); both are None exactly where the slot was absent
+    or malformed.
+    """
+
+    step: RoundStep
+    deliveries: dict
+    payloads: dict
 
 
 @dataclass
 class AdversaryView:
     """What the adversary sees before filling the current round's slots.
 
-    ``previous`` is ``(step, deliveries)`` of the last resolved round, or
-    None before the first.  ``node_rng`` hands out the per-round stream a
-    node would use if it were honest, but only for nodes the adversary
-    controls; honest randomness stays private.
+    ``previous`` is the :class:`Round` resolved last, or None before the
+    first; its payloads add nothing to what earlier rushing views showed.
+    ``node_rng`` hands out the per-round stream a node would use if it were
+    honest, but only for nodes the adversary controls; honest randomness
+    stays private.
     """
 
     step: RoundStep
     honest_payloads: dict
-    previous: Optional[tuple]
+    previous: Optional[Round]
     rng: np.random.Generator
     node_rng: object = None
 
@@ -114,18 +122,19 @@ def deliver_quantum(
     faulty sender gains nothing from breaking the format.
     """
     try:
-        msg.validate(params.n)
+        global_msg = QuantumMessage(
+            tuple((sender_frame @ np.asarray(state, dtype=np.float64), count) for state, count in msg.segments)
+        )
+        # measure_batch validates the rotated message; a rotation keeps |r|
+        # to within rounding, far inside BLOCH_TOL, so one check suffices.
+        return measure_batch(global_msg, receiver_frame, params, rng)
     except (ValueError, TypeError, OverflowError):
         return None
-    global_msg = QuantumMessage(
-        tuple((sender_frame @ np.asarray(state, dtype=np.float64), count) for state, count in msg.segments)
-    )
-    return measure_batch(global_msg, receiver_frame, params, rng)
 
 
 @dataclass
 class RoundEngine:
-    """Executes rounds for one trial and accumulates the transcript."""
+    """Executes rounds for one trial; ``transcript`` keeps one :class:`Round` each."""
 
     m: int
     channel: ChannelParams
@@ -134,14 +143,11 @@ class RoundEngine:
     trial: int
     transcript: list = field(default_factory=list)
     round_index: int = 0
-    previous: Optional[tuple] = field(default=None, init=False)
 
-    # Counter word c1 tags the purpose: 0 for setup draws, 1 + round for
-    # per-round streams.  c2/c3 carry node or link ids; sender == receiver
-    # never occurs on a slot, so (node, node) is free for per-node draws.
-    def setup_rng(self, node: int) -> np.random.Generator:
-        return substream(self.master_seed, self.trial, 0, node, 0)
-
+    # Counter word c1 tags the purpose: 0 for setup draws (the frames, see
+    # harness.trial_frames), 1 + round for per-round streams.  c2/c3 carry
+    # node or link ids; sender == receiver never occurs on a slot, so
+    # (node, node) is free for per-node draws.
     def node_rng(self, node: int) -> np.random.Generator:
         return substream(self.master_seed, self.trial, 1 + self.round_index, node, node)
 
@@ -183,7 +189,8 @@ class RoundEngine:
         be a Python ``int`` (not ``bool``); anything else, numpy integers
         included, is delivered as absent.  Honest payloads must cover
         exactly the honest slots; the adversary fills the rest after seeing
-        them (missing faulty slots count as absent).
+        them (missing faulty slots count as absent).  The resolved round is
+        appended to ``transcript`` as one :class:`Round`.
         """
         faulty_payloads = {}
         if faulty_set:
@@ -199,7 +206,7 @@ class RoundEngine:
             view = AdversaryView(
                 step=step,
                 honest_payloads=dict(honest_payloads),
-                previous=self.previous,
+                previous=self.transcript[-1] if self.transcript else None,
                 rng=self.adversary_rng(),
                 node_rng=faulty_node_rng,
             )
@@ -214,6 +221,7 @@ class RoundEngine:
 
         quantum_step = step.kind in QUANTUM_STEPS
         deliveries = {}
+        payloads = {}
         for slot in step.slots:
             sender, receiver = slot
             if sender in faulty_set:
@@ -221,42 +229,23 @@ class RoundEngine:
             else:
                 payload = honest_payloads[slot]
 
-            tally = None
-            if quantum_step and isinstance(payload, QuantumMessage):
-                tally = deliver_quantum(
-                    payload,
-                    self.frames[sender],
-                    self.frames[receiver],
-                    self.channel,
-                    self._fast_link_rng(sender, receiver),
-                )
-                if tally is None:
-                    payload = None  # malformed: degrade to absent
-                kind = "quantum" if tally is not None else "absent"
-                deliveries[slot] = tally
-            elif not quantum_step and isinstance(payload, int) and not isinstance(payload, bool):
-                kind = "bit"
-                deliveries[slot] = payload
-            else:
-                kind = "absent"
-                payload = None
-                deliveries[slot] = None
-
-            self.transcript.append(
-                TranscriptEntry(
-                    round_index=self.round_index,
-                    phase=step.phase,
-                    step=step.kind,
-                    cc_round=step.cc_round,
-                    sender=sender,
-                    receiver=receiver,
-                    kind=kind,
-                    payload=payload,
-                    tally=tally,
-                )
-            )
+            delivery = None
+            if quantum_step:
+                if isinstance(payload, QuantumMessage):
+                    delivery = deliver_quantum(
+                        payload,
+                        self.frames[sender],
+                        self.frames[receiver],
+                        self.channel,
+                        self._fast_link_rng(sender, receiver),
+                    )
+                payloads[slot] = None if delivery is None else payload
+            elif isinstance(payload, int) and not isinstance(payload, bool):
+                delivery = payload
+            deliveries[slot] = delivery
         self.round_index += 1
-        # Not copied: correct nodes absorb these deliveries before the next
-        # round shows them to the adversary.
-        self.previous = (step, deliveries)
+        # A delivered symbol is its own wire payload.  Not copied: correct
+        # nodes absorb these deliveries before the next round shows them to
+        # the adversary.
+        self.transcript.append(Round(step, deliveries, payloads if quantum_step else deliveries))
         return deliveries

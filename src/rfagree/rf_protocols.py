@@ -229,8 +229,7 @@ class TrialResult:
     outputs: dict = field(default_factory=dict)
     accept_phase: dict = field(default_factory=dict)
     degenerate: int = 0
-    rounds_used: int = 0
-    transcript: list = field(default_factory=list)
+    transcript: list = field(default_factory=list)  # netsim.Round per round
 
 
 def phase_steps(m: int, t: int, phase: int, king_id: int):
@@ -357,6 +356,5 @@ def run_rf_consensus(
                 result.outputs[i] = phase_result.outputs[i]
                 result.accept_phase[i] = k
     result.degenerate = sum(nodes[i].degenerate for i in nodes)
-    result.rounds_used = engine.round_index
     result.transcript = engine.transcript
     return result

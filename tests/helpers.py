@@ -1,10 +1,12 @@
 """Shared test machinery: exhaustive consensus enumeration and rotations."""
 
 import itertools
+import json
 
 import numpy as np
 
 from rfagree.classical_consensus import PhaseKingNode
+from rfagree.harness import transcript_records
 
 #: Per-criterion verdict lines collected by the acceptance suite; printed in
 #: the terminal summary so they survive output capture.
@@ -100,26 +102,5 @@ def octahedral_rotations():
 
 
 def transcript_signature(transcript):
-    """Hashable canonical form of a transcript for equality checks."""
-    out = []
-    for e in transcript:
-        payload = e.payload
-        if hasattr(payload, "segments"):
-            payload = tuple(
-                (tuple(float(c) for c in state), int(count))
-                for state, count in payload.segments
-            )
-        out.append(
-            (
-                e.round_index,
-                e.phase,
-                e.step,
-                e.cc_round,
-                e.sender,
-                e.receiver,
-                e.kind,
-                payload,
-                None if e.tally is None else (e.tally.k_x, e.tally.k_y, e.tally.k_z, e.tally.n),
-            )
-        )
-    return tuple(out)
+    """Canonical form of a transcript for equality checks: its exported records."""
+    return json.dumps(transcript_records(0, transcript), sort_keys=True)

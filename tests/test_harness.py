@@ -169,13 +169,27 @@ def test_verify_round_trip_and_corruption(tmp_path):
     assert verify_records(out / "trials.jsonl", None, cfg) == []
 
     # Corrupt one output: verification must notice.
-    lines = (out / "trials.jsonl").read_text().splitlines()
+    trials = (out / "trials.jsonl").read_text()
+    lines = trials.splitlines()
     rec = json.loads(lines[0])
     some = next(k for k, v in rec["outputs_local"].items() if v is not None)
     rec["outputs_local"][some] = [0.0, 1.0, 0.0]
     lines[0] = json.dumps(rec, sort_keys=True)
     (out / "trials.jsonl").write_text("\n".join(lines) + "\n")
     assert verify_records(out / "trials.jsonl", None, cfg) != []
+
+    # Zero one correct-to-correct tally in the transcript: the recomputed
+    # estimation-failure count must disagree with the stored one.
+    (out / "trials.jsonl").write_text(trials)
+    lines = (out / "transcript.jsonl").read_text().splitlines()
+    idx = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "quantum")
+    rec = json.loads(lines[idx])
+    assert not set(cfg.faulty_ids) & {rec["sender"], rec["receiver"]}
+    rec["tally"].update(k_x=0, k_y=0, k_z=0)
+    lines[idx] = json.dumps(rec, sort_keys=True)
+    (out / "transcript.jsonl").write_text("\n".join(lines) + "\n")
+    mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
+    assert len(mismatches) == 1 and "estimation_failures" in mismatches[0]
 
 
 def test_metrics_on_synthetic_outputs():

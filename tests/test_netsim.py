@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rfagree.geometry import distance, random_direction, random_frame, to_global
+from rfagree.harness import transcript_records
 from rfagree.netsim import (
     CLASSICAL_ROUND,
     DIRECTION_EXCHANGE,
@@ -62,10 +63,12 @@ def test_slot_completeness_and_counts():
     directions = [random_direction(rng) for _ in range(4)]
     deliveries = all_honest_direction_round(engine, directions)
     assert len(deliveries) == 12  # m(m-1) slots
-    assert len(engine.transcript) == 12
-    slots = {(e.sender, e.receiver) for e in engine.transcript}
-    assert slots == set(exchange_slots(4))
-    assert all(e.tally is not None for e in engine.transcript)
+    assert len(engine.transcript) == 1  # one Round per round
+    rnd = engine.transcript[0]
+    assert rnd.deliveries is deliveries
+    assert list(rnd.payloads) == list(exchange_slots(4))
+    assert all(tally is not None for tally in rnd.deliveries.values())
+    assert all(payload is not None for payload in rnd.payloads.values())
 
 
 def test_determinism_bit_identical_transcripts():
@@ -117,10 +120,10 @@ def test_rushing_adversary_sees_current_round():
             if r != i:
                 payloads[(i, r)] = msg
     engine.run_round(step, payloads, rusher.faulty_set, rusher)
-    echoes = [e for e in engine.transcript if e.sender == 3]
+    echoes = [p for (s, _), p in engine.transcript[0].payloads.items() if s == 3]
     assert len(echoes) == 3
-    for e in echoes:
-        assert np.array_equal(e.payload.segments[0][0], directions[1])
+    for payload in echoes:
+        assert np.array_equal(payload.segments[0][0], directions[1])
 
 
 def test_deliver_quantum_accurate_at_large_n():
@@ -178,7 +181,8 @@ def test_absent_payload_recorded_and_none_delivered():
     payloads = {slot: None for slot in step.slots}
     deliveries = engine.run_round(step, payloads, frozenset(), NullAdversary())
     assert set(deliveries.values()) == {None}
-    assert all(e.kind == "absent" for e in engine.transcript)
+    assert set(engine.transcript[0].payloads.values()) == {None}
+    assert {r["kind"] for r in transcript_records(0, engine.transcript)} == {"absent"}
 
 
 def direction_round_with(adversary, faulty, seed=11):
@@ -228,7 +232,11 @@ def test_non_finite_faulty_state_becomes_absent(state):
     faulty_slots = [slot for slot in deliveries if slot[0] == 3]
     assert len(faulty_slots) == 3
     assert all(deliveries[slot] is None for slot in faulty_slots)
-    assert all(e.kind == "absent" and e.payload is None for e in transcript if e.sender == 3)
+    assert all(p is None for (s, _), p in transcript[0].payloads.items() if s == 3)
+    faulty_records = [r for r in transcript_records(0, transcript) if r["sender"] == 3]
+    assert len(faulty_records) == 3
+    for r in faulty_records:
+        assert r["kind"] == "absent" and r["payload"] is None and r["tally"] is None
     assert deliveries == crashed
 
 
@@ -264,7 +272,9 @@ def test_numpy_integer_classical_symbol_is_absent():
     payloads = {(i, r): 1 for i in range(3) for r in range(4) if r != i}
     deliveries = engine.run_round(step, payloads, frozenset({3}), NumpyBits())
     assert [deliveries[(3, r)] for r in range(3)] == [None, None, None]
-    assert all(e.kind == "absent" and e.payload is None for e in engine.transcript if e.sender == 3)
+    assert [engine.transcript[0].payloads[(3, r)] for r in range(3)] == [None, None, None]
+    faulty_records = [r for r in transcript_records(0, engine.transcript) if r["sender"] == 3]
+    assert [r["kind"] for r in faulty_records] == ["absent"] * 3
 
 
 def test_adversary_view_carries_previous_round():
@@ -282,6 +292,23 @@ def test_adversary_view_carries_previous_round():
     engine.run_round(step, payloads, frozenset({3}), Recorder())
     assert seen[0] is None
     assert seen[1][0] == step and seen[1][1] is first
+    assert seen[1] is engine.transcript[0]
+    assert seen[1].step == step and seen[1].deliveries is first
+
+
+def test_quantum_message_validated_once_per_delivery(monkeypatch):
+    calls = []
+    validate = QuantumMessage.validate
+
+    def counting(msg, n):
+        calls.append(msg)
+        return validate(msg, n)
+
+    monkeypatch.setattr(QuantumMessage, "validate", counting)
+    engine, _ = make_engine(m=4)
+    rng = np.random.default_rng(1)
+    all_honest_direction_round(engine, [random_direction(rng) for _ in range(4)])
+    assert len(calls) == 12  # one per delivery, m(m-1) slots
 
 
 # Wire fuzzing: 3n = 12 qubits, so random segment splits often form a
