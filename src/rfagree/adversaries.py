@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+from .classical_consensus import CLAIM_ROUND
 from .geometry import any_orthogonal, angle_from_chord, random_direction, rotate_about
 from .netsim import CLASSICAL_ROUND, DIRECTION_EXCHANGE, FLAG_EXCHANGE, KING_BROADCAST
 from .quantum_link import SENTINEL, QuantumMessage, ted_receive
@@ -70,7 +71,8 @@ class HonestShadow(Adversary):
             absorb_round(previous.step, self.nodes, previous.deliveries, self.params.m)
         if view.step.kind == KING_BROADCAST:
             start_phase(self.nodes, view.step.king_id, view.node_rng)
-        return node_payloads(view.step, self.nodes)
+        payloads = node_payloads(view.step, self.nodes)
+        return {slot: payloads[slot[0]] for slot in slots}
 
 
 class Crash(Adversary):
@@ -96,7 +98,7 @@ class RandomNoise(Adversary):
                 out[slot] = QuantumMessage.uniform(
                     random_direction(rng), self.params.channel.n
                 )
-            elif step.kind == CLASSICAL_ROUND and step.cc_round % 3 == 1:
+            elif step.kind == CLASSICAL_ROUND and step.cc_round % 3 == CLAIM_ROUND:
                 out[slot] = int(rng.integers(0, 3))  # claim rounds are 3-valued
             else:
                 out[slot] = int(rng.integers(0, 2))
@@ -217,12 +219,6 @@ class Rusher(Adversary):
             raise ValueError(f"rusher target {target} must be an honest node")
         self.target = target
 
-    def _target_payload(self, view):
-        for (s, _), payload in view.honest_payloads.items():
-            if s == self.target:
-                return payload
-        return None
-
     def emit(self, view, slots):
         step = view.step
         n = self.params.channel.n
@@ -234,7 +230,7 @@ class Rusher(Adversary):
             for slot in slots:
                 out[slot] = msg
         elif step.kind == DIRECTION_EXCHANGE:
-            payload = self._target_payload(view)
+            payload = view.honest_payloads.get(self.target)
             if payload is None:
                 msg = QuantumMessage.uniform(random_direction(view.rng), n)
             else:
@@ -247,7 +243,7 @@ class Rusher(Adversary):
             for slot in slots:
                 out[slot] = msg
         else:
-            payload = self._target_payload(view)
+            payload = view.honest_payloads.get(self.target)
             if payload is None:
                 payload = int(view.rng.integers(0, 2))
             for slot in slots:

@@ -458,28 +458,40 @@ def recompute_metrics_from_records(record: dict, links, config: ExperimentConfig
 
 
 def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> list:
-    """Cross-check exported records; returns a list of mismatch strings."""
+    """Cross-check exported records; returns a list of mismatch strings.
+
+    Without a transcript the estimation-failure count cannot be recomputed
+    and is not checked; every other metric always is.  A transcript line
+    that cannot be read is itself a mismatch.
+    """
+    mismatches = []
     links_by_trial = {}
     if transcript_path is not None:
         with open(transcript_path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                links = links_by_trial.setdefault(rec["trial"], [])
-                if rec["kind"] == "quantum":
-                    t = rec["tally"]
-                    tally = MeasurementTally(t["k_x"], t["k_y"], t["k_z"], t["n"])
-                    links.append((rec["sender"], rec["receiver"], rec["payload"][0][0], tally))
-    mismatches = []
+            for lineno, line in enumerate(fh, 1):
+                trial = None
+                try:
+                    rec = json.loads(line)
+                    trial = rec["trial"]
+                    links = links_by_trial.setdefault(trial, [])
+                    if rec["kind"] == "quantum":
+                        t = rec["tally"]
+                        tally = MeasurementTally(t["k_x"], t["k_y"], t["k_z"], t["n"])
+                        links.append((rec["sender"], rec["receiver"], rec["payload"][0][0], tally))
+                except (ValueError, KeyError, TypeError, IndexError) as exc:
+                    prefix = "" if trial is None else f"trial {trial}: "
+                    mismatches.append(
+                        f"{prefix}transcript line {lineno}: {type(exc).__name__}: {exc}"
+                    )
     with open(trials_path) as fh:
         for line in fh:
             record = json.loads(line)
             trial = record["trial"]
-            links = links_by_trial.get(trial) if transcript_path else None
-            redone = recompute_metrics_from_records(record, links, config)
+            redone = recompute_metrics_from_records(record, links_by_trial.get(trial), config)
+            if transcript_path is None:
+                del redone["estimation_failures"]
             stored = record["metrics"]
             for key, value in redone.items():
-                if value is None:
-                    continue
                 if stored.get(key) != value:
                     mismatches.append(
                         f"trial {trial}: {key} stored={stored.get(key)!r} recomputed={value!r}"

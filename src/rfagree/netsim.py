@@ -2,6 +2,9 @@
 
 Communication model:
 
+* broadcast: in every round a correct node sends one payload to every other
+  node, so honest traffic is one payload per honest sender; only a faulty
+  sender can send different things to different receivers;
 * public: before the faulty nodes commit their messages for a round, the
   adversary is shown every delivery of the previous round plus every honest
   message of the current round (a rushing adversary, the strongest reading).
@@ -52,11 +55,17 @@ class AuthenticationError(Exception):
 
 
 class RoundStep(NamedTuple):
+    """One round of a king phase.
+
+    ``senders`` are the nodes that broadcast in it, in ascending order; each
+    one's slots run to every other node, receivers ascending.
+    """
+
     kind: str
     phase: int
     king_id: int
     cc_round: Optional[int]
-    slots: tuple
+    senders: tuple
 
 
 class Round(NamedTuple):
@@ -77,11 +86,12 @@ class Round(NamedTuple):
 class AdversaryView:
     """What the adversary sees before filling the current round's slots.
 
-    ``previous`` is the :class:`Round` resolved last, or None before the
-    first; its payloads add nothing to what earlier rushing views showed.
-    ``node_rng`` hands out the per-round stream a node would use if it were
-    honest, but only for nodes the adversary controls; honest randomness
-    stays private.
+    ``honest_payloads`` maps each honest sender of the step to the one
+    payload it broadcasts.  ``previous`` is the :class:`Round` resolved
+    last, or None before the first; its payloads add nothing to what earlier
+    rushing views showed.  ``node_rng`` hands out the per-round stream a node
+    would use if it were honest, but only for nodes the adversary controls;
+    honest randomness stays private.
     """
 
     step: RoundStep
@@ -89,14 +99,6 @@ class AdversaryView:
     previous: Optional[Round]
     rng: np.random.Generator
     node_rng: object = None
-
-
-def broadcast_slots(m: int, sender: int) -> tuple:
-    return tuple((sender, r) for r in range(m) if r != sender)
-
-
-def exchange_slots(m: int) -> tuple:
-    return tuple((s, r) for s in range(m) for r in range(m) if r != s)
 
 
 def substream(key0: int, key1: int, c1: int, c2: int, c3: int) -> np.random.Generator:
@@ -184,14 +186,18 @@ class RoundEngine:
     def run_round(self, step: RoundStep, honest_payloads: dict, faulty_set, adversary) -> dict:
         """Resolve every slot of ``step``; returns {(sender, receiver): delivery}.
 
-        Deliveries are MeasurementTally for quantum payloads, int for bits,
-        and None for absent or malformed messages.  A classical symbol must
-        be a Python ``int`` (not ``bool``); anything else, numpy integers
-        included, is delivered as absent.  Honest payloads must cover
-        exactly the honest slots; the adversary fills the rest after seeing
-        them (missing faulty slots count as absent).  The resolved round is
-        appended to ``transcript`` as one :class:`Round`.
+        Slots run sender-major over ``step.senders``, each to every other
+        node in ascending order.  ``honest_payloads`` maps every honest
+        sender to the one payload it broadcasts; the adversary fills the
+        faulty senders' slots one by one after seeing them (missing faulty
+        slots count as absent), so it alone can equivocate.  Deliveries are
+        MeasurementTally for quantum payloads, int for bits, and None for
+        absent or malformed messages.  A classical symbol must be a Python
+        ``int`` (not ``bool``); anything else, numpy integers included, is
+        delivered as absent.  The resolved round is appended to
+        ``transcript`` as one :class:`Round`.
         """
+        slots = [(s, r) for s in step.senders for r in range(self.m) if r != s]
         faulty_payloads = {}
         if faulty_set:
 
@@ -210,7 +216,7 @@ class RoundEngine:
                 rng=self.adversary_rng(),
                 node_rng=faulty_node_rng,
             )
-            faulty_slots = tuple(s for s in step.slots if s[0] in faulty_set)
+            faulty_slots = tuple(s for s in slots if s[0] in faulty_set)
             emitted = adversary.emit(view, faulty_slots)
             for slot, payload in emitted.items():
                 if slot[0] not in faulty_set:
@@ -222,12 +228,12 @@ class RoundEngine:
         quantum_step = step.kind in QUANTUM_STEPS
         deliveries = {}
         payloads = {}
-        for slot in step.slots:
+        for slot in slots:
             sender, receiver = slot
             if sender in faulty_set:
                 payload = faulty_payloads.get(slot)
             else:
-                payload = honest_payloads[slot]
+                payload = honest_payloads[sender]
 
             delivery = None
             if quantum_step:

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classical_consensus import PhaseKingNode, coerce_bit, rounds_for
+from .classical_consensus import KING_ROUND, PhaseKingNode, coerce_bit, rounds_for
 from .geometry import distance, random_direction
 from .netsim import (
     CLASSICAL_ROUND,
@@ -44,8 +44,6 @@ from .netsim import (
     QUANTUM_STEPS,
     RoundEngine,
     RoundStep,
-    broadcast_slots,
-    exchange_slots,
 )
 from .quantum_link import (
     SENTINEL,
@@ -133,10 +131,8 @@ class HonestNode:
         self.node_id = node_id
         self.params = params
         self.w = None
-        self.u = None
         self.flag = 0
         self.a = None
-        self.flags = None
         self.v = None
         self.g = 0
         self.y = None
@@ -145,17 +141,15 @@ class HonestNode:
 
     def begin_phase(self, king_id: int, king_rng) -> None:
         self.w = random_direction(king_rng) if self.node_id == king_id else None
-        self.u = None
         self.flag = 0
         self.a = None
-        self.flags = None
         self.v = None
         self.g = 0
         self.y = None
         self._cc = None
 
     def payload(self, step: RoundStep):
-        """What this node sends on each of its slots in ``step``."""
+        """What this node broadcasts in ``step``."""
         if step.kind in QUANTUM_STEPS:
             return QuantumMessage.uniform(self.w, self.params.channel.n)
         if step.kind == FLAG_EXCHANGE:
@@ -182,15 +176,13 @@ class HonestNode:
                 if degenerate:
                     self.degenerate += 1
         self.a = a
-        self.u = weak_consensus(self.w, a, p.m, p.t, p.delta_eff)
-        self.flag = 0 if self.u is None else 1
+        self.flag = 0 if weak_consensus(self.w, a, p.m, p.t, p.delta_eff) is None else 1
 
     def receive_flags(self, inbox) -> None:
         p = self.params
         flags = {self.node_id: self.flag}
         for j, delivery in inbox.items():
             flags[j] = coerce_bit(delivery)
-        self.flags = flags
         self.v, self.g = graded_consensus(
             self.w, self.a, flags, self.flag, p.m, p.t, p.delta_eff
         )
@@ -234,13 +226,14 @@ class TrialResult:
 
 def phase_steps(m: int, t: int, phase: int, king_id: int):
     """The rounds of one king phase, in order."""
-    yield RoundStep(KING_BROADCAST, phase, king_id, None, broadcast_slots(m, king_id))
-    yield RoundStep(DIRECTION_EXCHANGE, phase, king_id, None, exchange_slots(m))
-    yield RoundStep(FLAG_EXCHANGE, phase, king_id, None, exchange_slots(m))
+    everyone = tuple(range(m))
+    yield RoundStep(KING_BROADCAST, phase, king_id, None, (king_id,))
+    yield RoundStep(DIRECTION_EXCHANGE, phase, king_id, None, everyone)
+    yield RoundStep(FLAG_EXCHANGE, phase, king_id, None, everyone)
     for r in range(rounds_for(t)):
-        # Every third classical round is the classical king's broadcast.
-        slots = broadcast_slots(m, r // 3) if r % 3 == 2 else exchange_slots(m)
-        yield RoundStep(CLASSICAL_ROUND, phase, king_id, r, slots)
+        # In a king round only the classical king (node r // 3) speaks.
+        senders = (r // 3,) if r % 3 == KING_ROUND else everyone
+        yield RoundStep(CLASSICAL_ROUND, phase, king_id, r, senders)
 
 
 def start_phase(nodes: dict, king_id: int, node_rng) -> None:
@@ -250,21 +243,8 @@ def start_phase(nodes: dict, king_id: int, node_rng) -> None:
 
 
 def node_payloads(step: RoundStep, nodes: dict) -> dict:
-    """{slot: payload} for every slot of ``step`` sent by one of ``nodes``.
-
-    A node sends the same payload on all of its slots, so it is built once
-    per sender.
-    """
-    built = {}
-    payloads = {}
-    for slot in step.slots:
-        sender = slot[0]
-        node = nodes.get(sender)
-        if node is not None:
-            if sender not in built:
-                built[sender] = node.payload(step)
-            payloads[slot] = built[sender]
-    return payloads
+    """{sender: payload} for every sender of ``step`` among ``nodes``."""
+    return {i: nodes[i].payload(step) for i in step.senders if i in nodes}
 
 
 def absorb_round(step: RoundStep, nodes: dict, deliveries: dict, m: int) -> None:

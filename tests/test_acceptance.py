@@ -211,6 +211,7 @@ def honest_runs():
         faulty_ids=(),
         trials=1000,
         master_seed=606,
+        jobs=2,
     )
     _, _, metrics = run_experiment(config)
     return config, metrics
@@ -276,6 +277,7 @@ def adversarial_runs():
             adversary_params=kwargs,
             trials=1000,
             master_seed=9000 + idx,
+            jobs=2,
         )
         summary, _, metrics = run_experiment(config)
         runs.append((config, summary, metrics))

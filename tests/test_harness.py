@@ -161,6 +161,20 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert a == b
 
 
+def rewrite_line(path, predicate, edit):
+    """Apply ``edit`` to the first JSON line of ``path`` matching ``predicate``.
+
+    Returns that line's 1-based number.
+    """
+    lines = path.read_text().splitlines()
+    idx = next(i for i, line in enumerate(lines) if predicate(json.loads(line)))
+    rec = json.loads(lines[idx])
+    edit(rec)
+    lines[idx] = json.dumps(rec, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    return idx + 1
+
+
 def test_verify_round_trip_and_corruption(tmp_path):
     out = tmp_path / "out"
     cfg = small_config(out_dir=str(out), write_transcript=True)
@@ -170,26 +184,57 @@ def test_verify_round_trip_and_corruption(tmp_path):
 
     # Corrupt one output: verification must notice.
     trials = (out / "trials.jsonl").read_text()
-    lines = trials.splitlines()
-    rec = json.loads(lines[0])
-    some = next(k for k, v in rec["outputs_local"].items() if v is not None)
-    rec["outputs_local"][some] = [0.0, 1.0, 0.0]
-    lines[0] = json.dumps(rec, sort_keys=True)
-    (out / "trials.jsonl").write_text("\n".join(lines) + "\n")
+
+    def move_output(rec):
+        some = next(k for k, v in rec["outputs_local"].items() if v is not None)
+        rec["outputs_local"][some] = [0.0, 1.0, 0.0]
+
+    rewrite_line(out / "trials.jsonl", lambda rec: True, move_output)
     assert verify_records(out / "trials.jsonl", None, cfg) != []
 
     # Zero one correct-to-correct tally in the transcript: the recomputed
     # estimation-failure count must disagree with the stored one.
     (out / "trials.jsonl").write_text(trials)
-    lines = (out / "transcript.jsonl").read_text().splitlines()
-    idx = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "quantum")
-    rec = json.loads(lines[idx])
-    assert not set(cfg.faulty_ids) & {rec["sender"], rec["receiver"]}
-    rec["tally"].update(k_x=0, k_y=0, k_z=0)
-    lines[idx] = json.dumps(rec, sort_keys=True)
-    (out / "transcript.jsonl").write_text("\n".join(lines) + "\n")
+
+    def zero_tally(rec):
+        assert not set(cfg.faulty_ids) & {rec["sender"], rec["receiver"]}
+        rec["tally"].update(k_x=0, k_y=0, k_z=0)
+
+    rewrite_line(out / "transcript.jsonl", lambda rec: rec["kind"] == "quantum", zero_tally)
     mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
     assert len(mismatches) == 1 and "estimation_failures" in mismatches[0]
+
+
+def test_verify_checks_metrics_that_recompute_to_none(tmp_path):
+    # With every output bottom, eta recomputes to None; a stored eta must
+    # still be caught, with the other two metrics stored consistently.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
+    run_experiment(cfg)
+
+    def bottom_everywhere(rec):
+        rec["outputs_local"] = {k: None for k in rec["outputs_local"]}
+        rec["metrics"].update(termination_ok=False, consistency_ok=True, eta_emp=0.5)
+
+    rewrite_line(out / "trials.jsonl", lambda rec: True, bottom_everywhere)
+    for transcript in (None, out / "transcript.jsonl"):
+        mismatches = verify_records(out / "trials.jsonl", transcript, cfg)
+        assert mismatches == ["trial 0: eta_emp stored=0.5 recomputed=None"]
+
+
+def test_verify_reports_unreadable_transcript_line(tmp_path):
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
+    run_experiment(cfg)
+
+    def overfull(rec):
+        rec["tally"]["k_x"] = rec["tally"]["n"] + 5
+
+    lineno = rewrite_line(
+        out / "transcript.jsonl", lambda rec: rec["kind"] == "quantum", overfull
+    )
+    mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
+    assert mismatches[0].startswith(f"trial 0: transcript line {lineno}: ValueError: ")
 
 
 def test_metrics_on_synthetic_outputs():

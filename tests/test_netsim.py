@@ -13,9 +13,7 @@ from rfagree.netsim import (
     AuthenticationError,
     RoundEngine,
     RoundStep,
-    broadcast_slots,
     deliver_quantum,
-    exchange_slots,
     substream,
 )
 from rfagree.quantum_link import ChannelParams, QuantumMessage, ted_receive
@@ -47,13 +45,8 @@ class NullAdversary:
 
 def all_honest_direction_round(engine, directions):
     m = engine.m
-    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, exchange_slots(m))
-    payloads = {}
-    for i in range(m):
-        msg = QuantumMessage.uniform(directions[i], engine.channel.n)
-        for r in range(m):
-            if r != i:
-                payloads[(i, r)] = msg
+    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(m)))
+    payloads = {i: QuantumMessage.uniform(directions[i], engine.channel.n) for i in range(m)}
     return engine.run_round(step, payloads, frozenset(), NullAdversary())
 
 
@@ -66,7 +59,8 @@ def test_slot_completeness_and_counts():
     assert len(engine.transcript) == 1  # one Round per round
     rnd = engine.transcript[0]
     assert rnd.deliveries is deliveries
-    assert list(rnd.payloads) == list(exchange_slots(4))
+    # Sender-major, receivers ascending, no self slots.
+    assert list(rnd.payloads) == [(s, r) for s in range(4) for r in range(4) if r != s]
     assert all(tally is not None for tally in rnd.deliveries.values())
     assert all(payload is not None for payload in rnd.payloads.values())
 
@@ -98,8 +92,8 @@ def test_authentication_rejects_forged_sender():
             return {(0, 1): 1}
 
     forger = Forger([3], params)
-    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, exchange_slots(4))
-    payloads = {(i, r): 1 for i in range(3) for r in range(4) if r != i}
+    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, tuple(range(4)))
+    payloads = {i: 1 for i in range(3)}
     with pytest.raises(AuthenticationError):
         engine.run_round(step, payloads, forger.faulty_set, forger)
 
@@ -112,13 +106,8 @@ def test_rushing_adversary_sees_current_round():
     rusher = make_adversary("rusher", [3], params, shift=0.0, target=1)
     rng = np.random.default_rng(21)
     directions = [random_direction(rng) for _ in range(3)]
-    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, exchange_slots(4))
-    payloads = {}
-    for i in range(3):
-        msg = QuantumMessage.uniform(directions[i], engine.channel.n)
-        for r in range(4):
-            if r != i:
-                payloads[(i, r)] = msg
+    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(4)))
+    payloads = {i: QuantumMessage.uniform(directions[i], engine.channel.n) for i in range(3)}
     engine.run_round(step, payloads, rusher.faulty_set, rusher)
     echoes = [p for (s, _), p in engine.transcript[0].payloads.items() if s == 3]
     assert len(echoes) == 3
@@ -177,9 +166,9 @@ def test_full_noise_gives_unbiased_coin():
 
 def test_absent_payload_recorded_and_none_delivered():
     engine, _ = make_engine(m=4)
-    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, broadcast_slots(4, 0))
-    payloads = {slot: None for slot in step.slots}
-    deliveries = engine.run_round(step, payloads, frozenset(), NullAdversary())
+    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, (0,))
+    deliveries = engine.run_round(step, {0: None}, frozenset(), NullAdversary())
+    assert list(deliveries) == [(0, 1), (0, 2), (0, 3)]
     assert set(deliveries.values()) == {None}
     assert set(engine.transcript[0].payloads.values()) == {None}
     assert {r["kind"] for r in transcript_records(0, engine.transcript)} == {"absent"}
@@ -189,12 +178,12 @@ def direction_round_with(adversary, faulty, seed=11):
     """One direction exchange with honest senders outside ``faulty``."""
     engine, _ = make_engine(m=4, seed=seed)
     rng = np.random.default_rng(seed)
-    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, exchange_slots(4))
-    payloads = {}
-    for i in range(4):
-        if i not in faulty:
-            msg = QuantumMessage.uniform(random_direction(rng), engine.channel.n)
-            payloads.update({(i, r): msg for r in range(4) if r != i})
+    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(4)))
+    payloads = {
+        i: QuantumMessage.uniform(random_direction(rng), engine.channel.n)
+        for i in range(4)
+        if i not in faulty
+    }
     deliveries = engine.run_round(step, payloads, frozenset(faulty), adversary)
     return deliveries, engine.transcript
 
@@ -268,8 +257,8 @@ def test_numpy_integer_classical_symbol_is_absent():
         def emit(self, view, slots):
             return {slot: np.int64(1) for slot in slots}
 
-    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, exchange_slots(4))
-    payloads = {(i, r): 1 for i in range(3) for r in range(4) if r != i}
+    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, tuple(range(4)))
+    payloads = {i: 1 for i in range(3)}
     deliveries = engine.run_round(step, payloads, frozenset({3}), NumpyBits())
     assert [deliveries[(3, r)] for r in range(3)] == [None, None, None]
     assert [engine.transcript[0].payloads[(3, r)] for r in range(3)] == [None, None, None]
@@ -286,14 +275,33 @@ def test_adversary_view_carries_previous_round():
             seen.append(view.previous)
             return {}
 
-    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, exchange_slots(4))
-    payloads = {(i, r): 1 for i in range(3) for r in range(4) if r != i}
+    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, tuple(range(4)))
+    payloads = {i: 1 for i in range(3)}
     first = engine.run_round(step, payloads, frozenset({3}), Recorder())
     engine.run_round(step, payloads, frozenset({3}), Recorder())
     assert seen[0] is None
     assert seen[1][0] == step and seen[1][1] is first
     assert seen[1] is engine.transcript[0]
     assert seen[1].step == step and seen[1].deliveries is first
+
+
+def test_honest_senders_broadcast_and_faulty_senders_equivocate():
+    engine, _ = make_engine(m=4)
+    views = []
+
+    class Splitter:
+        def emit(self, view, slots):
+            views.append(view)
+            return {slot: slot[1] % 2 for slot in slots}
+
+    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, tuple(range(4)))
+    honest = {0: 1, 1: 0, 2: 1}
+    deliveries = engine.run_round(step, honest, frozenset({3}), Splitter())
+    assert set(views[0].honest_payloads) == {0, 1, 2}
+    assert [deliveries[(3, r)] for r in range(3)] == [0, 1, 0]
+    for (sender, _), bit in deliveries.items():
+        if sender != 3:
+            assert bit == honest[sender]
 
 
 def test_quantum_message_validated_once_per_delivery(monkeypatch):
@@ -354,14 +362,14 @@ def fuzz_rounds(adversary):
     directions = [random_direction(rng) for _ in range(3)]
     rounds = [
         (
-            RoundStep(DIRECTION_EXCHANGE, 0, 0, None, exchange_slots(4)),
+            RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(4))),
             lambda i: QuantumMessage.uniform(directions[i], FUZZ_N),
         ),
-        (RoundStep(CLASSICAL_ROUND, 0, 0, 0, exchange_slots(4)), lambda i: i % 2),
+        (RoundStep(CLASSICAL_ROUND, 0, 0, 0, tuple(range(4))), lambda i: i % 2),
     ]
     honest = []
     for step, payload_of in rounds:
-        payloads = {slot: payload_of(slot[0]) for slot in step.slots if slot[0] != 3}
+        payloads = {i: payload_of(i) for i in range(3)}
         deliveries = engine.run_round(step, payloads, frozenset({3}), adversary)
         honest.append({slot: d for slot, d in deliveries.items() if 3 not in slot})
     return honest
