@@ -18,7 +18,7 @@ are computed against that ground truth:
 
 Files: trials.jsonl (one record per trial), summary.json (aggregates plus
 timing), report.csv (one row per summary), transcript.jsonl (optional, one
-record per envelope).  Byte-for-byte reproducible except timing fields,
+record per round).  Byte-for-byte reproducible except timing fields,
 which appear only in summary.json / report.csv.
 """
 
@@ -244,37 +244,50 @@ def trial_record(config: ExperimentConfig, trial: int, result: TrialResult, metr
     }
 
 
+def _segments(msg) -> list:
+    return [[[float(c) for c in state], int(count)] for state, count in msg.segments]
+
+
 def transcript_records(trial: int, transcript) -> list:
-    """One record per slot, rounds in order and slots in round order."""
+    """One record per round, rounds in order; README "Output files" has the schema.
+
+    Per-slot lists follow the engine's slot order (each of ``senders`` to
+    every other node, receivers ascending), so they carry no slot keys.  A
+    quantum round writes a sender's payload once when all of its slots carry
+    the same one, as a correct sender's always do, and per slot otherwise.
+    """
     records = []
     for index, rnd in enumerate(transcript):
         step = rnd.step
-        quantum = step.kind in QUANTUM_STEPS
-        for (sender, receiver), payload in rnd.payloads.items():
-            tally = None
-            if payload is None:
-                kind = "absent"
-            elif quantum:
-                kind = "quantum"
-                payload = [[[float(c) for c in state], int(count)] for state, count in payload.segments]
-                t = rnd.deliveries[(sender, receiver)]
-                tally = {"k_x": t.k_x, "k_y": t.k_y, "k_z": t.k_z, "n": t.n}
-            else:
-                kind = "bit"
-            records.append(
-                {
-                    "trial": trial,
-                    "round": index,
-                    "phase": step.phase,
-                    "step": step.kind,
-                    "cc_round": step.cc_round,
-                    "sender": sender,
-                    "receiver": receiver,
-                    "kind": kind,
-                    "payload": payload,
-                    "tally": tally,
-                }
-            )
+        rec = {
+            "trial": trial,
+            "round": index,
+            "phase": step.phase,
+            "step": step.kind,
+            "cc_round": step.cc_round,
+            "senders": list(step.senders),
+        }
+        if step.kind in QUANTUM_STEPS:
+            sent = list(rnd.payloads.values())
+            width = len(sent) // len(step.senders)
+            payloads = rec["payloads"] = []
+            slot_payloads = rec["slot_payloads"] = {}
+            for i, sender in enumerate(step.senders):
+                msgs = sent[i * width:(i + 1) * width]
+                if all(p is msgs[0] for p in msgs):  # a correct sender's one message
+                    msgs = msgs[:1]
+                wire = [None if p is None else _segments(p) for p in msgs]
+                if wire.count(wire[0]) == len(wire):
+                    payloads.append(wire[0])
+                else:
+                    payloads.append(None)
+                    slot_payloads[str(sender)] = wire
+            rec["tallies"] = [
+                None if t is None else [t.k_x, t.k_y, t.k_z, t.n] for t in rnd.deliveries.values()
+            ]
+        else:
+            rec["symbols"] = list(rnd.deliveries.values())
+        records.append(rec)
     return records
 
 
@@ -457,12 +470,50 @@ def recompute_metrics_from_records(record: dict, links, config: ExperimentConfig
     }
 
 
+def _sent_state(segments):
+    """The first state of an exported payload, after checking every segment's shape."""
+    for state, count in segments:
+        if not (len(state) == 3 and all(type(c) is float and math.isfinite(c) for c in state)):
+            raise ValueError(f"sent state {state!r} is not 3 finite floats")
+        if type(count) is not int:
+            raise ValueError(f"segment count {count!r} is not an int")
+    return segments[0][0]
+
+
+def round_links(rec: dict, m: int) -> list:
+    """(sender, receiver, sent_local, tally) of every delivered slot of one exported round.
+
+    The inverse of :func:`transcript_records` for what the estimation oracle
+    reads.  The record's shape is checked as it is read: a malformed one
+    raises ValueError, KeyError, TypeError, IndexError or AttributeError.
+    """
+    senders = rec["senders"]
+    if not all(type(s) is int and 0 <= s < m for s in senders):
+        raise ValueError(f"senders {senders!r} are not all nodes in range({m})")
+    quantum = rec["step"] in QUANTUM_STEPS
+    slots = rec["tallies" if quantum else "symbols"]
+    if len(slots) != len(senders) * (m - 1):
+        raise ValueError(f"{len(slots)} slots for {len(senders)} senders at m={m}")
+    links = []
+    if quantum:
+        tallies = iter(slots)
+        slot_payloads = rec["slot_payloads"]
+        for sender, shared in zip(senders, rec["payloads"], strict=True):
+            per_slot = slot_payloads.get(str(sender))
+            for j, receiver in enumerate(r for r in range(m) if r != sender):
+                t = next(tallies)
+                if t is not None:
+                    sent = shared if per_slot is None else per_slot[j]
+                    links.append((sender, receiver, _sent_state(sent), MeasurementTally(*t)))
+    return links
+
+
 def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> list:
     """Cross-check exported records; returns a list of mismatch strings.
 
     Without a transcript the estimation-failure count cannot be recomputed
     and is not checked; every other metric always is.  A transcript line
-    that cannot be read is itself a mismatch.
+    that cannot be read, or whose shape is wrong, is itself a mismatch.
     """
     mismatches = []
     links_by_trial = {}
@@ -473,12 +524,8 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
                 try:
                     rec = json.loads(line)
                     trial = rec["trial"]
-                    links = links_by_trial.setdefault(trial, [])
-                    if rec["kind"] == "quantum":
-                        t = rec["tally"]
-                        tally = MeasurementTally(t["k_x"], t["k_y"], t["k_z"], t["n"])
-                        links.append((rec["sender"], rec["receiver"], rec["payload"][0][0], tally))
-                except (ValueError, KeyError, TypeError, IndexError) as exc:
+                    links_by_trial.setdefault(trial, []).extend(round_links(rec, config.m))
+                except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
                     prefix = "" if trial is None else f"trial {trial}: "
                     mismatches.append(
                         f"{prefix}transcript line {lineno}: {type(exc).__name__}: {exc}"

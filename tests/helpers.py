@@ -7,6 +7,7 @@ import numpy as np
 
 from rfagree.classical_consensus import PhaseKingNode
 from rfagree.harness import transcript_records
+from rfagree.netsim import QUANTUM_STEPS
 
 #: Per-criterion verdict lines collected by the acceptance suite; printed in
 #: the terminal summary so they survive output capture.
@@ -102,5 +103,51 @@ def octahedral_rotations():
 
 
 def transcript_signature(transcript):
-    """Canonical form of a transcript for equality checks: its exported records."""
+    """Canonical form of a transcript for equality checks: its exported records.
+
+    The export is lossless (see :func:`expand_round_record`), so equal
+    signatures mean every slot carried and delivered the same thing.
+    """
     return json.dumps(transcript_records(0, transcript), sort_keys=True)
+
+
+TALLY_KEYS = ("k_x", "k_y", "k_z", "n")
+
+
+def expand_round_record(rec, m):
+    """One exported round as the per-slot records the export once wrote.
+
+    Each is ``{trial, round, phase, step, cc_round, sender, receiver, kind,
+    payload, tally}``, with ``kind`` ``quantum``, ``bit`` or ``absent``, in
+    the engine's slot order.  The oracle for a lossless per-round export.
+    """
+    header = {key: rec[key] for key in ("trial", "round", "phase", "step", "cc_round")}
+    quantum = rec["step"] in QUANTUM_STEPS
+    deliveries = rec["tallies"] if quantum else rec["symbols"]
+    slot_payloads = rec["slot_payloads"] if quantum else {}
+    slots = [
+        (idx, j, sender, receiver)
+        for idx, sender in enumerate(rec["senders"])
+        for j, receiver in enumerate(r for r in range(m) if r != sender)
+    ]
+    assert len(deliveries) == len(slots)
+    expanded = []
+    for (idx, j, sender, receiver), delivery in zip(slots, deliveries):
+        if quantum:
+            per_slot = slot_payloads.get(str(sender))
+            payload = rec["payloads"][idx] if per_slot is None else per_slot[j]
+            kind = "quantum"
+            tally = None if delivery is None else dict(zip(TALLY_KEYS, delivery))
+        else:
+            payload, kind, tally = delivery, "bit", None
+        expanded.append(
+            dict(
+                header,
+                sender=sender,
+                receiver=receiver,
+                kind="absent" if payload is None else kind,
+                payload=payload,
+                tally=tally,
+            )
+        )
+    return expanded

@@ -2,12 +2,14 @@
 
 Each config in ``configs/`` is run with a small trial count and transcript
 export; the SHA-256 of ``trials.jsonl`` and ``transcript.jsonl`` must match
-the values below.  A refactor that changes a single output byte fails here,
+the values below, and so must that of the transcript expanded back to the
+per-slot form it was once written in.  A refactor that changes a single output byte fails here,
 so any change to these digests must be deliberate and recorded together
 with the new values.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ import pytest
 from rfagree.adversaries import strategy_catalog
 from rfagree.config import ExperimentConfig
 from rfagree.harness import run_experiment
+
+from helpers import expand_round_record
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_TRIALS = 2
@@ -25,15 +29,15 @@ GOLDEN_TRIALS = 2
 GOLDEN = {
     "equivocator.json": (
         "8093d6e5b0c6e9b213b42b9aa3b19cd3a6731b8b07bcd99bbfbb8ac75b3e4926",
-        "767add2ae3d515e9bc0fa38663244b7adc7fb031b7a42a9d533876d9ec407e81",
+        "10e6176ac2fa46c2bcc9e91c54598db9bdb336478110f5c3ded5da833616ccbb",
     ),
     "honest_small.json": (
         "3781f5ed225b675e575c2692435e3115a4481b458c1d335746c630b93a2a8709",
-        "1956edf57b85acb4f107996b6e41f07ba1eb8307b3d3d14a86b3b953696fe200",
+        "58c4f4d14d7709c97e99513b7bfef082d03c47604656759f37e51147e190451d",
     ),
     "noisy_channel.json": (
         "602405f30381d19016b93ca8458dd9e6c281716f9021f612e2796b2f0c6e7559",
-        "0a37b4806c6ae22bef60aa293cbdebc2b0d7a9761c06edd7baa099eaf62d79c3",
+        "9f5483ca3dffdd310f839cffcf6d12fbbae0b18c794c6000c9931e18b5ba2909",
     ),
 }
 
@@ -43,28 +47,45 @@ GOLDEN = {
 STRATEGY_GOLDEN = {
     "crash": (
         "75dc9ef5b720b3ec291c099c8f2a817972cff09f0ea10aadd3585e5eff51c9f5",
-        "0f05d70e686ea5ee3014e8e03eb2be286fddfece749bdc5e870d771c810d5ced",
+        "dd0e152ce6ab9bcbafc7554304190c05132775036b4b21a57172f68cec570919",
     ),
     "equivocator": (
         "82160c3184ffef1a44d35d2c134e8c330b7816511c7fbe08aeb80cd3fb25c0cf",
-        "d620071962f38618e1e5ef5237ebeddfbad78e5a6898fffc3971c654d31403c7",
+        "13bff14dfaee353a9005c80721534c27f6ac0def018be5cac0916ffd8c0d4630",
     ),
     "grade-poisoner": (
         "e77c709be16769ee5bd479859fd4e3f751f0ee4bd920fd53a59d0757b0520503",
-        "3ba227e4b2036f1af2d5da62015ba7b840d36fc5ea83465abcec0f9131cad68a",
+        "21cbf58716a5109badf616b0c7fa83bfc992a1a01e01454e2f617ca1ed788030",
     ),
     "honest-shadow": (
         "fcc20ab9a434f3f759b1dc68035a47ca56cdad4225ce381cc4635c2f29b281e9",
-        "42569581f0eaa21a4af62e01d1db79c6685da4bedf53efe5efd02ba451e04a41",
+        "cee9589271a08c172c7e292383e201149c1c1677d3f6bc6b9cf2eea52b724e6d",
     ),
     "random-noise": (
         "cfdb6ceb28bbdda9a422e6e48092c4bdfd3420149dabc7ef67481a555fe9e1c8",
-        "626f8088d7101673ad323d4eeb9503d34de76abec09be4f436cfb2ec04253ace",
+        "93c801ee37f25bd6f3377a30fe9107d56cabb3098c5b2369bf6e9851fc6faac1",
     ),
     "rusher": (
         "e77c709be16769ee5bd479859fd4e3f751f0ee4bd920fd53a59d0757b0520503",
-        "f0771a26f60528c16e1d12aae9adb5e25e617cca4bf590a95bb44f6bc9c4da9f",
+        "ce61e21361775ca471b90c9792057bdb168ebc3956c0a997864eef46410304f4",
     ),
+}
+
+# SHA-256 of transcript.jsonl in the per-slot form it had before it became
+# one line per round: the records that helpers.expand_round_record rebuilds,
+# one ``json.dumps(..., sort_keys=True)`` line per slot.  Every shipped
+# config and catalog strategy must still reproduce it, so the per-round
+# export is lossless.
+PER_SLOT_TRANSCRIPT_GOLDEN = {
+    "equivocator.json": "767add2ae3d515e9bc0fa38663244b7adc7fb031b7a42a9d533876d9ec407e81",
+    "honest_small.json": "1956edf57b85acb4f107996b6e41f07ba1eb8307b3d3d14a86b3b953696fe200",
+    "noisy_channel.json": "0a37b4806c6ae22bef60aa293cbdebc2b0d7a9761c06edd7baa099eaf62d79c3",
+    "crash": "0f05d70e686ea5ee3014e8e03eb2be286fddfece749bdc5e870d771c810d5ced",
+    "equivocator": "d620071962f38618e1e5ef5237ebeddfbad78e5a6898fffc3971c654d31403c7",
+    "grade-poisoner": "3ba227e4b2036f1af2d5da62015ba7b840d36fc5ea83465abcec0f9131cad68a",
+    "honest-shadow": "42569581f0eaa21a4af62e01d1db79c6685da4bedf53efe5efd02ba451e04a41",
+    "random-noise": "626f8088d7101673ad323d4eeb9503d34de76abec09be4f436cfb2ec04253ace",
+    "rusher": "f0771a26f60528c16e1d12aae9adb5e25e617cca4bf590a95bb44f6bc9c4da9f",
 }
 
 
@@ -73,10 +94,20 @@ def sha256(path) -> str:
 
 
 def output_digests(config, out_dir) -> tuple:
+    """SHA-256 of trials.jsonl, transcript.jsonl and its per-slot expansion."""
     config.out_dir = str(out_dir)
     config.write_transcript = True
     run_experiment(config)
-    return sha256(out_dir / "trials.jsonl"), sha256(out_dir / "transcript.jsonl")
+    per_slot = "".join(
+        json.dumps(slot, sort_keys=True) + "\n"
+        for line in (out_dir / "transcript.jsonl").read_text().splitlines()
+        for slot in expand_round_record(json.loads(line), config.m)
+    )
+    return (
+        sha256(out_dir / "trials.jsonl"),
+        sha256(out_dir / "transcript.jsonl"),
+        hashlib.sha256(per_slot.encode()).hexdigest(),
+    )
 
 
 def test_every_config_is_pinned():
@@ -87,7 +118,7 @@ def test_every_config_is_pinned():
 def test_golden_digests(name, tmp_path):
     config = ExperimentConfig.load(CONFIG_DIR / name)
     config.trials = GOLDEN_TRIALS
-    assert output_digests(config, tmp_path) == GOLDEN[name]
+    assert output_digests(config, tmp_path) == GOLDEN[name] + (PER_SLOT_TRANSCRIPT_GOLDEN[name],)
 
 
 def test_every_strategy_is_pinned():
@@ -100,4 +131,6 @@ def test_strategy_golden_digests(name, tmp_path):
         m=7, t=2, delta=0.05, epsilon=0.02, n=2000, adversary=name,
         trials=GOLDEN_TRIALS, master_seed=4242,
     )
-    assert output_digests(config, tmp_path) == STRATEGY_GOLDEN[name]
+    assert output_digests(config, tmp_path) == (
+        STRATEGY_GOLDEN[name] + (PER_SLOT_TRANSCRIPT_GOLDEN[name],)
+    )

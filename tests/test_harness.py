@@ -5,18 +5,23 @@ import os
 import numpy as np
 import pytest
 
+from rfagree import harness
+from rfagree.adversaries import RandomNoise
 from rfagree.config import ConfigError, ExperimentConfig
 from rfagree.cli import main as cli_main
 from rfagree.harness import (
     allowed_violation_rate,
     compute_metrics,
     emit_report,
+    quantum_links,
+    round_links,
     run_experiment,
     run_trial,
     trial_frames,
     verify_records,
 )
-from rfagree.quantum_link import ChannelParams, ted_success_bound
+from rfagree.netsim import QUANTUM_STEPS
+from rfagree.quantum_link import ChannelParams, QuantumMessage, ted_success_bound
 from rfagree.rf_protocols import ProtocolParams, TrialResult
 
 
@@ -161,6 +166,10 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert a == b
 
 
+def is_quantum(rec):
+    return rec["step"] in QUANTUM_STEPS
+
+
 def rewrite_line(path, predicate, edit):
     """Apply ``edit`` to the first JSON line of ``path`` matching ``predicate``.
 
@@ -197,10 +206,13 @@ def test_verify_round_trip_and_corruption(tmp_path):
     (out / "trials.jsonl").write_text(trials)
 
     def zero_tally(rec):
-        assert not set(cfg.faulty_ids) & {rec["sender"], rec["receiver"]}
-        rec["tally"].update(k_x=0, k_y=0, k_z=0)
+        # The first slot runs from the first sender to the lowest other node.
+        sender = rec["senders"][0]
+        receiver = 1 if sender == 0 else 0
+        assert not set(cfg.faulty_ids) & {sender, receiver}
+        rec["tallies"][0][:3] = [0, 0, 0]
 
-    rewrite_line(out / "transcript.jsonl", lambda rec: rec["kind"] == "quantum", zero_tally)
+    rewrite_line(out / "transcript.jsonl", is_quantum, zero_tally)
     mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
     assert len(mismatches) == 1 and "estimation_failures" in mismatches[0]
 
@@ -228,13 +240,73 @@ def test_verify_reports_unreadable_transcript_line(tmp_path):
     run_experiment(cfg)
 
     def overfull(rec):
-        rec["tally"]["k_x"] = rec["tally"]["n"] + 5
+        rec["tallies"][0][0] = rec["tallies"][0][3] + 5
 
-    lineno = rewrite_line(
-        out / "transcript.jsonl", lambda rec: rec["kind"] == "quantum", overfull
-    )
+    lineno = rewrite_line(out / "transcript.jsonl", is_quantum, overfull)
     mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
     assert mismatches[0].startswith(f"trial 0: transcript line {lineno}: ValueError: ")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda rec: rec["payloads"][0][0].__setitem__(0, [1.0, "x"]), id="bad-state"),
+        pytest.param(lambda rec: rec["senders"].__setitem__(0, 4), id="sender-out-of-range"),
+        pytest.param(lambda rec: rec["tallies"].pop(), id="short-tallies"),
+    ],
+)
+def test_verify_reports_malformed_transcript_shape(tmp_path, edit):
+    # Checked while the line is read, not later in estimation_failures.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
+    run_experiment(cfg)
+    lineno = rewrite_line(out / "transcript.jsonl", is_quantum, edit)
+    mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
+    assert mismatches[0].startswith(f"trial 0: transcript line {lineno}: ValueError: ")
+
+
+class HalfMalformed(RandomNoise):
+    """Random noise, with every odd receiver's quantum payload over-long."""
+
+    def emit(self, view, slots):
+        out = super().emit(view, slots)
+        for (sender, receiver), payload in out.items():
+            if isinstance(payload, QuantumMessage) and receiver % 2:
+                out[(sender, receiver)] = QuantumMessage.uniform(
+                    [2.0, 0.0, 0.0], self.params.channel.n
+                )
+        return out
+
+
+@pytest.mark.parametrize("adversary", ["crash", "equivocator", "random-noise", "half-malformed"])
+def test_exported_links_equal_engine_links(tmp_path, monkeypatch, adversary):
+    # Absent slots, per-slot faulty payloads and partly malformed senders
+    # all read back from transcript.jsonl as the oracle's links.
+    if adversary == "half-malformed":
+        monkeypatch.setattr(
+            harness, "make_adversary", lambda name, faulty, params: HalfMalformed(faulty, params)
+        )
+    cfg = ExperimentConfig(
+        m=7, t=2, delta=0.05, epsilon=0.02, n=2000,
+        adversary="random-noise" if adversary == "half-malformed" else adversary,
+        trials=1, master_seed=4242, out_dir=str(tmp_path), write_transcript=True,
+    )
+    run_experiment(cfg)
+    lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    result, _ = run_trial(cfg, 0)
+
+    def canonical(links):
+        return [(s, r, [float(c) for c in state], tally) for s, r, state, tally in links]
+
+    exported = [link for rec in records for link in round_links(rec, cfg.m)]
+    assert canonical(exported) == canonical(quantum_links(result.transcript))
+    quantum = [rec for rec in records if is_quantum(rec)]
+    absent = any(t is None for rec in quantum for t in rec["tallies"])
+    per_slot = [p for rec in quantum for ps in rec["slot_payloads"].values() for p in ps]
+    assert absent == (adversary in ("crash", "half-malformed"))
+    assert bool(per_slot) == (adversary != "crash")
+    assert (None in per_slot) == (adversary == "half-malformed")
 
 
 def test_metrics_on_synthetic_outputs():

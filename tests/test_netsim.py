@@ -171,7 +171,7 @@ def test_absent_payload_recorded_and_none_delivered():
     assert list(deliveries) == [(0, 1), (0, 2), (0, 3)]
     assert set(deliveries.values()) == {None}
     assert set(engine.transcript[0].payloads.values()) == {None}
-    assert {r["kind"] for r in transcript_records(0, engine.transcript)} == {"absent"}
+    assert transcript_records(0, engine.transcript)[0]["symbols"] == [None, None, None]
 
 
 def direction_round_with(adversary, faulty, seed=11):
@@ -222,10 +222,11 @@ def test_non_finite_faulty_state_becomes_absent(state):
     assert len(faulty_slots) == 3
     assert all(deliveries[slot] is None for slot in faulty_slots)
     assert all(p is None for (s, _), p in transcript[0].payloads.items() if s == 3)
-    faulty_records = [r for r in transcript_records(0, transcript) if r["sender"] == 3]
-    assert len(faulty_records) == 3
-    for r in faulty_records:
-        assert r["kind"] == "absent" and r["payload"] is None and r["tally"] is None
+    # Sender 3's three slots are exported with no payload and no tally.
+    (record,) = transcript_records(0, transcript)
+    assert record["senders"] == [0, 1, 2, 3]
+    assert record["payloads"][3] is None and record["slot_payloads"] == {}
+    assert record["tallies"][9:] == [None, None, None]
     assert deliveries == crashed
 
 
@@ -262,8 +263,9 @@ def test_numpy_integer_classical_symbol_is_absent():
     deliveries = engine.run_round(step, payloads, frozenset({3}), NumpyBits())
     assert [deliveries[(3, r)] for r in range(3)] == [None, None, None]
     assert [engine.transcript[0].payloads[(3, r)] for r in range(3)] == [None, None, None]
-    faulty_records = [r for r in transcript_records(0, engine.transcript) if r["sender"] == 3]
-    assert [r["kind"] for r in faulty_records] == ["absent"] * 3
+    (record,) = transcript_records(0, engine.transcript)
+    assert record["senders"] == [0, 1, 2, 3]
+    assert record["symbols"][9:] == [None, None, None]
 
 
 def test_adversary_view_carries_previous_round():
