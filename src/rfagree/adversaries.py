@@ -108,11 +108,16 @@ class RandomNoise(Adversary):
 class Equivocator(Adversary):
     """A faulty king splits receivers into two direction clusters.
 
-    The cluster directions sit a configurable chord ``separation`` apart;
-    faulty non-kings then reinforce each receiver's own cluster and push the
-    grade machinery toward accepting.  In phases with an honest king the
-    faulty nodes fall back to honest-looking estimates, so every phase stays
-    well formed.
+    The cluster directions sit a configurable chord ``separation`` apart and
+    are written in the faulty king's local frame.  In the direction exchange
+    every faulty node sends each receiver that receiver's cluster direction
+    (the king is sent the first), with the same local coordinates.  Only the
+    king's own messages land on the cluster: a faulty non-king sends those
+    coordinates from its own frame, so physically they point about as far
+    from the receiver's cluster as a random direction does and reinforce
+    nothing.  In phases with an honest king the faulty nodes send their
+    estimates of the king's direction, as correct nodes would, so every
+    phase stays well formed.  Faulty flags and symbols are always 1.
     """
 
     name = "equivocator"
