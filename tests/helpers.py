@@ -111,9 +111,6 @@ def transcript_signature(transcript):
     return json.dumps(transcript_records(0, transcript), sort_keys=True)
 
 
-TALLY_KEYS = ("k_x", "k_y", "k_z", "n")
-
-
 def expand_round_record(rec, m):
     """One exported round as the per-slot records the export once wrote.
 
@@ -137,7 +134,7 @@ def expand_round_record(rec, m):
             per_slot = slot_payloads.get(str(sender))
             payload = rec["payloads"][idx] if per_slot is None else per_slot[j]
             kind = "quantum"
-            tally = None if delivery is None else dict(zip(TALLY_KEYS, delivery))
+            tally = None if delivery is None else dict(zip(("k_x", "k_y", "k_z", "n"), delivery))
         else:
             payload, kind, tally = delivery, "bit", None
         expanded.append(
