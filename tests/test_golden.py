@@ -16,7 +16,7 @@ import pytest
 
 from rfagree.adversaries import strategy_catalog
 from rfagree.config import ExperimentConfig
-from rfagree.harness import run_experiment
+from rfagree.harness import run_experiment, verify_records
 
 from helpers import expand_round_record
 
@@ -94,18 +94,24 @@ def sha256(path) -> str:
 
 
 def output_digests(config, out_dir) -> tuple:
-    """SHA-256 of trials.jsonl, transcript.jsonl and its per-slot expansion."""
+    """SHA-256 of trials.jsonl, transcript.jsonl and its per-slot expansion.
+
+    The export must also verify: every stored metric recomputes from it.
+    """
     config.out_dir = str(out_dir)
     config.write_transcript = True
     run_experiment(config)
+    trials, transcript = out_dir / "trials.jsonl", out_dir / "transcript.jsonl"
+    assert verify_records(trials, transcript, config) == []
+    assert verify_records(trials, None, config) == []
     per_slot = "".join(
         json.dumps(slot, sort_keys=True) + "\n"
         for line in (out_dir / "transcript.jsonl").read_text().splitlines()
         for slot in expand_round_record(json.loads(line), config.m)
     )
     return (
-        sha256(out_dir / "trials.jsonl"),
-        sha256(out_dir / "transcript.jsonl"),
+        sha256(trials),
+        sha256(transcript),
         hashlib.sha256(per_slot.encode()).hexdigest(),
     )
 
@@ -134,3 +140,21 @@ def test_strategy_golden_digests(name, tmp_path):
     assert output_digests(config, tmp_path) == (
         STRATEGY_GOLDEN[name] + (PER_SLOT_TRANSCRIPT_GOLDEN[name],)
     )
+
+
+# Two qubits per axis make all-half tallies common, so correct receivers
+# hit the degenerate-estimate sentinel; seed 1 gives some in both trials.
+DEGENERATE_GOLDEN = (
+    "33e3dc5f04294b263bb701f083952b101c0a28d945d387b230fff683104ceb99",
+    "e1e4e2711227c0d3dfd8652d4d5ac58ce4199774285bf1928b37278426c260f0",
+)
+
+
+def test_degenerate_tallies_golden_digests(tmp_path):
+    config = ExperimentConfig(
+        m=7, t=2, delta=0.05, epsilon=0.02, n=2, adversary="random-noise",
+        trials=GOLDEN_TRIALS, master_seed=1,
+    )
+    assert output_digests(config, tmp_path)[:2] == DEGENERATE_GOLDEN
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["degenerate_tallies"] > 0
