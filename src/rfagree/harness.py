@@ -30,7 +30,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,11 +58,12 @@ class TrialMetrics:
     accept_phase: object  # common accepting phase, or None
     accept_agreement: bool
     phases_used: object
-    persistency: list = field(default_factory=list)
-    persistency_ok: bool = True
-    estimation_failures: int = 0
-    degenerate: int = 0
-    fully_successful: bool = True
+    persistency: list
+    persistency_ok: bool
+    # Read from the quantum links; None when they are not known.
+    estimation_failures: object
+    degenerate: object
+    fully_successful: object
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -82,24 +83,27 @@ def quantum_links(transcript):
                     yield sender, receiver, sent_local, tally
 
 
-def estimation_failures(links, frames, faulty_ids, delta_eff: float) -> int:
-    """Replay every correct-to-correct quantum link against ground truth.
+def link_metrics(links, frames, faulty, delta_eff: float):
+    """(estimation_failures, degenerate) over the delivered quantum ``links``.
 
-    ``links`` yields (sender, receiver, sent_local, tally) tuples; the
-    receiver's estimate is recomputed from the tally.  A link fails when it
-    and the sent direction differ by more than delta_eff in the global frame.
+    Every tally a correct node received is decoded again, as the node did;
+    ``degenerate`` counts those that fell back to the sentinel.  A
+    correct-to-correct link fails when the decoded estimate and the sent
+    direction differ by more than delta_eff in the global frame.
     """
-    faulty = frozenset(faulty_ids)
-    failures = 0
+    failures = degenerate = 0
     for sender, receiver, sent_local, tally in links:
-        if sender in faulty or receiver in faulty:
+        if receiver in faulty:
             continue
-        sent = to_global(sent_local, frames[sender])
-        estimate_local, _ = ted_receive(tally)
-        estimate = to_global(estimate_local, frames[receiver])
+        estimate_local, flagged = ted_receive(tally)
+        degenerate += flagged
+        if sender in faulty:
+            continue
+        sent = to_global(sent_local, frames[sender]).tolist()
+        estimate = to_global(estimate_local, frames[receiver]).tolist()
         if distance(sent, estimate) > delta_eff:
             failures += 1
-    return failures
+    return failures, degenerate
 
 
 def agreement_metrics(global_outputs: dict, honest_ids, delta_eff: float):
@@ -127,56 +131,67 @@ def agreement_metrics(global_outputs: dict, honest_ids, delta_eff: float):
     return eta, consistency_ok, termination_ok
 
 
-def compute_metrics(result: TrialResult) -> TrialMetrics:
-    delta_eff = result.params.delta_eff
-    frames = result.frames
-    honest = sorted(result.outputs)
+def compute_metrics(record: dict, links, delta_eff: float) -> TrialMetrics:
+    """Every metric of one trial, from its :func:`trial_record` dict.
+
+    Reads the record's ``frames``, ``faulty_ids``, ``outputs_local``,
+    ``accept_phase`` and ``phases``, never its ``metrics``.  ``links`` are
+    the trial's (sender, receiver, sent_local, tally) quantum links, or
+    None when unknown, which leaves the three fields read from them None.
+    The run and ``verify`` both call this, so a stored metric and its
+    check share every formula.
+    """
+    frames = np.array(record["frames"], dtype=np.float64)
+    if frames.ndim != 3 or frames.shape[1:] != (3, 3):
+        raise ValueError(f"frames of shape {frames.shape} are not 3x3 matrices")
+
+    def global_vec(v, node):
+        return to_global(v, frames[node]).tolist()
+
+    faulty = frozenset(record["faulty_ids"])
+    honest = [i for i in range(len(frames)) if i not in faulty]
     global_outputs = {
-        i: to_global(v, frames[i]) for i, v in result.outputs.items() if v is not None
+        int(i): global_vec(v, int(i)) for i, v in record["outputs_local"].items() if v is not None
     }
     eta, consistency_ok, termination_ok = agreement_metrics(global_outputs, honest, delta_eff)
 
-    phases = sorted({p for p in result.accept_phase.values() if p is not None})
-    accept_agreement = len(set(result.accept_phase.values())) == 1
-    accept_phase = phases[0] if accept_agreement and phases else None
-    phases_used = phases[-1] + 1 if phases else None
+    accepted = record["accept_phase"].values()
+    phases = sorted({p for p in accepted if p is not None})
+    accept_agreement = len(set(accepted)) == 1
 
     persistency = []
-    persistency_ok = True
-    for pr in result.phases:
-        if not pr.king_honest:
+    for pr in record["phases"]:
+        if not pr["king_honest"]:
             continue
-        king_global = to_global(pr.king_direction, frames[pr.king_id])
-        all_accepted = all(pr.decisions[i] == 1 for i in honest)
+        king_global = global_vec(pr["king_direction"], pr["king"])
+        all_accepted = all(pr["decisions"][str(i)] == 1 for i in honest)
         max_dist = max(
-            distance(to_global(pr.values[i], frames[i]), king_global) for i in honest
+            distance(global_vec(pr["values"][str(i)], i), king_global) for i in honest
         )
-        ok = all_accepted and max_dist <= delta_eff
         persistency.append(
             {
-                "phase": pr.phase,
+                "phase": pr["phase"],
                 "all_accepted": all_accepted,
                 "max_distance": max_dist,
-                "ok": ok,
+                "ok": all_accepted and max_dist <= delta_eff,
             }
         )
-        persistency_ok = persistency_ok and ok
 
-    failures = estimation_failures(
-        quantum_links(result.transcript), frames, result.faulty_ids, delta_eff
-    )
+    failures = degenerate = None
+    if links is not None:
+        failures, degenerate = link_metrics(links, frames, faulty, delta_eff)
     return TrialMetrics(
         eta_emp=eta,
         consistency_ok=consistency_ok,
         termination_ok=termination_ok,
-        accept_phase=accept_phase,
+        accept_phase=phases[0] if accept_agreement and phases else None,
         accept_agreement=accept_agreement,
-        phases_used=phases_used,
+        phases_used=phases[-1] + 1 if phases else None,
         persistency=persistency,
-        persistency_ok=persistency_ok,
+        persistency_ok=all(p["ok"] for p in persistency),
         estimation_failures=failures,
-        degenerate=result.degenerate,
-        fully_successful=failures == 0,
+        degenerate=degenerate,
+        fully_successful=None if failures is None else failures == 0,
     )
 
 
@@ -185,7 +200,11 @@ def trial_frames(master_seed: int, trial: int, m: int) -> list:
 
 
 def run_trial(config: ExperimentConfig, trial: int, frames=None):
-    """One seeded trial; returns (TrialResult, TrialMetrics)."""
+    """One seeded trial; returns (TrialResult, TrialMetrics, record).
+
+    ``record`` is the trial's trials.jsonl line as a dict, built once; its
+    metrics are computed from it, as ``verify`` computes them again.
+    """
     n = config.resolved_n()
     params = ProtocolParams(
         m=config.m,
@@ -205,14 +224,18 @@ def run_trial(config: ExperimentConfig, trial: int, frames=None):
         master_seed=config.master_seed,
         trial=trial,
     )
-    return result, compute_metrics(result)
+    record = trial_record(config, trial, result)
+    metrics = compute_metrics(record, quantum_links(result.transcript), result.params.delta_eff)
+    record["metrics"] = metrics.to_dict()
+    return result, metrics, record
 
 
 def _vec(v):
     return None if v is None else [float(c) for c in v]
 
 
-def trial_record(config: ExperimentConfig, trial: int, result: TrialResult, metrics: TrialMetrics) -> dict:
+def trial_record(config: ExperimentConfig, trial: int, result: TrialResult) -> dict:
+    """The trial's trials.jsonl line, without its ``metrics``."""
     frames = result.frames
     outputs_global = {
         str(i): _vec(to_global(v, frames[i]) if v is not None else None)
@@ -240,7 +263,6 @@ def trial_record(config: ExperimentConfig, trial: int, result: TrialResult, metr
         "outputs_local": {str(i): _vec(v) for i, v in result.outputs.items()},
         "outputs_global": outputs_global,
         "accept_phase": {str(i): p for i, p in result.accept_phase.items()},
-        "metrics": metrics.to_dict(),
     }
 
 
@@ -296,9 +318,8 @@ def _worker(args):
     config_dict, trial = args
     config = ExperimentConfig.from_dict(config_dict)
     t0 = time.monotonic()
-    result, metrics = run_trial(config, trial)
+    result, metrics, record = run_trial(config, trial)
     seconds = time.monotonic() - t0
-    record = trial_record(config, trial, result, metrics)
     transcript = (
         transcript_records(trial, result.transcript) if config.write_transcript else None
     )
@@ -439,37 +460,6 @@ def emit_report(summaries, path) -> None:
             )
 
 
-def recompute_metrics_from_records(record: dict, links, config: ExperimentConfig) -> dict:
-    """Recompute the headline metrics from exported artifacts only.
-
-    Reconstructs eta/consistency from the recorded outputs and frames, and
-    the estimation-failure count from the quantum ``links`` (see
-    :func:`estimation_failures`) taken from the transcript, if any.  The
-    formulas are the ones :func:`compute_metrics` uses; only the inputs
-    differ.  Used by the ``verify`` subcommand to cross-check trials.jsonl.
-    """
-    delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
-    frames = [np.array(f) for f in record["frames"]]
-    faulty = frozenset(record["faulty_ids"])
-    honest = [i for i in range(config.m) if i not in faulty]
-    global_outputs = {
-        int(key): to_global(np.array(v), frames[int(key)])
-        for key, v in record["outputs_local"].items()
-        if v is not None
-    }
-    eta, consistency_ok, termination_ok = agreement_metrics(global_outputs, honest, delta_eff)
-
-    failures = None
-    if links is not None:
-        failures = estimation_failures(links, frames, faulty, delta_eff)
-    return {
-        "eta_emp": eta,
-        "consistency_ok": consistency_ok,
-        "termination_ok": termination_ok,
-        "estimation_failures": failures,
-    }
-
-
 def _sent_state(segments):
     """The first state of an exported payload, after checking every segment's shape."""
     for state, count in segments:
@@ -508,6 +498,10 @@ def round_links(rec: dict, m: int) -> list:
     return links
 
 
+#: TrialMetrics fields read from the quantum links, so from transcript.jsonl.
+LINK_FIELDS = ("estimation_failures", "degenerate", "fully_successful")
+
+
 def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> list:
     """Cross-check exported records; returns a list of mismatch strings.
 
@@ -530,16 +524,17 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
                     mismatches.append(
                         f"{prefix}transcript line {lineno}: {type(exc).__name__}: {exc}"
                     )
+    delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
+    skip = LINK_FIELDS if transcript_path is None else ()
     with open(trials_path) as fh:
         for line in fh:
             record = json.loads(line)
             trial = record["trial"]
-            redone = recompute_metrics_from_records(record, links_by_trial.get(trial), config)
-            if transcript_path is None:
-                del redone["estimation_failures"]
+            links = links_by_trial.get(trial)
+            redone = compute_metrics(record, links, delta_eff).to_dict()
             stored = record["metrics"]
             for key, value in redone.items():
-                if stored.get(key) != value:
+                if key not in skip and stored.get(key) != value:
                     mismatches.append(
                         f"trial {trial}: {key} stored={stored.get(key)!r} recomputed={value!r}"
                     )

@@ -136,7 +136,6 @@ class HonestNode:
         self.v = None
         self.g = 0
         self.y = None
-        self.degenerate = 0
         self._cc = None
 
     def begin_phase(self, king_id: int, king_rng) -> None:
@@ -160,9 +159,7 @@ class HonestNode:
         if delivery is None:
             self.w = SENTINEL.copy()
         else:
-            self.w, degenerate = ted_receive(delivery)
-            if degenerate:
-                self.degenerate += 1
+            self.w, _ = ted_receive(delivery)
 
     def receive_directions(self, inbox) -> None:
         """inbox: sender -> tally or None, for every other node."""
@@ -172,9 +169,7 @@ class HonestNode:
             if delivery is None:
                 a[j] = SENTINEL.copy()
             else:
-                a[j], degenerate = ted_receive(delivery)
-                if degenerate:
-                    self.degenerate += 1
+                a[j], _ = ted_receive(delivery)
         self.a = a
         self.flag = 0 if weak_consensus(self.w, a, p.m, p.t, p.delta_eff) is None else 1
 
@@ -220,7 +215,6 @@ class TrialResult:
     phases: list = field(default_factory=list)
     outputs: dict = field(default_factory=dict)
     accept_phase: dict = field(default_factory=dict)
-    degenerate: int = 0
     transcript: list = field(default_factory=list)  # netsim.Round per round
 
 
@@ -335,6 +329,5 @@ def run_rf_consensus(
             if result.outputs[i] is None and phase_result.outputs[i] is not None:
                 result.outputs[i] = phase_result.outputs[i]
                 result.accept_phase[i] = k
-    result.degenerate = sum(nodes[i].degenerate for i in nodes)
     result.transcript = engine.transcript
     return result

@@ -6,7 +6,8 @@ import json
 import numpy as np
 
 from rfagree.classical_consensus import PhaseKingNode
-from rfagree.harness import transcript_records
+from rfagree.config import ExperimentConfig
+from rfagree.harness import compute_metrics, quantum_links, trial_record, transcript_records
 from rfagree.netsim import QUANTUM_STEPS
 
 #: Per-criterion verdict lines collected by the acceptance suite; printed in
@@ -100,6 +101,14 @@ def octahedral_rotations():
                     mats.append(mat)
         OCTAHEDRAL_ROTATIONS = mats
     return OCTAHEDRAL_ROTATIONS
+
+
+def result_metrics(result):
+    """``compute_metrics`` of a TrialResult run without the harness, via its record."""
+    p = result.params
+    config = ExperimentConfig(m=p.m, t=p.t, delta=p.delta, epsilon=p.channel.epsilon, n=p.channel.n)
+    record = trial_record(config, 0, result)
+    return compute_metrics(record, quantum_links(result.transcript), p.delta_eff)
 
 
 def transcript_signature(transcript):

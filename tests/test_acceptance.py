@@ -352,7 +352,7 @@ def test_criterion_9_rotation_covariance():
         master_seed=4242,
     )
     base_frames = trial_frames(config.master_seed, 0, config.m)
-    base_result, base_metrics = run_trial(config, 0, frames=base_frames)
+    base_result, base_metrics, _ = run_trial(config, 0, frames=base_frames)
     base_sig = transcript_signature(base_result.transcript)
     base_dict = base_metrics.to_dict()
 
@@ -362,7 +362,7 @@ def test_criterion_9_rotation_covariance():
     for _ in range(100):
         rot = rotations[picker.integers(0, len(rotations))]
         frames = [rot @ f for f in base_frames]
-        result, metrics = run_trial(config, 0, frames=frames)
+        result, metrics, _ = run_trial(config, 0, frames=frames)
         same_transcript = transcript_signature(result.transcript) == base_sig
         same_metrics = metrics.to_dict() == base_dict
         if not (same_transcript and same_metrics):
@@ -391,14 +391,14 @@ def test_criterion_9b_generic_rotation_tolerance():
         master_seed=515,
     )
     base_frames = trial_frames(config.master_seed, 0, config.m)
-    _, base_metrics = run_trial(config, 0, frames=base_frames)
+    _, base_metrics, _ = run_trial(config, 0, frames=base_frames)
     rng = np.random.default_rng(3)
     from rfagree.geometry import random_frame
 
     deltas = []
     for _ in range(5):
         rot = random_frame(rng)
-        _, metrics = run_trial(config, 0, frames=[rot @ f for f in base_frames])
+        _, metrics, _ = run_trial(config, 0, frames=[rot @ f for f in base_frames])
         deltas.append(
             abs(metrics.persistency[0]["max_distance"] - base_metrics.persistency[0]["max_distance"])
         )
@@ -437,7 +437,7 @@ def test_criterion_10_performance():
         master_seed=11,
     )
     t0 = time.monotonic()
-    _, metrics = run_trial(paper_scale, 0)
+    _, metrics, _ = run_trial(paper_scale, 0)
     elapsed_paper = time.monotonic() - t0
     report(
         10,

@@ -5,9 +5,8 @@ from rfagree.adversaries import make_adversary, strategy_catalog
 from rfagree.geometry import random_frame
 from rfagree.quantum_link import ChannelParams
 from rfagree.rf_protocols import ProtocolParams, run_rf_consensus
-from rfagree.harness import compute_metrics
 
-from helpers import transcript_signature
+from helpers import result_metrics, transcript_signature
 
 
 def params_for(m, t, n=20000, delta=0.05, epsilon=0.0):
@@ -75,7 +74,7 @@ def test_strategies_deterministic_per_seed():
 
 
 def consistency_disjunction(result):
-    metrics = compute_metrics(result)
+    metrics = result_metrics(result)
     produced = [v for v in result.outputs.values() if v is not None]
     if not produced:
         return True
@@ -108,7 +107,7 @@ def test_crash_faulty_king_leaves_honest_phases_clean():
     # Phase 0 king crashed: phase decision must be a joint bottom.
     assert all(y == 0 for y in result.phases[0].decisions.values())
     # Phase 1 has an honest king: everyone accepts within delta_eff.
-    metrics = compute_metrics(result)
+    metrics = result_metrics(result)
     assert metrics.persistency[0]["phase"] == 1
     if metrics.fully_successful:
         assert metrics.persistency_ok
@@ -119,7 +118,7 @@ def test_rusher_outlier_excluded_at_large_shift():
     # estimate exchange; correct nodes agree among themselves regardless.
     result = run_with("rusher", 4, 1, seed=32, faulty=(0,), shift=2.5)
     assert len(set(result.accept_phase.values())) == 1
-    metrics = compute_metrics(result)
+    metrics = result_metrics(result)
     assert metrics.termination_ok
     if metrics.fully_successful:
         assert metrics.consistency_ok

@@ -21,8 +21,7 @@ from rfagree.harness import (
     verify_records,
 )
 from rfagree.netsim import QUANTUM_STEPS
-from rfagree.quantum_link import ChannelParams, QuantumMessage, ted_success_bound
-from rfagree.rf_protocols import ProtocolParams, TrialResult
+from rfagree.quantum_link import MeasurementTally, QuantumMessage, ted_success_bound
 
 
 def small_config(**overrides):
@@ -202,7 +201,8 @@ def test_verify_round_trip_and_corruption(tmp_path):
     assert verify_records(out / "trials.jsonl", None, cfg) != []
 
     # Zero one correct-to-correct tally in the transcript: the recomputed
-    # estimation-failure count must disagree with the stored one.
+    # estimation-failure count, and so full success, must disagree with
+    # the stored ones.
     (out / "trials.jsonl").write_text(trials)
 
     def zero_tally(rec):
@@ -214,7 +214,7 @@ def test_verify_round_trip_and_corruption(tmp_path):
 
     rewrite_line(out / "transcript.jsonl", is_quantum, zero_tally)
     mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
-    assert len(mismatches) == 1 and "estimation_failures" in mismatches[0]
+    assert [line.split()[2] for line in mismatches] == ["estimation_failures", "fully_successful"]
 
 
 def test_verify_checks_metrics_that_recompute_to_none(tmp_path):
@@ -294,7 +294,7 @@ def test_exported_links_equal_engine_links(tmp_path, monkeypatch, adversary):
     run_experiment(cfg)
     lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
-    result, _ = run_trial(cfg, 0)
+    result, _, _ = run_trial(cfg, 0)
 
     def canonical(links):
         return [(s, r, [float(c) for c in state], tally) for s, r, state, tally in links]
@@ -310,34 +310,44 @@ def test_exported_links_equal_engine_links(tmp_path, monkeypatch, adversary):
 
 
 def test_metrics_on_synthetic_outputs():
-    params = ProtocolParams(4, 1, 0.05, ChannelParams(0.0, 100))
-    frames = [np.eye(3)] * 4
-    z = np.array([0.0, 0.0, 1.0])
-    result = TrialResult(
-        params=params,
-        frames=frames,
-        faulty_ids=(3,),
-        phases=[],
-        outputs={0: z.copy(), 1: z.copy(), 2: z.copy()},
-        accept_phase={0: 0, 1: 0, 2: 0},
-    )
-    metrics = compute_metrics(result)
+    # A record with identity frames, node 3 faulty and no phases.
+    z = [0.0, 0.0, 1.0]
+    record = {
+        "frames": [np.eye(3).tolist()] * 4,
+        "faulty_ids": [3],
+        "outputs_local": {"0": z, "1": z, "2": z},
+        "accept_phase": {"0": 0, "1": 0, "2": 0},
+        "phases": [],
+    }
+    metrics = compute_metrics(record, None, 0.05)
     assert metrics.eta_emp == 0.0
     assert metrics.consistency_ok and metrics.termination_ok
+    assert (metrics.estimation_failures, metrics.degenerate, metrics.fully_successful) == (
+        None, None, None
+    )
 
-    result.outputs[2] = np.array([0.0, 0.0, -1.0])
-    metrics = compute_metrics(result)
+    record["outputs_local"]["2"] = [0.0, 0.0, -1.0]
+    metrics = compute_metrics(record, None, 0.05)
     assert metrics.eta_emp == pytest.approx(2.0)  # antipodal pair
     assert not metrics.consistency_ok
 
-    result.outputs = {0: None, 1: None, 2: None}
-    metrics = compute_metrics(result)
+    record["outputs_local"] = {"0": None, "1": None, "2": None}
+    metrics = compute_metrics(record, None, 0.05)
     assert metrics.consistency_ok  # jointly bottom
     assert not metrics.termination_ok
 
-    result.outputs = {0: z.copy(), 1: None, 2: None}
-    metrics = compute_metrics(result)
+    record["outputs_local"] = {"0": z, "1": None, "2": None}
+    metrics = compute_metrics(record, None, 0.05)
     assert not metrics.consistency_ok  # mixed outcome
+
+    # Degenerate tallies count wherever a correct node receives them;
+    # failures only on correct-to-correct links.
+    half, up, east = MeasurementTally(1, 1, 1, 2), MeasurementTally(1, 1, 2, 2), MeasurementTally(2, 1, 1, 2)
+    links = [(3, 0, z, half), (0, 3, z, half), (0, 1, z, up), (1, 2, z, east)]
+    metrics = compute_metrics(record, links, 0.05)
+    assert (metrics.estimation_failures, metrics.degenerate, metrics.fully_successful) == (
+        1, 1, False
+    )
 
 
 def test_allowed_violation_rate_formula():
@@ -440,9 +450,9 @@ def test_cli_sweep(tmp_path, capsys):
 def test_run_trial_with_explicit_frames():
     cfg = small_config(trials=1)
     frames = trial_frames(cfg.master_seed, 0, cfg.m)
-    r1, m1 = run_trial(cfg, 0, frames=frames)
-    r2, m2 = run_trial(cfg, 0)
-    assert m1.eta_emp == m2.eta_emp
+    _, m1, record1 = run_trial(cfg, 0, frames=frames)
+    _, m2, record2 = run_trial(cfg, 0)
+    assert m1 == m2 and record1 == record2
 
 
 def test_parallel_jobs_fill_trial_timings():

@@ -10,7 +10,8 @@ from rfagree.rf_protocols import (
     weak_consensus,
 )
 from rfagree.adversaries import make_adversary
-from rfagree.harness import compute_metrics
+
+from helpers import result_metrics
 
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -296,7 +297,7 @@ def test_conditional_exactness_small_scale():
         result = run_trial_with(
             "equivocator", 4, 1, seed=200 + seed, faulty=(0,), separation=1.2
         )
-        metrics = compute_metrics(result)
+        metrics = result_metrics(result)
         if metrics.fully_successful:
             checked += 1
             assert metrics.consistency_ok
