@@ -24,6 +24,7 @@ which appear only in summary.json / report.csv.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -45,7 +46,7 @@ from .quantum_link import (
     ted_receive,
     ted_success_bound,
 )
-from .rf_protocols import ProtocolParams, TrialResult, run_rf_consensus
+from .rf_protocols import ProtocolParams, TrialResult, phase_steps, run_rf_consensus
 
 CONSISTENCY_FACTOR = 30.0
 
@@ -502,40 +503,84 @@ def round_links(rec: dict, m: int) -> list:
 LINK_FIELDS = ("estimation_failures", "degenerate", "fully_successful")
 
 
+def _read_jsonl(path, name: str, read, mismatches: list) -> None:
+    """Call ``read(trial, rec)`` on each line of ``path``; a line that fails is a mismatch.
+
+    A malformed line raises ValueError, KeyError, TypeError, IndexError or
+    AttributeError while it is read, and is reported as ``trial N: <name>
+    line L: <Error>: <reason>`` (without ``trial N:`` if that is unknown).
+    """
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            trial = None
+            try:
+                rec = json.loads(line)
+                trial = rec["trial"]
+                if type(trial) is not int:
+                    raise ValueError(f"trial number {trial!r} is not an int")
+                read(trial, rec)
+            except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+                prefix = "" if trial is None else f"trial {trial}: "
+                mismatches.append(f"{prefix}{name} line {lineno}: {type(exc).__name__}: {exc}")
+
+
 def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> list:
     """Cross-check exported records; returns a list of mismatch strings.
 
-    Without a transcript the estimation-failure count cannot be recomputed
-    and is not checked; every other metric always is.  A transcript line
-    that cannot be read, or whose shape is wrong, is itself a mismatch.
+    Every stored metric is computed again by :func:`compute_metrics` from
+    its record and, when a transcript is given, from the quantum links read
+    back from it; without a transcript the three fields read from the links
+    (:data:`LINK_FIELDS`) are not checked.  The export's structure is
+    checked too: trials.jsonl holds trials 0..trials-1 once each, and the
+    transcript holds, for each of them, rounds 0..R-1 once each and in
+    order, R being the rounds of the trial's t+1 king phases.  A line that
+    cannot be read, or whose shape is wrong, is itself a mismatch.
     """
     mismatches = []
     links_by_trial = {}
+    rounds_by_trial = {}
+
+    def read_round(trial, rec):
+        links = round_links(rec, config.m)
+        links_by_trial.setdefault(trial, []).extend(links)
+        rounds_by_trial.setdefault(trial, []).append(rec["round"])
+
     if transcript_path is not None:
-        with open(transcript_path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                trial = None
-                try:
-                    rec = json.loads(line)
-                    trial = rec["trial"]
-                    links_by_trial.setdefault(trial, []).extend(round_links(rec, config.m))
-                except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
-                    prefix = "" if trial is None else f"trial {trial}: "
-                    mismatches.append(
-                        f"{prefix}transcript line {lineno}: {type(exc).__name__}: {exc}"
-                    )
+        _read_jsonl(transcript_path, "transcript", read_round, mismatches)
+
     delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
-    skip = LINK_FIELDS if transcript_path is None else ()
-    with open(trials_path) as fh:
-        for line in fh:
-            record = json.loads(line)
-            trial = record["trial"]
-            links = links_by_trial.get(trial)
-            redone = compute_metrics(record, links, delta_eff).to_dict()
-            stored = record["metrics"]
-            for key, value in redone.items():
-                if key not in skip and stored.get(key) != value:
-                    mismatches.append(
-                        f"trial {trial}: {key} stored={stored.get(key)!r} recomputed={value!r}"
-                    )
+    numbers = []
+
+    def check_trial(trial, record):
+        numbers.append(trial)
+        links = links_by_trial.get(trial)
+        stored = record["metrics"]
+        for key, value in compute_metrics(record, links, delta_eff).to_dict().items():
+            if (links is not None or key not in LINK_FIELDS) and stored.get(key) != value:
+                mismatches.append(
+                    f"trial {trial}: {key} stored={stored.get(key)!r} recomputed={value!r}"
+                )
+
+    _read_jsonl(trials_path, "trials", check_trial, mismatches)
+
+    expected = range(config.trials)
+    beyond = f"not one of the config's {config.trials} trials"
+    counts = collections.Counter(numbers)
+    for trial in sorted(counts.keys() | set(expected)):
+        if trial not in expected:
+            mismatches.append(f"trial {trial}: trials.jsonl record, but {beyond}")
+        elif counts[trial] != 1:
+            mismatches.append(f"trial {trial}: {counts[trial]} trials.jsonl records, not 1")
+    if transcript_path is not None:
+        per_phase = sum(1 for _ in phase_steps(config.m, config.t, 0, 0))
+        rounds = list(range((config.t + 1) * per_phase))
+        for trial in sorted(rounds_by_trial.keys() | set(expected)):
+            if trial not in rounds_by_trial:
+                mismatches.append(f"trial {trial}: no transcript lines")
+            elif trial not in expected:
+                mismatches.append(f"trial {trial}: transcript lines, but {beyond}")
+            elif rounds_by_trial[trial] != rounds:
+                mismatches.append(
+                    f"trial {trial}: transcript rounds are not 0..{rounds[-1]} once each, in order"
+                )
     return mismatches

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from rfagree.adversaries import RandomNoise
 from rfagree.config import ConfigError, ExperimentConfig
 from rfagree.cli import main as cli_main
 from rfagree.harness import (
+    LINK_FIELDS,
+    TrialMetrics,
     allowed_violation_rate,
     compute_metrics,
     emit_report,
@@ -183,12 +186,39 @@ def rewrite_line(path, predicate, edit):
     return idx + 1
 
 
-def test_verify_round_trip_and_corruption(tmp_path):
+def tampered(value):
+    """A stored metric value that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    return [] if value else 0  # persistency, or a metric that is None
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(TrialMetrics)])
+def test_verify_round_trip_and_corruption(tmp_path, field):
+    # Every stored metric is recomputed: tampering one is one mismatch.
     out = tmp_path / "out"
     cfg = small_config(out_dir=str(out), write_transcript=True)
     run_experiment(cfg)
-    assert verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg) == []
-    assert verify_records(out / "trials.jsonl", None, cfg) == []
+    trials, transcript = out / "trials.jsonl", out / "transcript.jsonl"
+    assert verify_records(trials, transcript, cfg) == []
+    assert verify_records(trials, None, cfg) == []
+
+    def edit(rec):
+        rec["metrics"][field] = tampered(rec["metrics"][field])
+
+    rewrite_line(trials, lambda rec: rec["trial"] == 1, edit)
+    mismatches = verify_records(trials, transcript, cfg)
+    assert len(mismatches) == 1 and mismatches[0].startswith(f"trial 1: {field} stored=")
+    # The fields read from the quantum links need the transcript.
+    assert verify_records(trials, None, cfg) == ([] if field in LINK_FIELDS else mismatches)
+
+
+def test_verify_recomputes_from_outputs_and_tallies(tmp_path):
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), write_transcript=True)
+    run_experiment(cfg)
 
     # Corrupt one output: verification must notice.
     trials = (out / "trials.jsonl").read_text()
@@ -215,6 +245,78 @@ def test_verify_round_trip_and_corruption(tmp_path):
     rewrite_line(out / "transcript.jsonl", is_quantum, zero_tally)
     mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
     assert [line.split()[2] for line in mismatches] == ["estimation_failures", "fully_successful"]
+
+
+def drop_lines(path, predicate):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not predicate(json.loads(line))))
+
+
+def repeat_lines(path, predicate):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + [line for line in lines if predicate(json.loads(line))]))
+
+
+@pytest.mark.parametrize(
+    "name, damage, expected",
+    [
+        pytest.param(
+            "transcript.jsonl",
+            lambda path: drop_lines(
+                path, lambda rec: rec["trial"] == 0 and rec["step"] == "direction_exchange"
+            ),
+            ["trial 0: transcript rounds are not 0..17 once each, in order"],
+            id="dropped-direction-exchange",
+        ),
+        pytest.param(
+            "transcript.jsonl",
+            lambda path: repeat_lines(path, lambda rec: rec["trial"] == 1),
+            ["trial 1: transcript rounds are not 0..17 once each, in order"],
+            id="repeated-trial",
+        ),
+        pytest.param(
+            "trials.jsonl",
+            lambda path: drop_lines(path, lambda rec: rec["trial"] == 1),
+            ["trial 1: 0 trials.jsonl records, not 1"],
+            id="dropped-trial",
+        ),
+    ],
+)
+def test_verify_checks_export_structure(tmp_path, name, damage, expected):
+    # Links that all succeeded can go missing without moving a metric; the
+    # structure check notices.  Two king phases of 9 rounds make 18 per trial.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), write_transcript=True)
+    run_experiment(cfg)
+    damage(out / name)
+    assert verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg) == expected
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        pytest.param(lambda line: line[:-2], "JSONDecodeError", id="not-json"),
+        pytest.param(
+            lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "frames"}),
+            "KeyError",
+            id="no-frames",
+        ),
+        pytest.param(
+            lambda line: json.dumps(dict(json.loads(line), frames=[[[1.0, 0.0, 0.0]] * 2] * 4)),
+            "ValueError",
+            id="2x3-frame",
+        ),
+    ],
+)
+def test_verify_reports_malformed_trials_line(tmp_path, edit, error):
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), write_transcript=True)
+    run_experiment(cfg)
+    lines = (out / "trials.jsonl").read_text().splitlines()
+    lines[1] = edit(lines[1])
+    (out / "trials.jsonl").write_text("\n".join(lines) + "\n")
+    mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
+    assert f"trials line 2: {error}: " in mismatches[0]
 
 
 def test_verify_checks_metrics_that_recompute_to_none(tmp_path):
@@ -425,6 +527,13 @@ def test_cli_verify(tmp_path, capsys):
         ]
     )
     assert code == 0
+
+    # A malformed trials.jsonl line is reported, not raised.
+    (out / "trials.jsonl").write_text("{not json\n")
+    capsys.readouterr()
+    code = cli_main(["verify", "--config", str(path), "--records", str(out / "trials.jsonl")])
+    assert code == 1
+    assert "trials line 1: JSONDecodeError: " in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path, capsys):
