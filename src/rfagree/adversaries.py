@@ -158,10 +158,7 @@ class Equivocator(Adversary):
                 for slot in slots:
                     d = estimates.get(slot[0], SENTINEL)
                     out[slot] = QuantumMessage.uniform(d, n)
-        elif step.kind == FLAG_EXCHANGE:
-            for slot in slots:
-                out[slot] = 1
-        else:
+        else:  # flags and classical symbols
             for slot in slots:
                 out[slot] = 1
         return out
