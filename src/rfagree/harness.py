@@ -31,7 +31,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class TrialMetrics:
     fully_successful: object
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
 
 def quantum_links(transcript):
@@ -93,6 +93,7 @@ def link_metrics(links, frames, faulty, delta_eff: float):
     direction differ by more than delta_eff in the global frame.
     """
     failures = degenerate = 0
+    last = (None, None, None)  # (sender, sent_local, sent direction in the global frame)
     for sender, receiver, sent_local, tally in links:
         if receiver in faulty:
             continue
@@ -100,9 +101,10 @@ def link_metrics(links, frames, faulty, delta_eff: float):
         degenerate += flagged
         if sender in faulty:
             continue
-        sent = to_global(sent_local, frames[sender]).tolist()
+        if sender != last[0] or sent_local is not last[1]:  # a correct sender's next message
+            last = (sender, sent_local, to_global(sent_local, frames[sender]).tolist())
         estimate = to_global(estimate_local, frames[receiver]).tolist()
-        if distance(sent, estimate) > delta_eff:
+        if distance(last[2], estimate) > delta_eff:
             failures += 1
     return failures, degenerate
 
@@ -142,9 +144,10 @@ def compute_metrics(record: dict, links, delta_eff: float) -> TrialMetrics:
     The run and ``verify`` both call this, so a stored metric and its
     check share every formula.
     """
-    frames = np.array(record["frames"], dtype=np.float64)
-    if frames.ndim != 3 or frames.shape[1:] != (3, 3):
-        raise ValueError(f"frames of shape {frames.shape} are not 3x3 matrices")
+    stacked = np.array(record["frames"], dtype=np.float64)
+    if stacked.ndim != 3 or stacked.shape[1:] != (3, 3):
+        raise ValueError(f"frames of shape {stacked.shape} are not 3x3 matrices")
+    frames = list(stacked)
 
     def global_vec(v, node):
         return to_global(v, frames[node]).tolist()
@@ -231,15 +234,16 @@ def run_trial(config: ExperimentConfig, trial: int, frames=None):
     return result, metrics, record
 
 
-def _vec(v):
-    return None if v is None else [float(c) for c in v]
+def _floats(v):
+    """``v`` (a vector or matrix, or None) as nested lists of Python floats."""
+    return None if v is None else np.asarray(v, dtype=np.float64).tolist()
 
 
 def trial_record(config: ExperimentConfig, trial: int, result: TrialResult) -> dict:
     """The trial's trials.jsonl line, without its ``metrics``."""
     frames = result.frames
     outputs_global = {
-        str(i): _vec(to_global(v, frames[i]) if v is not None else None)
+        str(i): _floats(to_global(v, frames[i]) if v is not None else None)
         for i, v in result.outputs.items()
     }
     return {
@@ -247,21 +251,21 @@ def trial_record(config: ExperimentConfig, trial: int, result: TrialResult) -> d
         "master_seed": config.master_seed,
         "n": result.params.channel.n,
         "faulty_ids": list(result.faulty_ids),
-        "frames": [[[float(c) for c in row] for row in f] for f in frames],
+        "frames": [_floats(f) for f in frames],
         "phases": [
             {
                 "phase": pr.phase,
                 "king": pr.king_id,
                 "king_honest": pr.king_honest,
-                "king_direction": _vec(pr.king_direction),
-                "inputs": {str(i): _vec(w) for i, w in pr.inputs.items()},
-                "values": {str(i): _vec(v) for i, v in pr.values.items()},
+                "king_direction": _floats(pr.king_direction),
+                "inputs": {str(i): _floats(w) for i, w in pr.inputs.items()},
+                "values": {str(i): _floats(v) for i, v in pr.values.items()},
                 "grades": {str(i): g for i, g in pr.grades.items()},
                 "decisions": {str(i): y for i, y in pr.decisions.items()},
             }
             for pr in result.phases
         ],
-        "outputs_local": {str(i): _vec(v) for i, v in result.outputs.items()},
+        "outputs_local": {str(i): _floats(v) for i, v in result.outputs.items()},
         "outputs_global": outputs_global,
         "accept_phase": {str(i): p for i, p in result.accept_phase.items()},
     }
