@@ -10,8 +10,9 @@ Subcommands:
              success target, and an accuracy target (the 30-delta consensus
              diameter), print the per-link parameters and the minimal
              per-axis qubit count n.
-* ``verify`` recompute metrics from exported trials.jsonl (and
-             transcript.jsonl if given) and compare against the stored ones.
+* ``verify`` recompute every metric from exported trials.jsonl (and
+             transcript.jsonl if given), compare against the stored ones
+             and check the files' structure; exit 1 on any mismatch.
 * ``sweep``  cartesian parameter sweeps over a base config; one summary per
              combination plus a combined report.csv.
 """

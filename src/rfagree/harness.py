@@ -2,19 +2,26 @@
 
 Every trial is reconstructible from (config, master_seed, trial index):
 node frames, the kings' chosen directions, all channel randomness.  Metrics
-are computed against that ground truth:
+are computed against that ground truth by one function,
+:func:`compute_metrics`, from the trial's record (its trials.jsonl line) and
+its delivered quantum links; a run stores what it returns, and ``verify``
+calls it again on the exported files:
 
 * eta_emp: maximum pairwise chord distance between correct final outputs,
   compared in the global frame;
 * consistency: all correct nodes output bottom, or all output directions
   with eta_emp <= 30 * delta_eff;
+* accept phase: whether all correct nodes accept in one common phase, that
+  phase, and how many phases were used;
 * persistency: in every phase led by a correct king, all correct nodes
   accept and land within delta_eff of the king's direction;
 * estimation-failure oracle: every correct-to-correct quantum transmission
-  is replayed from the transcript and compared against the sent direction
+  is decoded again from its tally and compared against the sent direction
   at the delta_eff accuracy.  Trials where every such link succeeded are
   marked fully successful; on those, consistency and persistency are
-  deterministic consequences of the thresholds and must never fail.
+  deterministic consequences of the thresholds and must never fail;
+* degenerate tallies: those a correct node received that decode to the
+  sentinel, counted in the same pass over the links.
 
 Files: trials.jsonl (one record per trial), summary.json (aggregates plus
 timing), report.csv (one row per summary), transcript.jsonl (optional, one
