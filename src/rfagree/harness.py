@@ -236,7 +236,7 @@ def run_trial(config: ExperimentConfig, trial: int, frames=None):
         trial=trial,
     )
     record = trial_record(config, trial, result)
-    metrics = compute_metrics(record, quantum_links(result.transcript), result.params.delta_eff)
+    metrics = compute_metrics(record, quantum_links(result.transcript), params.delta_eff)
     record["metrics"] = metrics.to_dict()
     return result, metrics, record
 
