@@ -162,10 +162,17 @@ def test_as_frame_rejects_improper_rotation():
 
 
 def test_to_global_matches_matrix_product():
+    # Bit for bit, for any frame layout and vector type: stored metrics and
+    # their recomputation in verify both go through to_global.
     rng = np.random.default_rng(5)
-    f = random_frame(rng)
-    v = random_direction(rng)
-    assert np.array_equal(to_global(v, f), f @ v)
+    for _ in range(2000):
+        f = random_frame(rng)
+        v = random_direction(rng)
+        stacked = np.array([f.tolist()] * 2)
+        for frame in (f, np.asfortranarray(f), stacked[1], f.tolist()):
+            product = np.asarray(frame) @ v
+            for vec in (v, v.tolist()):
+                assert np.array_equal(to_global(vec, frame), product)
 
 
 @settings(max_examples=100, deadline=None)
