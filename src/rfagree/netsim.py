@@ -19,7 +19,8 @@ Communication model:
 
 Quantum payloads travel as Bloch segments in the sender's local coordinates
 (the emitting hardware's frame).  At delivery the engine applies the sender
-frame to obtain the physical, global-frame state and measures it in the
+frame to obtain the physical, global-frame state (once per sender and
+message in a round, however many slots carry it) and measures it in each
 receiver's frame; that keeps the only stochastic step in one place and makes
 the logged wire data independent of how the hidden global frame is oriented.
 
@@ -35,6 +36,7 @@ queries can never shift honest randomness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -89,7 +91,9 @@ class AdversaryView:
     ``honest_payloads`` maps each honest sender of the step to the one
     payload it broadcasts.  ``previous`` is the :class:`Round` resolved
     last, or None before the first; its payloads add nothing to what earlier
-    rushing views showed.  ``node_rng`` hands out the per-round stream a node
+    rushing views showed.  ``rng`` is the adversary's stream for this round,
+    ``substream(*stream)``; it is built on first read, since most rounds
+    never draw from it.  ``node_rng`` hands out the per-round stream a node
     would use if it were honest, but only for nodes the adversary controls;
     honest randomness stays private.
     """
@@ -97,8 +101,12 @@ class AdversaryView:
     step: RoundStep
     honest_payloads: dict
     previous: Optional[Round]
-    rng: np.random.Generator
+    stream: tuple
     node_rng: object = None
+
+    @functools.cached_property
+    def rng(self) -> np.random.Generator:
+        return substream(*self.stream)
 
 
 def substream(key0: int, key1: int, c1: int, c2: int, c3: int) -> np.random.Generator:
@@ -108,6 +116,38 @@ def substream(key0: int, key1: int, c1: int, c2: int, c3: int) -> np.random.Gene
         key=[key0 & 0xFFFFFFFFFFFFFFFF, key1 & 0xFFFFFFFFFFFFFFFF],
     )
     return np.random.Generator(bits)
+
+
+#: What a malformed quantum payload raises on its way through the link.
+_MALFORMED = (ValueError, TypeError, OverflowError)
+
+
+def global_message(msg: QuantumMessage, sender_frame: np.ndarray) -> Optional[QuantumMessage]:
+    """``msg`` with its states taken from sender-local to global coordinates.
+
+    Returns None for a payload whose states cannot be rotated.  The rotated
+    message is validated where it is measured: a rotation keeps |r| to
+    within rounding, far inside BLOCH_TOL, so one check suffices.
+    """
+    try:
+        return QuantumMessage(
+            tuple((sender_frame @ np.asarray(state, dtype=np.float64), count) for state, count in msg.segments)
+        )
+    except _MALFORMED:
+        return None
+
+
+def measure_link(
+    global_msg: QuantumMessage,
+    receiver_frame: np.ndarray,
+    params: ChannelParams,
+    rng: np.random.Generator,
+):
+    """``measure_batch`` on one link; a malformed message gives None."""
+    try:
+        return measure_batch(global_msg, receiver_frame, params, rng)
+    except _MALFORMED:
+        return None
 
 
 def deliver_quantum(
@@ -121,17 +161,11 @@ def deliver_quantum(
 
     The wire payload is in sender-local coordinates; malformed payloads
     (bad counts, over-long Bloch vectors) degrade to an absent message, so a
-    faulty sender gains nothing from breaking the format.
+    faulty sender gains nothing from breaking the format.  One link of what
+    :meth:`RoundEngine.run_round` does for a whole round.
     """
-    try:
-        global_msg = QuantumMessage(
-            tuple((sender_frame @ np.asarray(state, dtype=np.float64), count) for state, count in msg.segments)
-        )
-        # measure_batch validates the rotated message; a rotation keeps |r|
-        # to within rounding, far inside BLOCH_TOL, so one check suffices.
-        return measure_batch(global_msg, receiver_frame, params, rng)
-    except (ValueError, TypeError, OverflowError):
-        return None
+    rotated = global_message(msg, sender_frame)
+    return None if rotated is None else measure_link(rotated, receiver_frame, params, rng)
 
 
 @dataclass
@@ -156,8 +190,12 @@ class RoundEngine:
     def link_rng(self, sender: int, receiver: int) -> np.random.Generator:
         return substream(self.master_seed, self.trial, 1 + self.round_index, sender, receiver)
 
+    def adversary_stream(self) -> tuple:
+        """The :func:`substream` arguments of this round's adversary stream."""
+        return (self.master_seed, self.trial, 1 + self.round_index, self.m, 0)
+
     def adversary_rng(self) -> np.random.Generator:
-        return substream(self.master_seed, self.trial, 1 + self.round_index, self.m, 0)
+        return substream(*self.adversary_stream())
 
     def _fast_link_rng(self, sender: int, receiver: int) -> np.random.Generator:
         """Same stream as :meth:`link_rng` without per-call construction.
@@ -213,7 +251,7 @@ class RoundEngine:
                 step=step,
                 honest_payloads=dict(honest_payloads),
                 previous=self.transcript[-1] if self.transcript else None,
-                rng=self.adversary_rng(),
+                stream=self.adversary_stream(),
                 node_rng=faulty_node_rng,
             )
             faulty_slots = tuple(s for s in slots if s[0] in faulty_set)
@@ -226,6 +264,10 @@ class RoundEngine:
                 faulty_payloads[slot] = payload
 
         quantum_step = step.kind in QUANTUM_STEPS
+        # (sender, id(payload)) -> the payload in global coordinates, or None:
+        # each message is rotated once per round, however many slots carry
+        # it.  Keyed by sender too, since faulty senders may share one object.
+        rotated = {}
         deliveries = {}
         payloads = {}
         for slot in slots:
@@ -238,13 +280,18 @@ class RoundEngine:
             delivery = None
             if quantum_step:
                 if isinstance(payload, QuantumMessage):
-                    delivery = deliver_quantum(
-                        payload,
-                        self.frames[sender],
-                        self.frames[receiver],
-                        self.channel,
-                        self._fast_link_rng(sender, receiver),
-                    )
+                    key = (sender, id(payload))
+                    if key in rotated:
+                        global_msg = rotated[key]
+                    else:
+                        global_msg = rotated[key] = global_message(payload, self.frames[sender])
+                    if global_msg is not None:
+                        delivery = measure_link(
+                            global_msg,
+                            self.frames[receiver],
+                            self.channel,
+                            self._fast_link_rng(sender, receiver),
+                        )
                 payloads[slot] = None if delivery is None else payload
             elif isinstance(payload, int) and not isinstance(payload, bool):
                 delivery = payload

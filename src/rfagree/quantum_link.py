@@ -80,23 +80,32 @@ class QuantumMessage:
     def total_count(self) -> int:
         return sum(count for _, count in self.segments)
 
-    def validate(self, n: int) -> None:
-        """Raise ValueError unless the segments form a well-formed 3n batch."""
+    def validate(self, n: int) -> list:
+        """Raise ValueError unless the segments form a well-formed 3n batch.
+
+        Returns the segments as ([x, y, z], count) pairs with the state as
+        Python floats, ready for :func:`measure_batch`.  Nothing is cached
+        on the message: its state arrays may change between deliveries.
+        """
         if not self.segments:
             raise ValueError("message has no segments")
+        checked = []
         for state, count in self.segments:
             arr = np.asarray(state, dtype=np.float64)
             if arr.shape != (3,):
                 raise ValueError("segment state must be a 3-vector")
             if not _is_count(count):
                 raise ValueError(f"segment count must be a positive integer, got {count!r}")
+            r = arr.tolist()
             # Negated so that NaN and inf lengths fail the check too.
-            if not math.sqrt(dot(arr, arr)) <= 1.0 + BLOCH_TOL:
+            if not math.sqrt(dot(r, r)) <= 1.0 + BLOCH_TOL:
                 raise ValueError("segment Bloch vector non-finite or longer than 1")
+            checked.append((r, count))
         if self.total_count() != 3 * n:
             raise ValueError(
                 f"segment counts sum to {self.total_count()}, expected {3 * n}"
             )
+        return checked
 
 
 @dataclass(frozen=True)
@@ -142,18 +151,24 @@ def measure_batch(
     one binomial draw, which matches the per-qubit Bernoulli law exactly.
     """
     n = params.n
-    msg.validate(n)
+    # depolarize() and outcome_probability() spelt out on Python floats: the
+    # same IEEE products and the same fsum, so the same bits, without numpy
+    # scalar overhead.  (A batched einsum rounds differently: it changes
+    # about one outcome probability in ten in its last bit.)
+    shrink = 1.0 - params.epsilon
+    axes = np.asarray(receiver_frame, dtype=np.float64).T.tolist()
     counts = [0, 0, 0]
     start = 0
-    for state, count in msg.segments:
-        shrunk = depolarize(state, params.epsilon)
+    for (x, y, z), count in msg.validate(n):
+        x, y, z = shrink * x, shrink * y, shrink * z
         end = start + count
         for a in range(3):
             lo = max(start, a * n)
             hi = min(end, (a + 1) * n)
             if hi > lo:
-                p = outcome_probability(shrunk, receiver_frame[:, a])
-                counts[a] += int(rng.binomial(hi - lo, p))
+                ax, ay, az = axes[a]
+                p = 0.5 * (1.0 + math.fsum((x * ax, y * ay, z * az)))
+                counts[a] += int(rng.binomial(hi - lo, min(1.0, max(0.0, p))))
         start = end
     return MeasurementTally(counts[0], counts[1], counts[2], n)
 

@@ -77,11 +77,21 @@ class ProtocolParams:
         return ted_accuracy_bound(self.delta, self.channel.epsilon)
 
 
+def _float_lists(vectors):
+    """Each 3-vector of ``vectors`` as a list of Python floats.
+
+    ``distance`` on these gives the same bits as on float64 arrays (the
+    same IEEE operations and fsum), without numpy scalar overhead.
+    """
+    return [np.asarray(v, dtype=np.float64).tolist() for v in vectors]
+
+
 def weak_consensus(w, estimates, m: int, t: int, delta: float) -> Optional[np.ndarray]:
     """Keep w if at least m - t estimates (self included) are 3*delta-close."""
+    own = np.asarray(w, dtype=np.float64).tolist()
     close = 0
-    for j in range(m):
-        if distance(w, estimates[j]) <= 3.0 * delta:
+    for est in _float_lists(estimates[j] for j in range(m)):
+        if distance(own, est) <= 3.0 * delta:
             close += 1
     return w if close >= m - t else None
 
@@ -96,24 +106,28 @@ def graded_consensus(w, estimates, flags, own_flag: int, m: int, t: int, delta: 
     nothing to adopt: keep the own direction with grade 0, which is safe
     because graded consistency only constrains runs where some correct node
     grades 1.
+
+    Each unordered pair's distance is computed once and every count starts
+    at 1 for j itself; both are exact, since ``distance`` is symmetric bit
+    for bit and ``distance(x, x) == 0``.
     """
     flagged = [j for j in range(m) if flags[j] == 1]
     if not flagged:
         return np.array(w, dtype=np.float64), 0
-    best_j = -1
-    best_size = -1
-    for j in flagged:
-        size = 0
-        for k in flagged:
-            if distance(estimates[j], estimates[k]) <= 10.0 * delta:
-                size += 1
-        if size > best_size:
-            best_size = size
-            best_j = j
+    vecs = _float_lists(estimates[j] for j in flagged)
+    sizes = [1] * len(flagged)
+    radius = 10.0 * delta
+    for a in range(len(flagged)):
+        for b in range(a + 1, len(flagged)):
+            if distance(vecs[a], vecs[b]) <= radius:
+                sizes[a] += 1
+                sizes[b] += 1
+    best = sizes.index(max(sizes))  # the first, so the lowest id, on ties
+    best_size = sizes[best]
     if own_flag == 1:
         v = np.array(w, dtype=np.float64)
     else:
-        v = np.array(estimates[best_j], dtype=np.float64)
+        v = np.array(estimates[flagged[best]], dtype=np.float64)
     g = 1 if best_size >= m - t else 0
     return v, g
 

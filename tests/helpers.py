@@ -7,6 +7,7 @@ import numpy as np
 
 from rfagree.classical_consensus import PhaseKingNode
 from rfagree.config import ExperimentConfig
+from rfagree.geometry import distance
 from rfagree.harness import compute_metrics, quantum_links, trial_record, transcript_records
 from rfagree.netsim import QUANTUM_STEPS
 
@@ -157,3 +158,24 @@ def expand_round_record(rec, m):
             )
         )
     return expanded
+
+
+def reference_graded_consensus(w, estimates, flags, own_flag, m, t, delta):
+    """``rf_protocols.graded_consensus`` by the paper's all-pairs count.
+
+    For every flagged j, counts the flagged k (j itself included) within
+    10*delta of j's estimate, on the estimates as given; the oracle for the
+    pair-once count on Python floats.
+    """
+    flagged = [j for j in range(m) if flags[j] == 1]
+    if not flagged:
+        return np.array(w, dtype=np.float64), 0
+    best_j = -1
+    best_size = -1
+    for j in flagged:
+        size = sum(1 for k in flagged if distance(estimates[j], estimates[k]) <= 10.0 * delta)
+        if size > best_size:
+            best_size = size
+            best_j = j
+    v = np.array(w if own_flag == 1 else estimates[best_j], dtype=np.float64)
+    return v, 1 if best_size >= m - t else 0

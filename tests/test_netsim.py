@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rfagree import netsim
 from rfagree.geometry import distance, random_direction, random_frame, to_global
 from rfagree.harness import transcript_records
 from rfagree.netsim import (
     CLASSICAL_ROUND,
     DIRECTION_EXCHANGE,
     FLAG_EXCHANGE,
+    KING_BROADCAST,
     AuthenticationError,
     RoundEngine,
     RoundStep,
@@ -319,6 +321,108 @@ def test_quantum_message_validated_once_per_delivery(monkeypatch):
     rng = np.random.default_rng(1)
     all_honest_direction_round(engine, [random_direction(rng) for _ in range(4)])
     assert len(calls) == 12  # one per delivery, m(m-1) slots
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_honest_round_rotates_each_message_once(monkeypatch):
+    rotations = counting(monkeypatch, netsim, "global_message")
+    measurements = counting(monkeypatch, netsim, "measure_batch")
+    engine, _ = make_engine(m=4)
+    rng = np.random.default_rng(1)
+    all_honest_direction_round(engine, [random_direction(rng) for _ in range(4)])
+    assert len(rotations) == 4  # one per sender
+    assert len(measurements) == 12  # one per delivered link
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_engine_tallies_equal_per_link_reference(seed):
+    # Every slot's delivery equals deliver_quantum on that link alone, with
+    # the documented per-link stream.  Faulty senders 5 and 6 send one
+    # shared multi-segment message object, per-slot messages and malformed
+    # payloads, so a rotation reused across senders, slots or rounds shows.
+    m, n = 7, 1000
+    engine, frames = make_engine(m=m, n=n, epsilon=0.1, seed=seed)
+    rng = np.random.default_rng(seed)
+    faulty = frozenset({5, 6})
+    shared = QuantumMessage(
+        ((random_direction(rng), 1000), (0.5 * random_direction(rng), 1500), (random_direction(rng), 500))
+    )
+    malformed = [
+        QuantumMessage(((random_direction(rng), 5),)),  # wrong count
+        QuantumMessage(((1.5 * random_direction(rng), 3 * n),)),  # |r| > 1
+        QuantumMessage(((["x", 0.0, 1.0], 3 * n),)),  # cannot be rotated
+        QuantumMessage(None),
+        None,
+        1,
+    ]
+    for step in (
+        RoundStep(KING_BROADCAST, 0, 5, None, (5,)),
+        RoundStep(DIRECTION_EXCHANGE, 0, 5, None, tuple(range(m))),
+    ):
+        honest = {
+            i: QuantumMessage.uniform(random_direction(rng), n)
+            for i in step.senders
+            if i not in faulty
+        }
+        emitted = {}
+        for s in step.senders:
+            if s in faulty:
+                for r in range(m):
+                    if r != s:
+                        pick = rng.integers(0, 3)
+                        emitted[(s, r)] = (
+                            shared
+                            if pick == 0
+                            else QuantumMessage.uniform(random_direction(rng), n)
+                            if pick == 1
+                            else malformed[rng.integers(0, len(malformed))]
+                        )
+        expected = {}
+        for s in step.senders:
+            for r in range(m):
+                if r != s:
+                    payload = emitted[(s, r)] if s in faulty else honest[s]
+                    expected[(s, r)] = (
+                        deliver_quantum(payload, frames[s], frames[r], engine.channel, engine.link_rng(s, r))
+                        if isinstance(payload, QuantumMessage)
+                        else None
+                    )
+        deliveries = engine.run_round(step, honest, faulty, Scripted(emitted.values()))
+        assert deliveries == expected
+        assert sum(d is not None for d in deliveries.values()) > len(honest) * (m - 1)
+
+
+def test_view_rng_is_the_adversary_stream_built_on_first_read(monkeypatch):
+    engine, _ = make_engine(m=4)
+    engine.round_index = 3
+    expected = engine.adversary_rng().random(4).tolist()
+    philox = counting(monkeypatch, np.random, "Philox")
+    views = []
+
+    class Silent:
+        def emit(self, view, slots):
+            views.append(view)
+            return {}
+
+    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, tuple(range(4)))
+    engine.run_round(step, {i: 1 for i in range(3)}, frozenset({3}), Silent())
+    assert philox == []  # the strategy never read view.rng
+    # Read after the round: the stream is the one of the round the view
+    # was made in, and it is built once.
+    assert views[0].rng.random(4).tolist() == expected
+    assert views[0].rng is views[0].rng and len(philox) == 1
 
 
 # Wire fuzzing: 3n = 12 qubits, so random segment splits often form a

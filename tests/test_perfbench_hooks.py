@@ -1,11 +1,13 @@
 """The benchmark's tracing hooks still attach to the program.
 
 ``perfbench/tracing.py`` patches entry points by name from outside the
-package.  A renamed or bypassed entry point leaves a counter at zero or a
-layer without spans; this catches that in the ordinary test run.
+package.  A renamed or bypassed entry point leaves a counter short of the
+work the run's transcript shows, or a layer without spans; this catches
+that in the ordinary test run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from rfagree import harness
@@ -32,6 +34,13 @@ def test_every_counter_and_layer_is_hit(tmp_path):
     with tracing.installed(tracing.Tracer()) as tracer:
         harness.run_experiment(config)
     assert [name for name in tracing.COUNTERS if not tracer.counts[name]] == []
+    # Each slot of the transcript was resolved by a traced round, and each
+    # delivered quantum slot was measured by the traced measure_batch.
+    rounds = [json.loads(line) for line in (tmp_path / "transcript.jsonl").open()]
+    slots = [d for rec in rounds for d in rec.get("tallies", rec.get("symbols"))]
+    delivered = [t for rec in rounds for t in rec.get("tallies", []) if t is not None]
+    assert tracer.counts["netsim.slots_resolved"] == len(slots)
+    assert tracer.counts["quantum_link.measure_batch_calls"] == len(delivered) > 0
     layers = {span[0] for span in tracer.spans}
     assert set(tracing.SELF_TIME_METRICS) - layers == set()
     assert harness.run_experiment is original  # restored on exit

@@ -11,7 +11,7 @@ from rfagree.rf_protocols import (
 )
 from rfagree.adversaries import make_adversary
 
-from helpers import result_metrics
+from helpers import reference_graded_consensus, result_metrics
 
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -117,6 +117,38 @@ def test_graded_consensus_tie_breaks_to_lowest_id():
     v, g = graded_consensus(Z, estimates, flags, 0, p.m, p.t, p.delta_eff)
     assert np.array_equal(v, b)
     assert g == 0  # 2 < m - t
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_graded_consensus_matches_all_pairs_reference(seed):
+    # Estimates on a line 10*delta apart are exactly on the cluster radius
+    # (0.125 and its square are exact); the rest are random unit vectors
+    # near a second centre, so cluster sizes, ties and grades vary with the
+    # seed.
+    rng = np.random.default_rng(seed)
+    m, t, delta = 7, 2, 0.0125
+    centre = random_direction(rng)
+    estimates = {}
+    for j in range(m):
+        if rng.random() < 0.6:
+            estimates[j] = np.array([0.125 * int(rng.integers(0, 3)), 0.0, 1.0])
+        else:
+            estimates[j] = _perturbed_estimate(centre, 10.0 * delta, rng)
+    flags = {j: int(rng.random() < 0.85) for j in range(m)}
+    own_flag = int(rng.integers(0, 2))
+    w = random_direction(rng)
+    v, g = graded_consensus(w, estimates, flags, own_flag, m, t, delta)
+    ref_v, ref_g = reference_graded_consensus(w, estimates, flags, own_flag, m, t, delta)
+    assert g == ref_g and v.tobytes() == ref_v.tobytes()
+
+
+def test_graded_consensus_radius_is_inclusive():
+    # Chords of exactly 10*delta count: 0 - 1 - 2 on a line, 0.125 apart.
+    estimates = {j: np.array([0.125 * j, 0.0, 1.0]) for j in range(3)}
+    estimates[3] = FAR
+    flags = {j: 1 for j in range(4)}
+    v, g = graded_consensus(Z, estimates, flags, 0, 4, 1, 0.0125)
+    assert np.array_equal(v, estimates[1]) and g == 1  # node 1 reaches 0, 1 and 2
 
 
 def _perturbed_estimate(w, max_chord, rng):
