@@ -141,29 +141,48 @@ def agreement_metrics(global_outputs: dict, honest_ids, delta_eff: float):
     return eta, consistency_ok, termination_ok
 
 
-def compute_metrics(record: dict, links, delta_eff: float) -> TrialMetrics:
-    """Every metric of one trial, from its :func:`trial_record` dict.
-
-    Reads the record's ``frames``, ``faulty_ids``, ``outputs_local``,
-    ``accept_phase`` and ``phases``, never its ``metrics``.  ``links`` are
-    the trial's (sender, receiver, sent_local, tally) quantum links, or
-    None when unknown, which leaves the three fields read from them None.
-    The run and ``verify`` both call this, so a stored metric and its
-    check share every formula.
-    """
+def record_frames(record: dict) -> list:
+    """The record's frames as C-ordered float64 3x3 arrays."""
     stacked = np.array(record["frames"], dtype=np.float64)
     if stacked.ndim != 3 or stacked.shape[1:] != (3, 3):
         raise ValueError(f"frames of shape {stacked.shape} are not 3x3 matrices")
-    frames = list(stacked)
+    return list(stacked)
+
+
+def outputs_global(record: dict, frames: list) -> dict:
+    """The record's ``outputs_local`` in the global frame, by :func:`record_frames`.
+
+    The one derivation of a record's ``outputs_global``: :func:`trial_record`
+    writes it and ``verify`` derives it again, with the same frames whatever
+    the memory layout of those the trial ran with.
+    """
+    return {
+        i: None if v is None else to_global(v, frames[int(i)]).tolist()
+        for i, v in record["outputs_local"].items()
+    }
+
+
+def compute_metrics(record: dict, links, delta_eff: float) -> TrialMetrics:
+    """Every metric of one trial, from its :func:`trial_record` dict.
+
+    Reads the record's ``frames``, ``faulty_ids``, ``outputs_global``,
+    ``accept_phase`` and ``phases``, never its ``metrics``.  Its
+    ``outputs_global`` must be what :func:`outputs_global` derives from
+    ``outputs_local``: :func:`trial_record` writes it so, and ``verify``
+    puts the derived one in before calling this.  ``links`` are the
+    trial's (sender, receiver, sent_local, tally) quantum links, or None
+    when unknown, which leaves the three fields read from them None.  The
+    run and ``verify`` both call this, so a stored metric and its check
+    share every formula.
+    """
+    frames = record_frames(record)
 
     def global_vec(v, node):
         return to_global(v, frames[node]).tolist()
 
     faulty = frozenset(record["faulty_ids"])
     honest = [i for i in range(len(frames)) if i not in faulty]
-    global_outputs = {
-        int(i): global_vec(v, int(i)) for i, v in record["outputs_local"].items() if v is not None
-    }
+    global_outputs = {int(i): v for i, v in record["outputs_global"].items() if v is not None}
     eta, consistency_ok, termination_ok = agreement_metrics(global_outputs, honest, delta_eff)
 
     accepted = record["accept_phase"].values()
@@ -248,17 +267,12 @@ def _floats(v):
 
 def trial_record(config: ExperimentConfig, trial: int, result: TrialResult) -> dict:
     """The trial's trials.jsonl line, without its ``metrics``."""
-    frames = result.frames
-    outputs_global = {
-        str(i): _floats(to_global(v, frames[i]) if v is not None else None)
-        for i, v in result.outputs.items()
-    }
-    return {
+    record = {
         "trial": trial,
         "master_seed": config.master_seed,
         "n": result.params.channel.n,
         "faulty_ids": list(result.faulty_ids),
-        "frames": [_floats(f) for f in frames],
+        "frames": [_floats(f) for f in result.frames],
         "phases": [
             {
                 "phase": pr.phase,
@@ -273,9 +287,10 @@ def trial_record(config: ExperimentConfig, trial: int, result: TrialResult) -> d
             for pr in result.phases
         ],
         "outputs_local": {str(i): _floats(v) for i, v in result.outputs.items()},
-        "outputs_global": outputs_global,
         "accept_phase": {str(i): p for i, p in result.accept_phase.items()},
     }
+    record["outputs_global"] = outputs_global(record, record_frames(record))
+    return record
 
 
 def _segments(msg) -> list:
@@ -541,7 +556,11 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     Every stored metric is computed again by :func:`compute_metrics` from
     its record and, when a transcript is given, from the quantum links read
     back from it; without a transcript the three fields read from the links
-    (:data:`LINK_FIELDS`) are not checked.  The export's structure is
+    (:data:`LINK_FIELDS`) are not checked.  A record's ``outputs_global``
+    is derived again from its ``outputs_local`` and ``frames``, and its
+    ``n`` and ``master_seed`` are compared with the config's; the phases'
+    ``inputs`` and ``grades`` are not checked, as that would mean running
+    the protocol again.  The export's structure is
     checked too: trials.jsonl holds trials 0..trials-1 once each, and the
     transcript holds, for each of them, rounds 0..R-1 once each and in
     order, R being the rounds of the trial's t+1 king phases.  A line that
@@ -560,11 +579,22 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
         _read_jsonl(transcript_path, "transcript", read_round, mismatches)
 
     delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
+    n = config.resolved_n()
     numbers = []
 
     def check_trial(trial, record):
         numbers.append(trial)
         links = links_by_trial.get(trial)
+        derived = {
+            "n": n,
+            "master_seed": config.master_seed,
+            "outputs_global": outputs_global(record, record_frames(record)),
+        }
+        for key, value in derived.items():
+            if record[key] != value:
+                mismatches.append(f"trial {trial}: {key} stored={record[key]!r} recomputed={value!r}")
+        # The metrics are computed from the derived outputs, not the stored.
+        record["outputs_global"] = derived["outputs_global"]
         stored = record["metrics"]
         for key, value in compute_metrics(record, links, delta_eff).to_dict().items():
             if (links is not None or key not in LINK_FIELDS) and stored.get(key) != value:

@@ -319,15 +319,40 @@ def test_verify_reports_malformed_trials_line(tmp_path, edit, error):
     assert f"trials line 2: {error}: " in mismatches[0]
 
 
+DERIVED_FIELD_EDITS = {
+    "outputs_global": lambda rec: dict(rec["outputs_global"], **{"0": [0.0, 1.0, 0.0]}),
+    "n": lambda rec: 5,
+    "master_seed": lambda rec: rec["master_seed"] + 1,
+}
+
+
+@pytest.mark.parametrize("field", DERIVED_FIELD_EDITS)
+def test_verify_checks_derived_record_fields(tmp_path, field):
+    # outputs_global is derived from outputs_local and frames, n and
+    # master_seed come from the config: tampering one is one mismatch.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=2)
+    run_experiment(cfg)
+
+    def edit(rec):
+        rec[field] = DERIVED_FIELD_EDITS[field](rec)
+
+    rewrite_line(out / "trials.jsonl", lambda rec: rec["trial"] == 1, edit)
+    mismatches = verify_records(out / "trials.jsonl", None, cfg)
+    assert len(mismatches) == 1 and mismatches[0].startswith(f"trial 1: {field} stored=")
+
+
 def test_verify_checks_metrics_that_recompute_to_none(tmp_path):
     # With every output bottom, eta recomputes to None; a stored eta must
-    # still be caught, with the other two metrics stored consistently.
+    # still be caught, with the other two metrics and the derived
+    # outputs_global stored consistently.
     out = tmp_path / "out"
     cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
     run_experiment(cfg)
 
     def bottom_everywhere(rec):
         rec["outputs_local"] = {k: None for k in rec["outputs_local"]}
+        rec["outputs_global"] = {k: None for k in rec["outputs_global"]}
         rec["metrics"].update(termination_ok=False, consistency_ok=True, eta_emp=0.5)
 
     rewrite_line(out / "trials.jsonl", lambda rec: True, bottom_everywhere)
@@ -412,34 +437,37 @@ def test_exported_links_equal_engine_links(tmp_path, monkeypatch, adversary):
 
 
 def test_metrics_on_synthetic_outputs():
-    # A record with identity frames, node 3 faulty and no phases.
+    # A record with identity frames, node 3 faulty and no phases; with
+    # identity frames, outputs_global equals outputs_local.
     z = [0.0, 0.0, 1.0]
     record = {
         "frames": [np.eye(3).tolist()] * 4,
         "faulty_ids": [3],
-        "outputs_local": {"0": z, "1": z, "2": z},
         "accept_phase": {"0": 0, "1": 0, "2": 0},
         "phases": [],
     }
-    metrics = compute_metrics(record, None, 0.05)
+
+    def with_outputs(outputs):
+        record["outputs_local"] = outputs
+        record["outputs_global"] = dict(outputs)
+        return record
+
+    metrics = compute_metrics(with_outputs({"0": z, "1": z, "2": z}), None, 0.05)
     assert metrics.eta_emp == 0.0
     assert metrics.consistency_ok and metrics.termination_ok
     assert (metrics.estimation_failures, metrics.degenerate, metrics.fully_successful) == (
         None, None, None
     )
 
-    record["outputs_local"]["2"] = [0.0, 0.0, -1.0]
-    metrics = compute_metrics(record, None, 0.05)
+    metrics = compute_metrics(with_outputs({"0": z, "1": z, "2": [0.0, 0.0, -1.0]}), None, 0.05)
     assert metrics.eta_emp == pytest.approx(2.0)  # antipodal pair
     assert not metrics.consistency_ok
 
-    record["outputs_local"] = {"0": None, "1": None, "2": None}
-    metrics = compute_metrics(record, None, 0.05)
+    metrics = compute_metrics(with_outputs({"0": None, "1": None, "2": None}), None, 0.05)
     assert metrics.consistency_ok  # jointly bottom
     assert not metrics.termination_ok
 
-    record["outputs_local"] = {"0": z, "1": None, "2": None}
-    metrics = compute_metrics(record, None, 0.05)
+    metrics = compute_metrics(with_outputs({"0": z, "1": None, "2": None}), None, 0.05)
     assert not metrics.consistency_ok  # mixed outcome
 
     # Degenerate tallies count wherever a correct node receives them;
@@ -562,6 +590,18 @@ def test_run_trial_with_explicit_frames():
     _, m1, record1 = run_trial(cfg, 0, frames=frames)
     _, m2, record2 = run_trial(cfg, 0)
     assert m1 == m2 and record1 == record2
+
+
+def test_trials_jsonl_independent_of_frame_layout():
+    # outputs_global is derived from the record's own C-ordered frames, so a
+    # Fortran-ordered copy of the same frames writes the same bytes.
+    cfg = small_config(m=7, t=2, adversary="grade-poisoner", faulty_ids=None, trials=1, master_seed=3)
+    frames = trial_frames(cfg.master_seed, 0, cfg.m)
+    lines = [
+        json.dumps(run_trial(cfg, 0, frames=layout)[2], sort_keys=True)
+        for layout in (frames, [np.asfortranarray(f) for f in frames])
+    ]
+    assert lines[0] == lines[1]
 
 
 def test_parallel_jobs_fill_trial_timings():
