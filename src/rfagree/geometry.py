@@ -90,7 +90,8 @@ def to_global(v, frm) -> np.ndarray:
     """Coordinates of ``v`` (local to ``frm``) in the global frame."""
     # ndarray.dot makes the same BLAS call as ``@``, so the same bits, with
     # less overhead per call; the metrics make one call per quantum link.
-    return np.asarray(frm).dot(np.asarray(v, dtype=np.float64))
+    # It converts a list ``v`` to float64 itself, more cheaply than asarray.
+    return np.asarray(frm).dot(v)
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:

@@ -141,15 +141,15 @@ def agreement_metrics(global_outputs: dict, honest_ids, delta_eff: float):
     return eta, consistency_ok, termination_ok
 
 
-def record_frames(record: dict) -> list:
-    """The record's frames as C-ordered float64 3x3 arrays."""
-    stacked = np.array(record["frames"], dtype=np.float64)
-    if stacked.ndim != 3 or stacked.shape[1:] != (3, 3):
-        raise ValueError(f"frames of shape {stacked.shape} are not 3x3 matrices")
-    return list(stacked)
+def record_frames(record: dict) -> np.ndarray:
+    """The record's frames as one C-ordered float64 array of shape (m, 3, 3)."""
+    frames = np.array(record["frames"], dtype=np.float64)
+    if frames.ndim != 3 or frames.shape[1:] != (3, 3):
+        raise ValueError(f"frames of shape {frames.shape} are not 3x3 matrices")
+    return frames
 
 
-def outputs_global(record: dict, frames: list) -> dict:
+def outputs_global(record: dict, frames: np.ndarray) -> dict:
     """The record's ``outputs_local`` in the global frame, by :func:`record_frames`.
 
     The one derivation of a record's ``outputs_global``: :func:`trial_record`
