@@ -378,17 +378,15 @@ def test_engine_tallies_equal_per_link_reference(seed):
         }
         emitted = {}
         for s in step.senders:
-            if s in faulty:
-                for r in range(m):
-                    if r != s:
-                        pick = rng.integers(0, 3)
-                        emitted[(s, r)] = (
-                            shared
-                            if pick == 0
-                            else QuantumMessage.uniform(random_direction(rng), n)
-                            if pick == 1
-                            else malformed[rng.integers(0, len(malformed))]
-                        )
+            for r in range(m):
+                if s in faulty and r != s:
+                    pick = rng.integers(0, 3)
+                    if pick == 0:
+                        emitted[(s, r)] = shared
+                    elif pick == 1:
+                        emitted[(s, r)] = QuantumMessage.uniform(random_direction(rng), n)
+                    else:
+                        emitted[(s, r)] = malformed[rng.integers(0, len(malformed))]
         expected = {}
         for s in step.senders:
             for r in range(m):

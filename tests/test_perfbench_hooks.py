@@ -36,7 +36,7 @@ def test_every_counter_and_layer_is_hit(tmp_path):
     assert [name for name in tracing.COUNTERS if not tracer.counts[name]] == []
     # Each slot of the transcript was resolved by a traced round, and each
     # delivered quantum slot was measured by the traced measure_batch.
-    rounds = [json.loads(line) for line in (tmp_path / "transcript.jsonl").open()]
+    rounds = [json.loads(line) for line in (tmp_path / "transcript.jsonl").read_text().splitlines()]
     slots = [d for rec in rounds for d in rec.get("tallies", rec.get("symbols"))]
     delivered = [t for rec in rounds for t in rec.get("tallies", []) if t is not None]
     assert tracer.counts["netsim.slots_resolved"] == len(slots)
