@@ -26,6 +26,8 @@ from .quantum_link import (
     MeasurementTally,
     QuantumMessage,
     depolarize,
+    frame_axes,
+    link_cells,
     measure_batch,
     outcome_probability,
     required_qubits,
@@ -62,7 +64,9 @@ __all__ = [
     "depolarize",
     "distance",
     "emit_report",
+    "frame_axes",
     "graded_consensus",
+    "link_cells",
     "make_adversary",
     "measure_batch",
     "outcome_probability",

@@ -26,10 +26,12 @@ visible to the king, so a correct king always arbitrates in favor of the
 unique strong candidate.  Unanimity among correct nodes yields a strong
 candidate everywhere and thus survives any faulty king.
 
-The engine feeding :meth:`PhaseKingNode.absorb` coerces missing or malformed
-messages: bit rounds to 0, claim rounds to NO_CLAIM.  Only faulty senders
-can produce such messages, so the coercion choice does not affect the
-guarantees.
+Every decision depends on symbol counts alone (Berman, Garay & Perry,
+FOCS 1989), so :meth:`PhaseKingNode.absorb` takes a round as the numbers of
+0s and 1s the other nodes delivered.  Missing or malformed messages count as
+neither, which coerces them: bit rounds to 0, claim rounds to NO_CLAIM.  Only
+faulty senders can produce such messages, so the coercion choice does not
+affect the guarantees.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def coerce_claim(value) -> int:
 class PhaseKingNode:
     """One node's state machine; the round engine owns all scheduling.
 
-    Drive it with ``payload(r)`` / ``absorb(r, received)`` for r in
+    Drive it with ``payload(r)`` / ``absorb(r, zeros, ones)`` for r in
     ``range(rounds_for(t))``, then read ``output()``.
     """
 
@@ -86,18 +88,20 @@ class PhaseKingNode:
             return self._candidate if self._candidate != NO_CLAIM else 0
         return None
 
-    def absorb(self, r: int, received) -> None:
-        """Process one round's inbox: a length-m slot list, None = missing.
+    def absorb(self, r: int, zeros: int, ones: int) -> None:
+        """Process one round from its symbol counts.
 
-        The node's own slot is ignored in favor of its internal state, so a
-        delivery layer cannot corrupt self-counts.
+        ``zeros`` and ``ones`` count the 0s and 1s the *other* nodes
+        delivered to this node in round r; every other symbol, and every
+        missing one, counts as neither.  The node adds its own state itself,
+        so a delivery layer cannot corrupt self-counts.  In a king round
+        only the king sends, so ``ones`` is 1 exactly when it sent a 1.
         """
         kind = r % 3
         if kind == VALUE_ROUND:
-            ones = 0
-            for j in range(self.m):
-                b = self.v if j == self.node_id else coerce_bit(received[j])
-                ones += b
+            # A missing or malformed bit coerces to 0: every slot that is
+            # not a 1 is a 0.
+            ones += self.v
             zeros = self.m - ones
             if zeros >= self.m - self.t:
                 self._claim = 0
@@ -106,11 +110,10 @@ class PhaseKingNode:
             else:
                 self._claim = NO_CLAIM
         elif kind == CLAIM_ROUND:
-            support = [0, 0]
-            for j in range(self.m):
-                c = self._claim if j == self.node_id else coerce_claim(received[j])
-                if c != NO_CLAIM:
-                    support[c] += 1
+            # A missing or malformed claim coerces to NO_CLAIM.
+            support = [zeros, ones]
+            if self._claim != NO_CLAIM:
+                support[self._claim] += 1
             # At most one bit can clear the > t threshold: a bit with more
             # than t claims has a correct claimant, which pins at least
             # m - 2t correct nodes to that bit, and m > 3t rules out two
@@ -126,7 +129,7 @@ class PhaseKingNode:
             if self.node_id == king:
                 king_bit = coerce_bit(self.payload(r))
             else:
-                king_bit = coerce_bit(received[king])
+                king_bit = 1 if ones else 0
             if self._strong:
                 self.v = self._candidate
             else:
@@ -139,11 +142,28 @@ class PhaseKingNode:
         return self.v
 
 
+def symbol_counts(received, node_id: int) -> tuple:
+    """(zeros, ones) of a length-m inbox, the node's own slot left out.
+
+    A slot counts as a 0 or a 1 when it equals one, so absent (None) and
+    malformed symbols count as neither, as :func:`coerce_bit` and
+    :func:`coerce_claim` read them.
+    """
+    zeros = ones = 0
+    for j, value in enumerate(received):
+        if j != node_id:
+            if value == 1:
+                ones += 1
+            elif value == 0:
+                zeros += 1
+    return zeros, ones
+
+
 def run_all_honest(m: int, t: int, inputs) -> list:
     """Reference run with every node honest; handy for smoke checks."""
     nodes = [PhaseKingNode(i, m, t, inputs[i]) for i in range(m)]
     for r in range(rounds_for(t)):
         slot = [node.payload(r) for node in nodes]
         for node in nodes:
-            node.absorb(r, slot)
+            node.absorb(r, *symbol_counts(slot, node.node_id))
     return [node.output() for node in nodes]

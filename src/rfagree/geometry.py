@@ -103,17 +103,28 @@ def random_direction(rng: np.random.Generator) -> np.ndarray:
             return g / norm
 
 
-def random_frame(rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform proper rotation via sign-corrected QR of a Gaussian matrix."""
-    a = rng.standard_normal((3, 3))
+def random_frames(rngs) -> np.ndarray:
+    """One Haar-uniform proper rotation per generator, as an (k, 3, 3) array.
+
+    Sign-corrected QR of a Gaussian matrix, one 3x3 ``standard_normal``
+    draw from each generator; the stacked ``qr`` and ``det`` calls factor
+    each matrix on its own, so the result is the same bits as one call per
+    matrix.
+    """
+    a = np.stack([rng.standard_normal((3, 3)) for rng in rngs])
     q, r = np.linalg.qr(a)
     # Absorbing the signs of diag(r) makes the QR output Haar on O(3).
-    q = q * np.sign(np.diagonal(r))
-    if np.linalg.det(q) < 0.0:
-        # Right-multiply by diag(1, 1, -1): an exact, measure-preserving map
-        # from the det=-1 component onto SO(3).
-        q[:, 2] = -q[:, 2]
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, np.newaxis, :]
+    # Right-multiplying by diag(1, 1, -1) is an exact, measure-preserving
+    # map from the det=-1 component onto SO(3).
+    improper = np.linalg.det(q) < 0.0
+    q[improper, :, 2] = -q[improper, :, 2]
     return q
+
+
+def random_frame(rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform proper rotation: :func:`random_frames` of one generator."""
+    return random_frames([rng])[0]
 
 
 def rotate_about(v, axis, angle: float) -> np.ndarray:

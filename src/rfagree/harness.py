@@ -44,7 +44,7 @@ import numpy as np
 
 from .adversaries import make_adversary
 from .config import ExperimentConfig, success_exponent
-from .geometry import distance, random_frame, to_global
+from .geometry import distance, random_frames, to_global
 from .netsim import QUANTUM_STEPS, substream
 from .quantum_link import (
     ChannelParams,
@@ -225,8 +225,9 @@ def compute_metrics(record: dict, links, delta_eff: float) -> TrialMetrics:
     )
 
 
-def trial_frames(master_seed: int, trial: int, m: int) -> list:
-    return [random_frame(substream(master_seed, trial, 0, node, 0)) for node in range(m)]
+def trial_frames(master_seed: int, trial: int, m: int) -> np.ndarray:
+    """The trial's node frames, one (m, 3, 3) array; node i's from its own stream."""
+    return random_frames([substream(master_seed, trial, 0, node, 0) for node in range(m)])
 
 
 def run_trial(config: ExperimentConfig, trial: int, frames=None):

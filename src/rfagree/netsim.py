@@ -19,10 +19,11 @@ Communication model:
 
 Quantum payloads travel as Bloch segments in the sender's local coordinates
 (the emitting hardware's frame).  At delivery the engine applies the sender
-frame to obtain the physical, global-frame state (once per sender and
-message in a round, however many slots carry it) and measures it in each
-receiver's frame; that keeps the only stochastic step in one place and makes
-the logged wire data independent of how the hidden global frame is oriented.
+frame to obtain the physical, global-frame state, validates it and applies
+the channel noise (once per sender and message in a round, however many
+slots carry it), then measures it in each receiver's frame; that keeps the
+only stochastic step in one place and makes the logged wire data
+independent of how the hidden global frame is oriented.
 
 The engine writes each resolved round down once, as a :class:`Round` of its
 step, deliveries and wire payloads; the adversary's view of the previous
@@ -42,7 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .quantum_link import ChannelParams, QuantumMessage, measure_batch
+from .quantum_link import ChannelParams, QuantumMessage, frame_axes, link_cells, measure_batch
 
 KING_BROADCAST = "king_broadcast"
 DIRECTION_EXCHANGE = "direction_exchange"
@@ -109,11 +110,14 @@ class AdversaryView:
         return substream(*self.stream)
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
 def substream(key0: int, key1: int, c1: int, c2: int, c3: int) -> np.random.Generator:
     """Independent Philox stream for one (key, counter-tag) combination."""
     bits = np.random.Philox(
-        counter=[0, c1 & 0xFFFFFFFFFFFFFFFF, c2 & 0xFFFFFFFFFFFFFFFF, c3 & 0xFFFFFFFFFFFFFFFF],
-        key=[key0 & 0xFFFFFFFFFFFFFFFF, key1 & 0xFFFFFFFFFFFFFFFF],
+        counter=[0, c1 & _MASK64, c2 & _MASK64, c3 & _MASK64],
+        key=[key0 & _MASK64, key1 & _MASK64],
     )
     return np.random.Generator(bits)
 
@@ -126,7 +130,7 @@ def global_message(msg: QuantumMessage, sender_frame: np.ndarray) -> Optional[Qu
     """``msg`` with its states taken from sender-local to global coordinates.
 
     Returns None for a payload whose states cannot be rotated.  The rotated
-    message is validated where it is measured: a rotation keeps |r| to
+    message is validated by :func:`link_cells`: a rotation keeps |r| to
     within rounding, far inside BLOCH_TOL, so one check suffices.
     """
     try:
@@ -137,15 +141,18 @@ def global_message(msg: QuantumMessage, sender_frame: np.ndarray) -> Optional[Qu
         return None
 
 
-def measure_link(
-    global_msg: QuantumMessage,
-    receiver_frame: np.ndarray,
-    params: ChannelParams,
-    rng: np.random.Generator,
-):
-    """``measure_batch`` on one link; a malformed message gives None."""
+def prepare_message(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelParams):
+    """The :func:`link_cells` of ``msg`` sent from ``sender_frame``, or None.
+
+    Everything a delivery does that depends on the message alone: rotation
+    to global coordinates, validation and channel noise.  A malformed
+    payload gives None.
+    """
+    rotated = global_message(msg, sender_frame)
+    if rotated is None:
+        return None
     try:
-        return measure_batch(global_msg, receiver_frame, params, rng)
+        return link_cells(rotated, params)
     except _MALFORMED:
         return None
 
@@ -164,21 +171,40 @@ def deliver_quantum(
     faulty sender gains nothing from breaking the format.  One link of what
     :meth:`RoundEngine.run_round` does for a whole round.
     """
-    rotated = global_message(msg, sender_frame)
-    return None if rotated is None else measure_link(rotated, receiver_frame, params, rng)
+    cells = prepare_message(msg, sender_frame, params)
+    return None if cells is None else measure_batch(cells, frame_axes(receiver_frame), params, rng)
+
+
+def _symbol(payload):
+    """``payload`` as a delivered classical symbol: a Python ``int``, not a ``bool``; else None."""
+    return payload if isinstance(payload, int) and not isinstance(payload, bool) else None
 
 
 @dataclass
 class RoundEngine:
-    """Executes rounds for one trial; ``transcript`` keeps one :class:`Round` each."""
+    """Executes rounds for one trial; ``transcript`` keeps one :class:`Round` each.
+
+    ``frames`` is taken once as one C-ordered float64 array of shape
+    (m, 3, 3): ``@`` picks its BLAS kernel by memory layout, so the layout
+    of the caller's frames would otherwise reach the last bits of every
+    rotation.
+    """
 
     m: int
     channel: ChannelParams
-    frames: list
+    frames: np.ndarray
     master_seed: int
     trial: int
     transcript: list = field(default_factory=list)
     round_index: int = 0
+
+    def __post_init__(self):
+        self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
+        # Per receiver: its axes for measure_batch; per sender: its slots.
+        self._axes = [frame_axes(frame) for frame in self.frames]
+        self._slots = [tuple((s, r) for r in range(self.m) if r != s) for s in range(self.m)]
+        bits = np.random.Philox(key=[self.master_seed & _MASK64, self.trial & _MASK64])
+        self._link_philox = (bits, np.random.Generator(bits), bits.state)
 
     # Counter word c1 tags the purpose: 0 for setup draws (the frames, see
     # harness.trial_frames), 1 + round for per-round streams.  c2/c3 carry
@@ -200,22 +226,13 @@ class RoundEngine:
     def _fast_link_rng(self, sender: int, receiver: int) -> np.random.Generator:
         """Same stream as :meth:`link_rng` without per-call construction.
 
-        Resets the counter of one cached Philox instance, which is an order
-        of magnitude cheaper; only for engine-internal draws that are fully
-        consumed before the next reset.
+        Rewinds the engine's one Philox instance, whose key is the trial's,
+        to the link's counter, which is an order of magnitude cheaper; only
+        for engine-internal draws that are fully consumed before the next
+        rewind.
         """
-        cached = getattr(self, "_fast", None)
-        if cached is None:
-            bits = np.random.Philox(key=[0, 0])
-            cached = (bits, np.random.Generator(bits), bits.state)
-            self._fast = cached
-        bits, gen, state = cached
-        inner = state["state"]
-        inner["counter"][:] = (0, 1 + self.round_index, sender, receiver)
-        inner["key"][:] = (
-            self.master_seed & 0xFFFFFFFFFFFFFFFF,
-            self.trial & 0xFFFFFFFFFFFFFFFF,
-        )
+        bits, gen, state = self._link_philox
+        state["state"]["counter"][:] = (0, 1 + self.round_index, sender, receiver)
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         bits.state = state
@@ -234,8 +251,12 @@ class RoundEngine:
         ``int`` (not ``bool``); anything else, numpy integers included, is
         delivered as absent.  The resolved round is appended to
         ``transcript`` as one :class:`Round`.
+
+        Work that depends on the payload alone runs once per sender and
+        payload: an honest symbol is checked once, and a quantum message
+        rotated, validated and depolarized once; measurement and its draws
+        run per link.
         """
-        slots = [(s, r) for s in step.senders for r in range(self.m) if r != s]
         faulty_payloads = {}
         if faulty_set:
 
@@ -254,7 +275,9 @@ class RoundEngine:
                 stream=self.adversary_stream(),
                 node_rng=faulty_node_rng,
             )
-            faulty_slots = tuple(s for s in slots if s[0] in faulty_set)
+            faulty_slots = tuple(
+                slot for s in step.senders if s in faulty_set for slot in self._slots[s]
+            )
             emitted = adversary.emit(view, faulty_slots)
             for slot, payload in emitted.items():
                 if slot[0] not in faulty_set:
@@ -263,42 +286,51 @@ class RoundEngine:
                     )
                 faulty_payloads[slot] = payload
 
-        quantum_step = step.kind in QUANTUM_STEPS
-        # (sender, id(payload)) -> the payload in global coordinates, or None:
-        # each message is rotated once per round, however many slots carry
-        # it.  Keyed by sender too, since faulty senders may share one object.
-        rotated = {}
         deliveries = {}
-        payloads = {}
-        for slot in slots:
-            sender, receiver = slot
-            if sender in faulty_set:
-                payload = faulty_payloads.get(slot)
-            else:
-                payload = honest_payloads[sender]
-
-            delivery = None
-            if quantum_step:
-                if isinstance(payload, QuantumMessage):
-                    key = (sender, id(payload))
-                    if key in rotated:
-                        global_msg = rotated[key]
-                    else:
-                        global_msg = rotated[key] = global_message(payload, self.frames[sender])
-                    if global_msg is not None:
-                        delivery = measure_link(
-                            global_msg,
-                            self.frames[receiver],
-                            self.channel,
-                            self._fast_link_rng(sender, receiver),
-                        )
-                payloads[slot] = None if delivery is None else payload
-            elif isinstance(payload, int) and not isinstance(payload, bool):
-                delivery = payload
-            deliveries[slot] = delivery
+        if step.kind in QUANTUM_STEPS:
+            payloads = {}
+            # (sender, id(payload)) -> the payload's link cells, or None:
+            # each message is prepared once per round, however many slots
+            # carry it.  Keyed by sender too, since faulty senders may share
+            # one object.  Nothing is kept on the message: its state arrays
+            # may change between rounds.
+            prepared = {}
+            for sender in step.senders:
+                faulty = sender in faulty_set
+                for slot in self._slots[sender]:
+                    payload = faulty_payloads.get(slot) if faulty else honest_payloads[sender]
+                    delivery = None
+                    if isinstance(payload, QuantumMessage):
+                        key = (sender, id(payload))
+                        if key in prepared:
+                            cells = prepared[key]
+                        else:
+                            cells = prepared[key] = prepare_message(
+                                payload, self.frames[sender], self.channel
+                            )
+                        if cells is not None:
+                            receiver = slot[1]
+                            delivery = measure_batch(
+                                cells,
+                                self._axes[receiver],
+                                self.channel,
+                                self._fast_link_rng(sender, receiver),
+                            )
+                    deliveries[slot] = delivery
+                    payloads[slot] = None if delivery is None else payload
+        else:
+            for sender in step.senders:
+                if sender in faulty_set:
+                    for slot in self._slots[sender]:
+                        deliveries[slot] = _symbol(faulty_payloads.get(slot))
+                else:
+                    symbol = _symbol(honest_payloads[sender])
+                    for slot in self._slots[sender]:
+                        deliveries[slot] = symbol
+            # A delivered symbol is its own wire payload.  Not copied:
+            # correct nodes absorb these deliveries before the next round
+            # shows them to the adversary.
+            payloads = deliveries
         self.round_index += 1
-        # A delivered symbol is its own wire payload.  Not copied: correct
-        # nodes absorb these deliveries before the next round shows them to
-        # the adversary.
-        self.transcript.append(Round(step, deliveries, payloads if quantum_step else deliveries))
+        self.transcript.append(Round(step, deliveries, payloads))
         return deliveries

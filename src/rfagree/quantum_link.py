@@ -84,7 +84,7 @@ class QuantumMessage:
         """Raise ValueError unless the segments form a well-formed 3n batch.
 
         Returns the segments as ([x, y, z], count) pairs with the state as
-        Python floats, ready for :func:`measure_batch`.  Nothing is cached
+        Python floats, ready for :func:`link_cells`.  Nothing is cached
         on the message: its state arrays may change between deliveries.
         """
         if not self.segments:
@@ -138,26 +138,22 @@ def outcome_probability(state, axis) -> float:
     return min(1.0, max(0.0, p))
 
 
-def measure_batch(
-    msg: QuantumMessage,
-    receiver_frame: np.ndarray,
-    params: ChannelParams,
-    rng: np.random.Generator,
-) -> MeasurementTally:
-    """Measure a 3n-qubit batch along the receiver's local Pauli axes.
+def link_cells(msg: QuantumMessage, params: ChannelParams) -> list:
+    """Validate and depolarize ``msg`` into its measurement cells.
 
     Message states are in global coordinates.  Qubits 0..n-1 go to the x
-    axis, n..2n-1 to y, 2n..3n-1 to z; each (segment, axis) cell contributes
-    one binomial draw, which matches the per-qubit Bernoulli law exactly.
+    axis, n..2n-1 to y, 2n..3n-1 to z; each (segment, axis) cell holding
+    qubits becomes one ``(axis, count, x, y, z)`` entry, with the noisy
+    state as Python floats, in segment-major order (the order of the draws
+    in :func:`measure_batch`).  Raises what :meth:`QuantumMessage.validate`
+    raises.  Depends on the message alone, so every receiver of one
+    message can share its cells.
     """
     n = params.n
-    # depolarize() and outcome_probability() spelt out on Python floats: the
-    # same IEEE products and the same fsum, so the same bits, without numpy
-    # scalar overhead.  (A batched einsum rounds differently: it changes
-    # about one outcome probability in ten in its last bit.)
+    # depolarize() spelt out on Python floats: the same IEEE products, so
+    # the same bits, without numpy scalar overhead.
     shrink = 1.0 - params.epsilon
-    axes = np.asarray(receiver_frame, dtype=np.float64).T.tolist()
-    counts = [0, 0, 0]
+    cells = []
     start = 0
     for (x, y, z), count in msg.validate(n):
         x, y, z = shrink * x, shrink * y, shrink * z
@@ -166,11 +162,37 @@ def measure_batch(
             lo = max(start, a * n)
             hi = min(end, (a + 1) * n)
             if hi > lo:
-                ax, ay, az = axes[a]
-                p = 0.5 * (1.0 + math.fsum((x * ax, y * ay, z * az)))
-                counts[a] += int(rng.binomial(hi - lo, min(1.0, max(0.0, p))))
+                cells.append((a, hi - lo, x, y, z))
         start = end
-    return MeasurementTally(counts[0], counts[1], counts[2], n)
+    return cells
+
+
+def frame_axes(frame) -> list:
+    """A receiver's local x, y, z axes in global coordinates, as float lists."""
+    return np.asarray(frame, dtype=np.float64).T.tolist()
+
+
+def measure_batch(
+    cells: list,
+    receiver_axes: list,
+    params: ChannelParams,
+    rng: np.random.Generator,
+) -> MeasurementTally:
+    """Measure a message's :func:`link_cells` along a receiver's axes.
+
+    ``receiver_axes`` is :func:`frame_axes` of the receiver's frame.  Each
+    cell contributes one binomial draw, which matches the per-qubit
+    Bernoulli law exactly.
+    """
+    # outcome_probability() spelt out on Python floats, as in link_cells.
+    # (A batched einsum rounds differently: it changes about one outcome
+    # probability in ten in its last bit.)
+    counts = [0, 0, 0]
+    for a, count, x, y, z in cells:
+        ax, ay, az = receiver_axes[a]
+        p = 0.5 * (1.0 + math.fsum((x * ax, y * ay, z * az)))
+        counts[a] += int(rng.binomial(count, min(1.0, max(0.0, p))))
+    return MeasurementTally(counts[0], counts[1], counts[2], params.n)
 
 
 def ted_receive(tally: MeasurementTally):

@@ -197,8 +197,8 @@ class HonestNode:
         )
         self._cc = PhaseKingNode(self.node_id, p.m, p.t, self.g)
 
-    def cc_absorb(self, r: int, received) -> None:
-        self._cc.absorb(r, received)
+    def cc_absorb(self, r: int, zeros: int, ones: int) -> None:
+        self._cc.absorb(r, zeros, ones)
 
     def finish_phase(self):
         """Classical decision: output the graded direction on 1, bottom on 0."""
@@ -263,9 +263,17 @@ def absorb_round(step: RoundStep, nodes: dict, deliveries: dict, m: int) -> None
             if i != king:
                 node.receive_king(deliveries[(king, i)])
     elif step.kind == CLASSICAL_ROUND:
+        # Phase king decides by symbol counts: per receiver, the 0s and 1s
+        # delivered to it (absent and malformed symbols count as neither).
+        zeros = [0] * m
+        ones = [0] * m
+        for (_, receiver), symbol in deliveries.items():
+            if symbol == 1:
+                ones[receiver] += 1
+            elif symbol == 0:
+                zeros[receiver] += 1
         for i, node in nodes.items():
-            # Own slot and unsent slots (a classical king round) are None.
-            node.cc_absorb(step.cc_round, [deliveries.get((j, i)) for j in range(m)])
+            node.cc_absorb(step.cc_round, zeros[i], ones[i])
     else:
         for i, node in nodes.items():
             inbox = {j: deliveries[(j, i)] for j in range(m) if j != i}

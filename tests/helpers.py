@@ -1,15 +1,24 @@
-"""Shared test machinery: exhaustive consensus enumeration and rotations."""
+"""Shared test machinery: exhaustive consensus enumeration, rotations and oracles."""
 
 import itertools
 import json
 
 import numpy as np
 
-from rfagree.classical_consensus import PhaseKingNode
+from rfagree.classical_consensus import (
+    CLAIM_ROUND,
+    NO_CLAIM,
+    VALUE_ROUND,
+    PhaseKingNode,
+    coerce_bit,
+    coerce_claim,
+    symbol_counts,
+)
 from rfagree.config import ExperimentConfig
 from rfagree.geometry import distance
 from rfagree.harness import compute_metrics, quantum_links, trial_record, transcript_records
 from rfagree.netsim import QUANTUM_STEPS
+from rfagree.quantum_link import frame_axes, link_cells, measure_batch
 
 #: Per-criterion verdict lines collected by the acceptance suite; printed in
 #: the terminal summary so they survive output capture.
@@ -36,8 +45,46 @@ def run_consensus_phase(m, t, phase, values, faulty_id, choice):
                     inbox[j] = payloads[j]
             if faulty_choice is not None:
                 inbox[faulty_id] = faulty_choice[idx]
-            nodes[i].absorb(r, inbox)
+            nodes[i].absorb(r, *symbol_counts(inbox, i))
     return tuple(nodes[i].output() for i in honest)
+
+
+def reference_absorb(node, r, received):
+    """``PhaseKingNode.absorb`` by the inbox list: the oracle for absorbing counts.
+
+    ``received`` is a length-m slot list, None = missing; each slot is
+    coerced on its own and the node's own slot is replaced by its state.
+    Updates ``node`` as the counts-based ``absorb`` would.
+    """
+    m, t = node.m, node.t
+    kind = r % 3
+    if kind == VALUE_ROUND:
+        ones = sum(node.v if j == node.node_id else coerce_bit(received[j]) for j in range(m))
+        if m - ones >= m - t:
+            node._claim = 0
+        elif ones >= m - t:
+            node._claim = 1
+        else:
+            node._claim = NO_CLAIM
+    elif kind == CLAIM_ROUND:
+        support = [0, 0]
+        for j in range(m):
+            c = node._claim if j == node.node_id else coerce_claim(received[j])
+            if c != NO_CLAIM:
+                support[c] += 1
+        node._candidate = NO_CLAIM
+        node._strong = False
+        for b in (0, 1):
+            if support[b] > t:
+                node._candidate = b
+                node._strong = support[b] >= m - t
+    else:
+        king = r // 3
+        king_bit = coerce_bit(node.payload(r) if node.node_id == king else received[king])
+        node.v = node._candidate if node._strong else king_bit
+        node._claim = NO_CLAIM
+        node._candidate = NO_CLAIM
+        node._strong = False
 
 
 def phase_choices(m, t, phase, faulty_id):
@@ -83,6 +130,11 @@ def exhaustive_consensus_check(m, t):
                 if len(set(inputs)) == 1 and any(v != inputs[0] for v in final):
                     violations.append(("validity", faulty_id, inputs, final))
     return violations, branch_count
+
+
+def measure(msg, frame, params, rng):
+    """``measure_batch`` of a global-frame message at a receiver with ``frame``."""
+    return measure_batch(link_cells(msg, params), frame_axes(frame), params, rng)
 
 
 OCTAHEDRAL_ROTATIONS = None

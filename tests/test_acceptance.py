@@ -22,7 +22,6 @@ from rfagree.quantum_link import (
     ChannelParams,
     QuantumMessage,
     depolarize,
-    measure_batch,
     outcome_probability,
     ted_accuracy_bound,
     ted_receive,
@@ -32,6 +31,7 @@ from rfagree.quantum_link import (
 from helpers import (
     ACCEPTANCE_LINES,
     exhaustive_consensus_check,
+    measure,
     octahedral_rotations,
     transcript_signature,
 )
@@ -72,7 +72,7 @@ def estimation_hit_rate(n, delta, epsilon, target, trials, seed):
     hits = 0
     for _ in range(trials):
         direction = random_direction(rng)
-        tally = measure_batch(QuantumMessage.uniform(direction, n), frame, params, rng)
+        tally = measure(QuantumMessage.uniform(direction, n), frame, params, rng)
         estimate, _ = ted_receive(tally)
         if distance(direction, estimate) <= target:
             hits += 1
@@ -157,7 +157,7 @@ def test_criterion_4_aggregation_exactness():
     rng = substream(4, 0, 1, 0, 1)
     batch = np.array(
         [
-            (lambda t: (t.k_x, t.k_y, t.k_z))(measure_batch(msg, frame, params, rng))
+            (lambda t: (t.k_x, t.k_y, t.k_z))(measure(msg, frame, params, rng))
             for _ in range(samples)
         ]
     )

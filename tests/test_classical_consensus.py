@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfagree.classical_consensus import (
+    KING_ROUND,
     NO_CLAIM,
     PhaseKingNode,
     coerce_bit,
     coerce_claim,
     rounds_for,
     run_all_honest,
+    symbol_counts,
 )
+from rfagree.netsim import CLASSICAL_ROUND, RoundStep
+from rfagree.rf_protocols import absorb_round
 
-from helpers import phase_choices, run_consensus_phase
+from helpers import phase_choices, reference_absorb, run_consensus_phase
 
 
 def test_rounds_for():
@@ -124,3 +128,75 @@ def test_exhaustive_slice_faulty_node_two():
             if len(set(inputs)) == 1 and final[0] != inputs[0]:
                 violations.append((inputs, final))
     assert violations == []
+
+
+def node_state(node):
+    return (node.v, node._claim, node._candidate, node._strong)
+
+
+@pytest.mark.parametrize("m,t", [(4, 1), (7, 2), (10, 3)])
+def test_counts_absorb_equals_inbox_reference(m, t):
+    # The counts-based node against the inbox-list oracle, round by round,
+    # on random inboxes holding symbols, malformed values and gaps; in a
+    # king round only the king's slot is sent.
+    rng = np.random.default_rng(m)
+    symbols = [0, 1, 2, -1, None, True, False, "1"]
+    for _ in range(200):
+        node_id = int(rng.integers(0, m))
+        bit = int(rng.integers(0, 2))
+        node = PhaseKingNode(node_id, m, t, bit)
+        reference = PhaseKingNode(node_id, m, t, bit)
+        for r in range(rounds_for(t)):
+            if r % 3 == KING_ROUND:
+                inbox = [None] * m
+                inbox[r // 3] = symbols[rng.integers(0, len(symbols))]
+            else:
+                # Mostly 0s and 1s, so that thresholds are met and missed.
+                inbox = [
+                    symbols[rng.integers(0, len(symbols))] if rng.random() < 0.3 else int(rng.integers(0, 2))
+                    for _ in range(m)
+                ]
+            node.absorb(r, *symbol_counts(inbox, node_id))
+            reference_absorb(reference, r, inbox)
+            assert node_state(node) == node_state(reference)
+
+
+def test_symbol_counts_skip_own_slot_and_malformed():
+    inbox = [1, 0, None, 1, 2, True, np.int64(0), "1"]
+    assert symbol_counts(inbox, 0) == (2, 2)
+    assert symbol_counts(inbox, 1) == (1, 3)
+
+
+class CountsNode:
+    """What ``absorb_round`` drives in a classical round, around a PhaseKingNode."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def cc_absorb(self, r, zeros, ones):
+        self.node.absorb(r, zeros, ones)
+
+
+@pytest.mark.parametrize("m,t", [(4, 1), (7, 2), (10, 3)])
+def test_absorb_round_counts_equal_inbox_reference(m, t):
+    # The per-receiver counts absorb_round takes from a round's deliveries,
+    # against the inbox list each receiver was once handed, on deliveries
+    # holding NO_CLAIM, out-of-range and absent symbols.
+    rng = np.random.default_rng(100 + m)
+    odd = [2, -1, None]
+    for _ in range(50):
+        bits = [int(b) for b in rng.integers(0, 2, size=m)]
+        nodes = {i: CountsNode(PhaseKingNode(i, m, t, bits[i])) for i in range(m)}
+        reference = {i: PhaseKingNode(i, m, t, bits[i]) for i in range(m)}
+        for r in range(rounds_for(t)):
+            senders = (r // 3,) if r % 3 == KING_ROUND else tuple(range(m))
+            deliveries = {
+                (s, i): odd[rng.integers(0, len(odd))] if rng.random() < 0.3 else int(rng.integers(0, 2))
+                for s in senders
+                for i in range(m)
+                if i != s
+            }
+            absorb_round(RoundStep(CLASSICAL_ROUND, 0, 0, r, senders), nodes, deliveries, m)
+            for i in range(m):
+                reference_absorb(reference[i], r, [deliveries.get((j, i)) for j in range(m)])
+                assert node_state(nodes[i].node) == node_state(reference[i])

@@ -23,7 +23,8 @@ from rfagree.harness import (
     trial_frames,
     verify_records,
 )
-from rfagree.netsim import QUANTUM_STEPS
+from rfagree.geometry import random_frame
+from rfagree.netsim import QUANTUM_STEPS, substream
 from rfagree.quantum_link import MeasurementTally, QuantumMessage, ted_success_bound
 
 
@@ -504,6 +505,28 @@ def test_trial_frames_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = trial_frames(42, 1, 4)
     assert not np.array_equal(a[0], c[0])
+
+
+def per_matrix_frame(rng):
+    """The frame draw of ``random_frame`` with one ``qr`` and ``det`` call per matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diagonal(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 2] = -q[:, 2]
+    return q
+
+
+@pytest.mark.parametrize("m", [4, 7, 10, 31])
+def test_trial_frames_equal_per_node_frames(m):
+    # One stacked QR for a trial's frames gives the same bits as one
+    # random_frame per node, and as factoring each matrix on its own.
+    for seed in range(200):
+        frames = trial_frames(seed, seed % 3, m)
+        assert frames.shape == (m, 3, 3) and frames.flags.c_contiguous
+        for node in range(m):
+            stream = (seed, seed % 3, 0, node, 0)
+            assert frames[node].tobytes() == random_frame(substream(*stream)).tobytes()
+            assert frames[node].tobytes() == per_matrix_frame(substream(*stream)).tobytes()
 
 
 def test_cli_calc_paper_example(capsys):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rfagree import netsim
 from rfagree.geometry import distance, random_direction, random_frame, to_global
-from rfagree.harness import transcript_records
+from rfagree.harness import transcript_records, trial_frames
 from rfagree.netsim import (
     CLASSICAL_ROUND,
     DIRECTION_EXCHANGE,
@@ -19,7 +19,7 @@ from rfagree.netsim import (
     substream,
 )
 from rfagree.quantum_link import ChannelParams, QuantumMessage, ted_receive
-from rfagree.rf_protocols import ProtocolParams
+from rfagree.rf_protocols import ProtocolParams, run_rf_consensus
 from rfagree.adversaries import Rusher, make_adversary
 
 from helpers import transcript_signature
@@ -308,7 +308,7 @@ def test_honest_senders_broadcast_and_faulty_senders_equivocate():
             assert bit == honest[sender]
 
 
-def test_quantum_message_validated_once_per_delivery(monkeypatch):
+def test_quantum_message_validated_once_per_sender_and_message(monkeypatch):
     calls = []
     validate = QuantumMessage.validate
 
@@ -317,10 +317,22 @@ def test_quantum_message_validated_once_per_delivery(monkeypatch):
         return validate(msg, n)
 
     monkeypatch.setattr(QuantumMessage, "validate", counting)
-    engine, _ = make_engine(m=4)
+    engine, frames = make_engine(m=4)
     rng = np.random.default_rng(1)
     all_honest_direction_round(engine, [random_direction(rng) for _ in range(4)])
-    assert len(calls) == 12  # one per delivery, m(m-1) slots
+    assert len(calls) == 4  # one per sender, not one per slot
+
+    # Faulty senders 2 and 3 put one shared object on all of their slots:
+    # it is rotated from each sender's frame, so validated once per sender.
+    calls.clear()
+    shared = QuantumMessage.uniform(random_direction(rng), engine.channel.n)
+    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(4)))
+    honest = {i: QuantumMessage.uniform(random_direction(rng), engine.channel.n) for i in (0, 1)}
+    deliveries = engine.run_round(step, honest, frozenset({2, 3}), Scripted([shared] * 6))
+    assert all(d is not None for d in deliveries.values())
+    assert len(calls) == 4  # two honest messages, the shared one twice
+    rotated_shared = [(frames[s] @ shared.segments[0][0]).tolist() for s in (2, 3)]
+    assert sorted(msg.segments[0][0].tolist() for msg in calls[2:]) == sorted(rotated_shared)
 
 
 def counting(monkeypatch, owner, name):
@@ -334,6 +346,20 @@ def counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def counting_results(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's result."""
+    results = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return results
 
 
 def test_honest_round_rotates_each_message_once(monkeypatch):
@@ -400,6 +426,65 @@ def test_engine_tallies_equal_per_link_reference(seed):
         deliveries = engine.run_round(step, honest, faulty, Scripted(emitted.values()))
         assert deliveries == expected
         assert sum(d is not None for d in deliveries.values()) > len(honest) * (m - 1)
+
+
+def test_global_message_independent_of_frame_layout(monkeypatch):
+    # The engine takes the frames as one C-ordered array, so a Fortran-
+    # ordered copy of the same frames rotates every message with the same
+    # bits (``@`` picks its BLAS kernel by memory layout).
+    rotated = counting_results(monkeypatch, netsim, "global_message")
+    params = ProtocolParams(m=7, t=2, delta=0.05, channel=ChannelParams(epsilon=0.1, n=5000))
+    frames = trial_frames(3, 0, params.m)
+    runs = []
+    for layout in (frames, [np.asfortranarray(f) for f in frames]):
+        rotated.clear()
+        adversary = make_adversary("grade-poisoner", (5, 6), params)
+        run_rf_consensus(params, layout, (5, 6), adversary, master_seed=3)
+        runs.append([[state.tolist() for state, _ in msg.segments] for msg in rotated])
+    assert len(runs[0]) > 40
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_classical_deliveries_equal_per_slot_reference(seed):
+    # Honest symbols are checked once per sender; faulty slots one by one.
+    # Faulty senders 5 and 6 send valid and malformed symbols or nothing,
+    # the absent path no benchmark workload reaches.
+    m = 7
+    engine, _ = make_engine(m=m, seed=seed)
+    rng = np.random.default_rng(seed)
+    faulty = frozenset({5, 6})
+    choices = [0, 1, None, True, np.int64(1), 2, -1, "1", "missing"]
+    for step in (
+        RoundStep(FLAG_EXCHANGE, 0, 0, None, tuple(range(m))),
+        RoundStep(CLASSICAL_ROUND, 0, 0, 1, tuple(range(m))),
+        RoundStep(CLASSICAL_ROUND, 0, 0, 2, (0,)),
+        RoundStep(CLASSICAL_ROUND, 0, 0, 5, (5,)),
+    ):
+        honest = {i: int(rng.integers(0, 3)) for i in step.senders if i not in faulty}
+        emitted = {}
+        for s in step.senders:
+            for r in range(m):
+                if s in faulty and r != s:
+                    pick = choices[rng.integers(0, len(choices))]
+                    if pick != "missing":
+                        emitted[(s, r)] = pick
+        expected = {}
+        for s in step.senders:
+            for r in range(m):
+                if r != s:
+                    payload = emitted.get((s, r)) if s in faulty else honest[s]
+                    ok = isinstance(payload, int) and not isinstance(payload, bool)
+                    expected[(s, r)] = payload if ok else None
+
+        class Emitter:
+            def emit(self, view, slots):
+                return {slot: emitted[slot] for slot in slots if slot in emitted}
+
+        deliveries = engine.run_round(step, honest, faulty, Emitter())
+        assert list(deliveries.items()) == list(expected.items())
+        assert all(type(d) is int for d in deliveries.values() if d is not None)
+        assert engine.transcript[-1].payloads is deliveries
 
 
 def test_view_rng_is_the_adversary_stream_built_on_first_read(monkeypatch):

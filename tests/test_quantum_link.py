@@ -12,7 +12,6 @@ from rfagree.quantum_link import (
     MeasurementTally,
     QuantumMessage,
     depolarize,
-    measure_batch,
     outcome_probability,
     required_qubits,
     ted_accuracy_bound,
@@ -20,7 +19,7 @@ from rfagree.quantum_link import (
     ted_success_bound,
 )
 
-from helpers import octahedral_rotations
+from helpers import measure, octahedral_rotations
 
 
 def test_depolarize_noiseless_identity():
@@ -55,7 +54,7 @@ def test_measure_batch_aligned_axis_is_deterministic():
     msg = QuantumMessage.uniform([0.0, 0.0, 1.0], n)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        tally = measure_batch(msg, np.eye(3), params, rng)
+        tally = measure(msg, np.eye(3), params, rng)
         assert tally.k_z == n
 
 
@@ -65,7 +64,7 @@ def test_measure_batch_orthogonal_axis_moments():
     params = ChannelParams(epsilon=0.0, n=n)
     msg = QuantumMessage.uniform([0.0, 0.0, 1.0], n)
     rng = np.random.default_rng(11)
-    ks = np.array([measure_batch(msg, np.eye(3), params, rng).k_x for _ in range(runs)])
+    ks = np.array([measure(msg, np.eye(3), params, rng).k_x for _ in range(runs)])
     # Binomial(n, 1/2): mean n/2, variance n/4; allow 3 sigma on both.
     mean_sigma = math.sqrt(n / 4.0 / runs)
     assert abs(ks.mean() - n / 2.0) < 3.0 * mean_sigma
@@ -86,7 +85,7 @@ def test_measure_batch_thirds_partition_two_segments():
     )
     rng = np.random.default_rng(3)
     for _ in range(50):
-        tally = measure_batch(msg, np.eye(3), params, rng)
+        tally = measure(msg, np.eye(3), params, rng)
         assert tally.k_z == 0
 
 
@@ -94,7 +93,7 @@ def test_measure_batch_rejects_count_mismatch():
     params = ChannelParams(epsilon=0.0, n=10)
     bad = QuantumMessage(((np.array([0.0, 0.0, 1.0]), 29),))
     with pytest.raises(ValueError):
-        measure_batch(bad, np.eye(3), params, np.random.default_rng(0))
+        measure(bad, np.eye(3), params, np.random.default_rng(0))
 
 
 def test_measure_batch_frame_covariance_bit_identical():
@@ -107,10 +106,10 @@ def test_measure_batch_frame_covariance_bit_identical():
     direction = random_direction(base_rng)
     frame = random_frame(base_rng)
     for idx, rot in enumerate(octahedral_rotations()):
-        t1 = measure_batch(
+        t1 = measure(
             QuantumMessage.uniform(direction, n), frame, params, substream(1, 2, 3, idx, 0)
         )
-        t2 = measure_batch(
+        t2 = measure(
             QuantumMessage.uniform(rot @ direction, n), rot @ frame, params, substream(1, 2, 3, idx, 0)
         )
         assert t1 == t2
@@ -228,7 +227,7 @@ def test_empirical_accuracy_beats_bound_quick():
     for _ in range(trials):
         direction = random_direction(rng)
         frame = random_frame(rng)
-        tally = measure_batch(QuantumMessage.uniform(direction, n), frame, params, rng)
+        tally = measure(QuantumMessage.uniform(direction, n), frame, params, rng)
         estimate_local, _ = ted_receive(tally)
         if distance(to_global(estimate_local, frame), direction) <= delta:
             hits += 1
