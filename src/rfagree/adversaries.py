@@ -19,7 +19,7 @@ import math
 from .classical_consensus import CLAIM_ROUND
 from .geometry import any_orthogonal, angle_from_chord, random_direction, rotate_about
 from .netsim import CLASSICAL_ROUND, DIRECTION_EXCHANGE, FLAG_EXCHANGE, KING_BROADCAST
-from .quantum_link import SENTINEL, QuantumMessage, ted_receive
+from .quantum_link import SENTINEL, QuantumMessage, received_direction
 from .rf_protocols import HonestNode, absorb_round, node_payloads, start_phase
 
 
@@ -45,7 +45,7 @@ def _king_estimates(previous, receivers) -> dict:
     the direction exchange is being emitted.
     """
     return {
-        r: SENTINEL.copy() if tally is None else ted_receive(tally)[0]
+        r: received_direction(tally)
         for (_, r), tally in previous.deliveries.items()
         if r in receivers
     }

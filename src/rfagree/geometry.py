@@ -1,10 +1,14 @@
 """Unit directions, orthonormal frames, and the chord metric.
 
-Directions are plain float64 numpy arrays of shape (3,) with unit norm;
-frames are proper rotation matrices of shape (3, 3) whose column k is the
-owner's local axis k expressed in global coordinates.  Both are validated
-at construction time by :func:`as_direction` / :func:`as_frame` so that
-downstream protocol code can operate on raw arrays without re-checking.
+Directions are 3-sequences of floats with unit norm.  The helpers here
+accept lists, tuples and float64 arrays alike and return arrays; the
+protocol layers carry Python float lists, on which :func:`distance` and
+:func:`dot` give the same bits as on float64 arrays without numpy scalar
+overhead.  Frames stay float64 arrays: proper rotation matrices of shape
+(3, 3) whose column k is the owner's local axis k expressed in global
+coordinates.  :func:`as_direction` / :func:`as_frame` validate either at
+construction time so that downstream protocol code can use them without
+re-checking.
 
 Distances and dot products are accumulated with ``math.fsum`` so the result
 is the correctly rounded sum regardless of component order.  This makes

@@ -342,9 +342,8 @@ def transcript_records(trial: int, transcript) -> list:
 
 
 def _worker(args):
-    """One trial, serially or in a pool worker; times its own run_trial."""
-    config_dict, trial = args
-    config = ExperimentConfig.from_dict(config_dict)
+    """One trial of a validated config, serially or in a pool worker; times its own run_trial."""
+    config, trial = args
     t0 = time.monotonic()
     result, metrics, record = run_trial(config, trial)
     seconds = time.monotonic() - t0
@@ -370,7 +369,7 @@ def run_experiment(config: ExperimentConfig):
     config.validate()
     n = config.resolved_n()
     start = time.monotonic()
-    jobs = [(config.to_dict(), k) for k in range(config.trials)]
+    jobs = [(config, k) for k in range(config.trials)]
     records = [None] * config.trials
     metrics_list = [None] * config.trials
     transcripts = [None] * config.trials
@@ -498,12 +497,14 @@ def _sent_state(segments):
     return segments[0][0]
 
 
-def round_links(rec: dict, m: int) -> list:
+def round_links(rec: dict, m: int, n: int) -> list:
     """(sender, receiver, sent_local, tally) of every delivered slot of one exported round.
 
     The inverse of :func:`transcript_records` for what the estimation oracle
     reads.  The record's shape is checked as it is read: a malformed one
     raises ValueError, KeyError, TypeError, IndexError or AttributeError.
+    Each tally must be four ints ``[k_x, k_y, k_z, n]`` with every k in
+    [0, n] and ``n`` the run's per-axis qubit count.
     """
     senders = rec["senders"]
     if not all(type(s) is int and 0 <= s < m for s in senders):
@@ -521,8 +522,17 @@ def round_links(rec: dict, m: int) -> list:
             for j, receiver in enumerate(r for r in range(m) if r != sender):
                 t = next(tallies)
                 if t is not None:
+                    k_x, k_y, k_z, t_n = t
+                    if not (
+                        type(k_x) is int and type(k_y) is int and type(k_z) is int
+                        and type(t_n) is int and t_n == n
+                        and 0 <= k_x <= n and 0 <= k_y <= n and 0 <= k_z <= n
+                    ):
+                        raise ValueError(f"tally {t!r} is not four ints with 0 <= k <= n = {n}")
                     sent = shared if per_slot is None else per_slot[j]
-                    links.append((sender, receiver, _sent_state(sent), MeasurementTally(*t)))
+                    links.append(
+                        (sender, receiver, _sent_state(sent), MeasurementTally(k_x, k_y, k_z, n))
+                    )
     return links
 
 
@@ -570,9 +580,10 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     mismatches = []
     links_by_trial = {}
     rounds_by_trial = {}
+    n = config.resolved_n()
 
     def read_round(trial, rec):
-        links = round_links(rec, config.m)
+        links = round_links(rec, config.m, n)
         links_by_trial.setdefault(trial, []).extend(links)
         rounds_by_trial.setdefault(trial, []).append(rec["round"])
 
@@ -580,7 +591,6 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
         _read_jsonl(transcript_path, "transcript", read_round, mismatches)
 
     delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
-    n = config.resolved_n()
     numbers = []
 
     def check_trial(trial, record):

@@ -18,9 +18,10 @@ Communication model:
   defaults and continue, so no execution can stall.
 
 Quantum payloads travel as Bloch segments in the sender's local coordinates
-(the emitting hardware's frame).  At delivery the engine applies the sender
-frame to obtain the physical, global-frame state, validates it and applies
-the channel noise (once per sender and message in a round, however many
+(the emitting hardware's frame).  At delivery the engine takes them through
+:func:`~rfagree.quantum_link.link_cells`, which applies the sender frame to
+obtain the physical, global-frame state, checks it and applies the channel
+noise in one pass (once per sender and message in a round, however many
 slots carry it), then measures it in each receiver's frame; that keeps the
 only stochastic step in one place and makes the logged wire data
 independent of how the hidden global frame is oriented.
@@ -126,33 +127,15 @@ def substream(key0: int, key1: int, c1: int, c2: int, c3: int) -> np.random.Gene
 _MALFORMED = (ValueError, TypeError, OverflowError)
 
 
-def global_message(msg: QuantumMessage, sender_frame: np.ndarray) -> Optional[QuantumMessage]:
-    """``msg`` with its states taken from sender-local to global coordinates.
-
-    Returns None for a payload whose states cannot be rotated.  The rotated
-    message is validated by :func:`link_cells`: a rotation keeps |r| to
-    within rounding, far inside BLOCH_TOL, so one check suffices.
-    """
-    try:
-        return QuantumMessage(
-            tuple((sender_frame @ np.asarray(state, dtype=np.float64), count) for state, count in msg.segments)
-        )
-    except _MALFORMED:
-        return None
-
-
 def prepare_message(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelParams):
     """The :func:`link_cells` of ``msg`` sent from ``sender_frame``, or None.
 
     Everything a delivery does that depends on the message alone: rotation
-    to global coordinates, validation and channel noise.  A malformed
+    to global coordinates, the format check and channel noise.  A malformed
     payload gives None.
     """
-    rotated = global_message(msg, sender_frame)
-    if rotated is None:
-        return None
     try:
-        return link_cells(rotated, params)
+        return link_cells(msg, sender_frame, params)
     except _MALFORMED:
         return None
 
@@ -254,8 +237,8 @@ class RoundEngine:
 
         Work that depends on the payload alone runs once per sender and
         payload: an honest symbol is checked once, and a quantum message
-        rotated, validated and depolarized once; measurement and its draws
-        run per link.
+        taken through ``link_cells`` once; measurement and its draws run
+        per link.
         """
         faulty_payloads = {}
         if faulty_set:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ BLOCH_TOL = 1e-9
 
 #: Sentinel direction (receiver-local coordinates) for degenerate or missing
 #: receptions.  Protocols substitute it and keep running rather than abort.
-SENTINEL = np.array([0.0, 0.0, 1.0])
+SENTINEL = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -77,50 +78,18 @@ class QuantumMessage:
         """Honest message: 3n copies of one state."""
         return QuantumMessage(((np.asarray(state, dtype=np.float64), 3 * n),))
 
-    def total_count(self) -> int:
-        return sum(count for _, count in self.segments)
 
-    def validate(self, n: int) -> list:
-        """Raise ValueError unless the segments form a well-formed 3n batch.
+class MeasurementTally(NamedTuple):
+    """Counts of +1 outcomes along the receiver's x, y, z axes (n each).
 
-        Returns the segments as ([x, y, z], count) pairs with the state as
-        Python floats, ready for :func:`link_cells`.  Nothing is cached
-        on the message: its state arrays may change between deliveries.
-        """
-        if not self.segments:
-            raise ValueError("message has no segments")
-        checked = []
-        for state, count in self.segments:
-            arr = np.asarray(state, dtype=np.float64)
-            if arr.shape != (3,):
-                raise ValueError("segment state must be a 3-vector")
-            if not _is_count(count):
-                raise ValueError(f"segment count must be a positive integer, got {count!r}")
-            r = arr.tolist()
-            # Negated so that NaN and inf lengths fail the check too.
-            if not math.sqrt(dot(r, r)) <= 1.0 + BLOCH_TOL:
-                raise ValueError("segment Bloch vector non-finite or longer than 1")
-            checked.append((r, count))
-        if self.total_count() != 3 * n:
-            raise ValueError(
-                f"segment counts sum to {self.total_count()}, expected {3 * n}"
-            )
-        return checked
-
-
-@dataclass(frozen=True)
-class MeasurementTally:
-    """Counts of +1 outcomes along the receiver's x, y, z axes (n each)."""
+    :func:`measure_batch` makes each count in [0, n] by construction;
+    tallies read back from a file are checked where they are read.
+    """
 
     k_x: int
     k_y: int
     k_z: int
     n: int
-
-    def __post_init__(self):
-        for k in (self.k_x, self.k_y, self.k_z):
-            if not 0 <= k <= self.n:
-                raise ValueError(f"tally {k} outside [0, {self.n}]")
 
 
 def depolarize(state, epsilon: float) -> np.ndarray:
@@ -138,16 +107,21 @@ def outcome_probability(state, axis) -> float:
     return min(1.0, max(0.0, p))
 
 
-def link_cells(msg: QuantumMessage, params: ChannelParams) -> list:
-    """Validate and depolarize ``msg`` into its measurement cells.
+def link_cells(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelParams) -> list:
+    """Rotate, check and depolarize ``msg`` into its measurement cells, in one pass.
 
-    Message states are in global coordinates.  Qubits 0..n-1 go to the x
-    axis, n..2n-1 to y, 2n..3n-1 to z; each (segment, axis) cell holding
-    qubits becomes one ``(axis, count, x, y, z)`` entry, with the noisy
-    state as Python floats, in segment-major order (the order of the draws
-    in :func:`measure_batch`).  Raises what :meth:`QuantumMessage.validate`
-    raises.  Depends on the message alone, so every receiver of one
-    message can share its cells.
+    The one definition of a well-formed wire message.  Each segment's state,
+    in ``sender_frame`` coordinates, is rotated to global ones and must be a
+    3-vector with |r| <= 1 + BLOCH_TOL (a rotation keeps |r| to within
+    rounding), its count a positive integer, and the counts must sum to 3n;
+    otherwise this raises ValueError, TypeError or OverflowError.  Qubits
+    0..n-1 go to the x axis, n..2n-1 to y, 2n..3n-1 to z; each (segment,
+    axis) cell holding qubits becomes one ``(axis, count, x, y, z)`` entry,
+    with the noisy global state as Python floats, in segment-major order
+    (the order of the draws in :func:`measure_batch`).  Depends on the
+    message and its sender alone, so every receiver of one message can
+    share its cells; nothing is cached on the message, whose state arrays
+    may change between deliveries.
     """
     n = params.n
     # depolarize() spelt out on Python floats: the same IEEE products, so
@@ -155,7 +129,16 @@ def link_cells(msg: QuantumMessage, params: ChannelParams) -> list:
     shrink = 1.0 - params.epsilon
     cells = []
     start = 0
-    for (x, y, z), count in msg.validate(n):
+    for state, count in msg.segments:
+        arr = sender_frame @ np.asarray(state, dtype=np.float64)
+        if arr.shape != (3,):
+            raise ValueError("segment state must be a 3-vector")
+        if not _is_count(count):
+            raise ValueError(f"segment count must be a positive integer, got {count!r}")
+        x, y, z = arr.tolist()
+        # Negated so that NaN and inf lengths fail the check too.
+        if not math.sqrt(math.fsum((x * x, y * y, z * z))) <= 1.0 + BLOCH_TOL:
+            raise ValueError("segment Bloch vector non-finite or longer than 1")
         x, y, z = shrink * x, shrink * y, shrink * z
         end = start + count
         for a in range(3):
@@ -164,6 +147,8 @@ def link_cells(msg: QuantumMessage, params: ChannelParams) -> list:
             if hi > lo:
                 cells.append((a, hi - lo, x, y, z))
         start = end
+    if start != 3 * n:
+        raise ValueError(f"segment counts sum to {start}, expected {3 * n}")
     return cells
 
 
@@ -198,10 +183,11 @@ def measure_batch(
 def ted_receive(tally: MeasurementTally):
     """Reconstruct the direction from a tally; returns (direction, degenerate).
 
-    Components are x = 2 k_x / n - 1 etc., normalized to unit length.  If all
-    three frequencies are exactly 1/2, the raw vector has zero length; the
-    receiver then substitutes the local +z sentinel and flags the estimate
-    instead of aborting, so a malicious sender cannot crash a correct node.
+    Components are x = 2 k_x / n - 1 etc., normalized to unit length, as a
+    list of Python floats.  If all three frequencies are exactly 1/2, the
+    raw vector has zero length; the receiver then substitutes
+    :data:`SENTINEL` and flags the estimate instead of aborting, so a
+    malicious sender cannot crash a correct node.
     """
     n = tally.n
     x = 2.0 * tally.k_x / n - 1.0
@@ -209,8 +195,17 @@ def ted_receive(tally: MeasurementTally):
     z = 2.0 * tally.k_z / n - 1.0
     l = math.sqrt(math.fsum((x * x, y * y, z * z)))
     if l == 0.0:
-        return SENTINEL.copy(), True
-    return np.array([x / l, y / l, z / l]), False
+        return SENTINEL, True
+    return [x / l, y / l, z / l], False
+
+
+def received_direction(delivery):
+    """The direction a receiver takes from a quantum delivery (tally or None).
+
+    :data:`SENTINEL` for an absent or malformed message, the decoded tally
+    otherwise.
+    """
+    return SENTINEL if delivery is None else ted_receive(delivery)[0]
 
 
 def ted_accuracy_bound(delta: float, epsilon: float) -> float:

@@ -29,10 +29,9 @@ returns a delta-approximation".
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .classical_consensus import KING_ROUND, PhaseKingNode, coerce_bit, rounds_for
 from .geometry import distance, random_direction
@@ -45,13 +44,7 @@ from .netsim import (
     RoundEngine,
     RoundStep,
 )
-from .quantum_link import (
-    SENTINEL,
-    ChannelParams,
-    QuantumMessage,
-    ted_accuracy_bound,
-    ted_receive,
-)
+from .quantum_link import ChannelParams, QuantumMessage, received_direction, ted_accuracy_bound
 
 
 @dataclass(frozen=True)
@@ -77,26 +70,18 @@ class ProtocolParams:
         return ted_accuracy_bound(self.delta, self.channel.epsilon)
 
 
-def _float_lists(vectors):
-    """Each 3-vector of ``vectors`` as a list of Python floats.
-
-    ``distance`` on these gives the same bits as on float64 arrays (the
-    same IEEE operations and fsum), without numpy scalar overhead.
-    """
-    return [np.asarray(v, dtype=np.float64).tolist() for v in vectors]
-
-
-def weak_consensus(w, estimates, m: int, t: int, delta: float) -> Optional[np.ndarray]:
+def weak_consensus(w, estimates, m: int, t: int, delta: float) -> Optional[Sequence[float]]:
     """Keep w if at least m - t estimates (self included) are 3*delta-close."""
-    own = np.asarray(w, dtype=np.float64).tolist()
     close = 0
-    for est in _float_lists(estimates[j] for j in range(m)):
-        if distance(own, est) <= 3.0 * delta:
+    for j in range(m):
+        if distance(w, estimates[j]) <= 3.0 * delta:
             close += 1
     return w if close >= m - t else None
 
 
-def graded_consensus(w, estimates, flags, own_flag: int, m: int, t: int, delta: float):
+def graded_consensus(
+    w, estimates, flags, own_flag: int, m: int, t: int, delta: float
+) -> tuple[Sequence[float], int]:
     """Cluster flagged estimates; returns (direction, grade).
 
     For every flagged j, T[j] counts flagged nodes within 10*delta of j's
@@ -113,8 +98,8 @@ def graded_consensus(w, estimates, flags, own_flag: int, m: int, t: int, delta: 
     """
     flagged = [j for j in range(m) if flags[j] == 1]
     if not flagged:
-        return np.array(w, dtype=np.float64), 0
-    vecs = _float_lists(estimates[j] for j in flagged)
+        return w, 0
+    vecs = [estimates[j] for j in flagged]
     sizes = [1] * len(flagged)
     radius = 10.0 * delta
     for a in range(len(flagged)):
@@ -124,10 +109,7 @@ def graded_consensus(w, estimates, flags, own_flag: int, m: int, t: int, delta: 
                 sizes[b] += 1
     best = sizes.index(max(sizes))  # the first, so the lowest id, on ties
     best_size = sizes[best]
-    if own_flag == 1:
-        v = np.array(w, dtype=np.float64)
-    else:
-        v = np.array(estimates[flagged[best]], dtype=np.float64)
+    v = w if own_flag == 1 else vecs[best]
     g = 1 if best_size >= m - t else 0
     return v, g
 
@@ -153,7 +135,7 @@ class HonestNode:
         self._cc = None
 
     def begin_phase(self, king_id: int, king_rng) -> None:
-        self.w = random_direction(king_rng) if self.node_id == king_id else None
+        self.w = random_direction(king_rng).tolist() if self.node_id == king_id else None
         self.flag = 0
         self.a = None
         self.v = None
@@ -170,20 +152,14 @@ class HonestNode:
         return self._cc.payload(step.cc_round)
 
     def receive_king(self, delivery) -> None:
-        if delivery is None:
-            self.w = SENTINEL.copy()
-        else:
-            self.w, _ = ted_receive(delivery)
+        self.w = received_direction(delivery)
 
     def receive_directions(self, inbox) -> None:
         """inbox: sender -> tally or None, for every other node."""
         p = self.params
         a = {self.node_id: self.w}
         for j, delivery in inbox.items():
-            if delivery is None:
-                a[j] = SENTINEL.copy()
-            else:
-                a[j], _ = ted_receive(delivery)
+            a[j] = received_direction(delivery)
         self.a = a
         self.flag = 0 if weak_consensus(self.w, a, p.m, p.t, p.delta_eff) is None else 1
 
@@ -203,7 +179,7 @@ class HonestNode:
     def finish_phase(self):
         """Classical decision: output the graded direction on 1, bottom on 0."""
         self.y = self._cc.output()
-        return np.array(self.v) if self.y == 1 else None
+        return self.v if self.y == 1 else None
 
 
 @dataclass
@@ -213,7 +189,7 @@ class PhaseResult:
     phase: int
     king_id: int
     king_honest: bool
-    king_direction: Optional[np.ndarray]  # king-local coordinates
+    king_direction: Optional[list]  # king-local coordinates
     inputs: dict
     values: dict
     grades: dict
@@ -304,9 +280,9 @@ def run_king_phase(
         phase=phase,
         king_id=king_id,
         king_honest=king_honest,
-        king_direction=np.array(nodes[king_id].w) if king_honest else None,
-        inputs={i: np.array(node.w) for i, node in nodes.items()},
-        values={i: np.array(node.v) for i, node in nodes.items()},
+        king_direction=nodes[king_id].w if king_honest else None,
+        inputs={i: node.w for i, node in nodes.items()},
+        values={i: node.v for i, node in nodes.items()},
         grades={i: node.g for i, node in nodes.items()},
         decisions={i: node.y for i, node in nodes.items()},
         outputs=outputs,

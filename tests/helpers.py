@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -15,10 +16,17 @@ from rfagree.classical_consensus import (
     symbol_counts,
 )
 from rfagree.config import ExperimentConfig
-from rfagree.geometry import distance
+from rfagree.geometry import distance, dot
 from rfagree.harness import compute_metrics, quantum_links, trial_record, transcript_records
 from rfagree.netsim import QUANTUM_STEPS
-from rfagree.quantum_link import frame_axes, link_cells, measure_batch
+from rfagree.quantum_link import (
+    BLOCH_TOL,
+    QuantumMessage,
+    _is_count,
+    frame_axes,
+    link_cells,
+    measure_batch,
+)
 
 #: Per-criterion verdict lines collected by the acceptance suite; printed in
 #: the terminal summary so they survive output capture.
@@ -134,7 +142,49 @@ def exhaustive_consensus_check(m, t):
 
 def measure(msg, frame, params, rng):
     """``measure_batch`` of a global-frame message at a receiver with ``frame``."""
-    return measure_batch(link_cells(msg, params), frame_axes(frame), params, rng)
+    return measure_batch(link_cells(msg, np.eye(3), params), frame_axes(frame), params, rng)
+
+
+def reference_link_cells(msg, sender_frame, params):
+    """``link_cells`` in two steps: rotate into a new message, then validate and add noise.
+
+    The oracle for the one-pass ``link_cells``: every segment is rotated
+    first, the rotated message is then checked as a whole, and its cells
+    built.  Raises what a malformed payload raises on its way through.
+    """
+    rotated = QuantumMessage(
+        tuple((sender_frame @ np.asarray(state, dtype=np.float64), count) for state, count in msg.segments)
+    )
+    n = params.n
+    if not rotated.segments:
+        raise ValueError("message has no segments")
+    checked = []
+    for state, count in rotated.segments:
+        arr = np.asarray(state, dtype=np.float64)
+        if arr.shape != (3,):
+            raise ValueError("segment state must be a 3-vector")
+        if not _is_count(count):
+            raise ValueError(f"segment count must be a positive integer, got {count!r}")
+        r = arr.tolist()
+        if not math.sqrt(dot(r, r)) <= 1.0 + BLOCH_TOL:
+            raise ValueError("segment Bloch vector non-finite or longer than 1")
+        checked.append((r, count))
+    total = sum(count for _, count in rotated.segments)
+    if total != 3 * n:
+        raise ValueError(f"segment counts sum to {total}, expected {3 * n}")
+    shrink = 1.0 - params.epsilon
+    cells = []
+    start = 0
+    for (x, y, z), count in checked:
+        x, y, z = shrink * x, shrink * y, shrink * z
+        end = start + count
+        for a in range(3):
+            lo = max(start, a * n)
+            hi = min(end, (a + 1) * n)
+            if hi > lo:
+                cells.append((a, hi - lo, x, y, z))
+        start = end
+    return cells
 
 
 OCTAHEDRAL_ROTATIONS = None

@@ -381,6 +381,8 @@ def test_verify_reports_unreadable_transcript_line(tmp_path):
         pytest.param(lambda rec: rec["payloads"][0][0].__setitem__(0, [1.0, "x"]), id="bad-state"),
         pytest.param(lambda rec: rec["senders"].__setitem__(0, 4), id="sender-out-of-range"),
         pytest.param(lambda rec: rec["tallies"].pop(), id="short-tallies"),
+        pytest.param(lambda rec: rec["tallies"].__setitem__(0, [0, 0, 0, 0]), id="zero-n-tally"),
+        pytest.param(lambda rec: rec["tallies"].__setitem__(0, [10**400] * 4), id="huge-tally"),
     ],
 )
 def test_verify_reports_malformed_transcript_shape(tmp_path, edit):
@@ -427,7 +429,7 @@ def test_exported_links_equal_engine_links(tmp_path, monkeypatch, adversary):
     def canonical(links):
         return [(s, r, [float(c) for c in state], tally) for s, r, state, tally in links]
 
-    exported = [link for rec in records for link in round_links(rec, cfg.m)]
+    exported = [link for rec in records for link in round_links(rec, cfg.m, cfg.n)]
     assert canonical(exported) == canonical(quantum_links(result.transcript))
     quantum = [rec for rec in records if is_quantum(rec)]
     absent = any(t is None for rec in quantum for t in rec["tallies"])
@@ -585,6 +587,34 @@ def test_cli_verify(tmp_path, capsys):
     code = cli_main(["verify", "--config", str(path), "--records", str(out / "trials.jsonl")])
     assert code == 1
     assert "trials line 1: JSONDecodeError: " in capsys.readouterr().err
+
+
+def test_cli_verify_reports_out_of_range_tally(tmp_path, capsys):
+    # A delivered tally with n = 0 once divided by zero inside verify.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
+    run_experiment(cfg)
+    path = tmp_path / "cfg.json"
+    cfg.save(path)
+    lineno = rewrite_line(
+        out / "transcript.jsonl", is_quantum, lambda rec: rec["tallies"].__setitem__(0, [0, 0, 0, 0])
+    )
+    capsys.readouterr()
+    code = cli_main(
+        [
+            "verify",
+            "--config",
+            str(path),
+            "--records",
+            str(out / "trials.jsonl"),
+            "--transcript",
+            str(out / "transcript.jsonl"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"trial 0: transcript line {lineno}: ValueError: tally [0, 0, 0, 0]" in err
+    assert "Traceback" not in err
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -22,7 +22,7 @@ from rfagree.quantum_link import ChannelParams, QuantumMessage, ted_receive
 from rfagree.rf_protocols import ProtocolParams, run_rf_consensus
 from rfagree.adversaries import Rusher, make_adversary
 
-from helpers import transcript_signature
+from helpers import reference_link_cells, transcript_signature
 
 
 def make_engine(m=4, n=1000, epsilon=0.0, seed=5, trial=0):
@@ -309,14 +309,7 @@ def test_honest_senders_broadcast_and_faulty_senders_equivocate():
 
 
 def test_quantum_message_validated_once_per_sender_and_message(monkeypatch):
-    calls = []
-    validate = QuantumMessage.validate
-
-    def counting(msg, n):
-        calls.append(msg)
-        return validate(msg, n)
-
-    monkeypatch.setattr(QuantumMessage, "validate", counting)
+    calls = counting(monkeypatch, netsim, "link_cells")
     engine, frames = make_engine(m=4)
     rng = np.random.default_rng(1)
     all_honest_direction_round(engine, [random_direction(rng) for _ in range(4)])
@@ -331,8 +324,8 @@ def test_quantum_message_validated_once_per_sender_and_message(monkeypatch):
     deliveries = engine.run_round(step, honest, frozenset({2, 3}), Scripted([shared] * 6))
     assert all(d is not None for d in deliveries.values())
     assert len(calls) == 4  # two honest messages, the shared one twice
-    rotated_shared = [(frames[s] @ shared.segments[0][0]).tolist() for s in (2, 3)]
-    assert sorted(msg.segments[0][0].tolist() for msg in calls[2:]) == sorted(rotated_shared)
+    assert all(msg is shared for msg, _, _ in calls[2:])
+    assert [frame.tolist() for _, frame, _ in calls[2:]] == [frames[2].tolist(), frames[3].tolist()]
 
 
 def counting(monkeypatch, owner, name):
@@ -363,7 +356,7 @@ def counting_results(monkeypatch, owner, name):
 
 
 def test_honest_round_rotates_each_message_once(monkeypatch):
-    rotations = counting(monkeypatch, netsim, "global_message")
+    rotations = counting(monkeypatch, netsim, "link_cells")
     measurements = counting(monkeypatch, netsim, "measure_batch")
     engine, _ = make_engine(m=4)
     rng = np.random.default_rng(1)
@@ -428,19 +421,19 @@ def test_engine_tallies_equal_per_link_reference(seed):
         assert sum(d is not None for d in deliveries.values()) > len(honest) * (m - 1)
 
 
-def test_global_message_independent_of_frame_layout(monkeypatch):
+def test_link_cells_independent_of_frame_layout(monkeypatch):
     # The engine takes the frames as one C-ordered array, so a Fortran-
     # ordered copy of the same frames rotates every message with the same
     # bits (``@`` picks its BLAS kernel by memory layout).
-    rotated = counting_results(monkeypatch, netsim, "global_message")
+    cells = counting_results(monkeypatch, netsim, "link_cells")
     params = ProtocolParams(m=7, t=2, delta=0.05, channel=ChannelParams(epsilon=0.1, n=5000))
     frames = trial_frames(3, 0, params.m)
     runs = []
     for layout in (frames, [np.asfortranarray(f) for f in frames]):
-        rotated.clear()
+        cells.clear()
         adversary = make_adversary("grade-poisoner", (5, 6), params)
         run_rf_consensus(params, layout, (5, 6), adversary, master_seed=3)
-        runs.append([[state.tolist() for state, _ in msg.segments] for msg in rotated])
+        runs.append(list(cells))
     assert len(runs[0]) > 40
     assert runs[0] == runs[1]
 
@@ -580,3 +573,56 @@ class Scripted:
 def test_wire_fuzz_never_raises_and_spares_honest_links(objects):
     crashed = fuzz_rounds(NullAdversary())
     assert fuzz_rounds(Scripted(objects)) == crashed
+
+
+# The one-pass link_cells against the two-step oracle: frames from random
+# seeds, the fuzz strategies' messages, and epsilon anywhere in [0, 1].
+_frames = st.integers(0, 2**32 - 1).map(lambda seed: random_frame(np.random.default_rng(seed)))
+_messages = st.one_of(_segments.map(QuantumMessage), _well_formed.map(QuantumMessage))
+
+
+def assert_prepared_like_reference(make_message, frame, params):
+    """``prepare_message`` gives the oracle's cells bit for bit, or None where it raised.
+
+    ``make_message`` builds a fresh message for each side, so one-shot
+    segments (a generator) reach both whole.
+    """
+    try:
+        expected = reference_link_cells(make_message(), frame, params)
+    except (ValueError, TypeError, OverflowError):
+        expected = None
+    cells = netsim.prepare_message(make_message(), frame, params)
+    assert repr(cells) == repr(expected)  # repr tells -0.0 from 0.0 and 3 from 3.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_messages, _frames, st.floats(0.0, 1.0))
+def test_prepare_message_equals_two_step_reference(msg, frame, epsilon):
+    assert_prepared_like_reference(lambda: msg, frame, ChannelParams(epsilon=epsilon, n=FUZZ_N))
+
+
+def _object_array(segments):
+    arr = np.empty(len(segments), dtype=object)
+    arr[:] = segments
+    return arr
+
+
+@pytest.mark.parametrize(
+    "segments, delivered",
+    [
+        pytest.param(lambda: _object_array([(UP, 3 * FUZZ_N)]), True, id="object-array"),
+        pytest.param(
+            lambda: _object_array([(UP, 5), ([0.5, 0.0, 0.0], 7)]), True, id="object-array-2"
+        ),
+        pytest.param(
+            lambda: ((s, c) for s, c in [(UP, 5), ([0.0, 0.6, 0.0], 7)]), True, id="generator"
+        ),
+        pytest.param(lambda: (), False, id="empty"),
+        pytest.param(lambda: ((UP, 10**400),), False, id="huge-count"),
+    ],
+)
+def test_prepare_message_equals_reference_on_odd_segments(segments, delivered):
+    frame = random_frame(np.random.default_rng(29))
+    params = ChannelParams(epsilon=0.1, n=FUZZ_N)
+    assert_prepared_like_reference(lambda: QuantumMessage(segments()), frame, params)
+    assert (netsim.prepare_message(QuantumMessage(segments()), frame, params) is not None) == delivered

@@ -12,6 +12,7 @@ from rfagree.quantum_link import (
     MeasurementTally,
     QuantumMessage,
     depolarize,
+    link_cells,
     outcome_probability,
     required_qubits,
     ted_accuracy_bound,
@@ -245,9 +246,10 @@ def test_channel_params_validation():
 
 
 def test_quantum_message_validation():
+    params = ChannelParams(epsilon=0.0, n=10)
     msg = QuantumMessage(((np.array([0.0, 0.0, 2.0]), 30),))
     with pytest.raises(ValueError):
-        msg.validate(10)
+        link_cells(msg, np.eye(3), params)
     with pytest.raises(ValueError):
-        QuantumMessage(()).validate(10)
-    QuantumMessage.uniform([0.0, 0.0, 1.0], 10).validate(10)
+        link_cells(QuantumMessage(()), np.eye(3), params)
+    link_cells(QuantumMessage.uniform([0.0, 0.0, 1.0], 10), np.eye(3), params)
