@@ -10,26 +10,16 @@ a Monte Carlo harness that checks the stack's quantitative guarantees.
 
 from .classical_consensus import PhaseKingNode, rounds_for
 from .config import ConfigError, ExperimentConfig
-from .geometry import (
-    as_direction,
-    as_frame,
-    distance,
-    random_direction,
-    random_frame,
-    to_frame,
-    to_global,
-)
+from .geometry import distance, random_direction, to_global
 from .harness import compute_metrics, emit_report, run_experiment, run_trial
 from .netsim import AuthenticationError, RoundEngine, substream
 from .quantum_link import (
     ChannelParams,
     MeasurementTally,
     QuantumMessage,
-    depolarize,
     frame_axes,
     link_cells,
     measure_batch,
-    outcome_probability,
     required_qubits,
     ted_accuracy_bound,
     ted_receive,
@@ -58,10 +48,7 @@ __all__ = [
     "ProtocolParams",
     "QuantumMessage",
     "RoundEngine",
-    "as_direction",
-    "as_frame",
     "compute_metrics",
-    "depolarize",
     "distance",
     "emit_report",
     "frame_axes",
@@ -69,9 +56,7 @@ __all__ = [
     "link_cells",
     "make_adversary",
     "measure_batch",
-    "outcome_probability",
     "random_direction",
-    "random_frame",
     "required_qubits",
     "rounds_for",
     "run_experiment",
@@ -83,7 +68,6 @@ __all__ = [
     "ted_accuracy_bound",
     "ted_receive",
     "ted_success_bound",
-    "to_frame",
     "to_global",
     "weak_consensus",
 ]

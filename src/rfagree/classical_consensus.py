@@ -52,10 +52,6 @@ def coerce_bit(value) -> int:
     return 1 if value == 1 else 0
 
 
-def coerce_claim(value) -> int:
-    return value if value in (0, 1) else NO_CLAIM
-
-
 class PhaseKingNode:
     """One node's state machine; the round engine owns all scheduling.
 
@@ -141,29 +137,3 @@ class PhaseKingNode:
     def output(self) -> int:
         return self.v
 
-
-def symbol_counts(received, node_id: int) -> tuple:
-    """(zeros, ones) of a length-m inbox, the node's own slot left out.
-
-    A slot counts as a 0 or a 1 when it equals one, so absent (None) and
-    malformed symbols count as neither, as :func:`coerce_bit` and
-    :func:`coerce_claim` read them.
-    """
-    zeros = ones = 0
-    for j, value in enumerate(received):
-        if j != node_id:
-            if value == 1:
-                ones += 1
-            elif value == 0:
-                zeros += 1
-    return zeros, ones
-
-
-def run_all_honest(m: int, t: int, inputs) -> list:
-    """Reference run with every node honest; handy for smoke checks."""
-    nodes = [PhaseKingNode(i, m, t, inputs[i]) for i in range(m)]
-    for r in range(rounds_for(t)):
-        slot = [node.payload(r) for node in nodes]
-        for node in nodes:
-            node.absorb(r, *symbol_counts(slot, node.node_id))
-    return [node.output() for node in nodes]

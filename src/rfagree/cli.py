@@ -35,13 +35,20 @@ EXIT_CONFIG = 2
 
 
 def _add_run_overrides(parser):
+    # Each override's dest is the config field it sets; see _flag_changes.
     parser.add_argument("--config", required=True, help="path to JSON experiment config")
-    parser.add_argument("--seed", type=int, help="override master_seed")
+    parser.add_argument(
+        "--seed", type=int, dest="master_seed", metavar="SEED", help="override master_seed"
+    )
     parser.add_argument("--trials", type=int, help="override trial count")
-    parser.add_argument("--out", help="override output directory")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", help="override output directory")
     parser.add_argument("--jobs", type=int, help="override worker count")
     parser.add_argument(
-        "--transcript", action="store_true", help="also export transcript.jsonl"
+        "--transcript",
+        action="store_const",
+        const=True,
+        dest="write_transcript",
+        help="also export transcript.jsonl",
     )
     parser.add_argument("--m", type=int, help="override node count")
     parser.add_argument("--t", type=int, help="override fault bound")
@@ -51,37 +58,27 @@ def _add_run_overrides(parser):
     parser.add_argument("--adversary", help="override adversary strategy name")
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.jobs is not None:
-        config.jobs = args.jobs
-    if args.transcript:
-        config.write_transcript = True
-    if args.m is not None:
-        config.m = args.m
-    if args.t is not None:
-        config.t = args.t
-    if args.n is not None:
-        config.n = args.n
-        config.q_target = None
-    if args.delta is not None:
-        config.delta = args.delta
-    if args.epsilon is not None:
-        config.epsilon = args.epsilon
-    if args.adversary is not None:
-        config.adversary = args.adversary
-    config.validate()
-    return config
+def _flag_changes(args) -> dict:
+    """The config fields set by the flags given: each flag whose dest is a field."""
+    return {
+        name: value
+        for name, value in vars(args).items()
+        if name in ExperimentConfig.__dataclass_fields__ and value is not None
+    }
+
+
+def _with_changes(config: ExperimentConfig, changes: dict) -> ExperimentConfig:
+    """``config`` with the fields in ``changes`` replaced, validated as a loaded config is.
+
+    ``n`` and ``q_target`` are two ways to size the link, so setting one of
+    them without the other clears the other.
+    """
+    sizing = {"n": None, "q_target": None} if changes.keys() & {"n", "q_target"} else {}
+    return ExperimentConfig.from_dict({**config.to_dict(), **sizing, **changes})
 
 
 def cmd_run(args) -> int:
-    config = ExperimentConfig.load(args.config)
-    config = _apply_overrides(config, args)
+    config = _with_changes(ExperimentConfig.load(args.config), _flag_changes(args))
     summary, _, _ = run_experiment(config)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if summary["passed"] else EXIT_FAILED
@@ -161,21 +158,12 @@ def cmd_sweep(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     summaries = []
     failed = False
+    flags = _flag_changes(args)
     for combo in itertools.product(*(values for _, values in axes)):
-        data = base.to_dict()
-        tag_parts = []
-        for (key, _), value in zip(axes, combo):
-            data[key] = value
-            tag_parts.append(f"{key}{value}")
-        tag = "_".join(tag_parts) or "base"
-        data["out_dir"] = os.path.join(out_dir, tag)
-        if args.seed is not None:
-            data["master_seed"] = args.seed
-        if args.trials is not None:
-            data["trials"] = args.trials
-        if args.jobs is not None:
-            data["jobs"] = args.jobs
-        config = ExperimentConfig.from_dict(data)
+        pairs = [(key, value) for (key, _), value in zip(axes, combo)]
+        tag = "_".join(f"{key}{value}" for key, value in pairs) or "base"
+        changes = {**dict(pairs), "out_dir": os.path.join(out_dir, tag), **flags}
+        config = _with_changes(base, changes)
         summary, _, _ = run_experiment(config)
         summaries.append(summary)
         failed = failed or not summary["passed"]
@@ -214,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--set", action="append", default=[], help="key=v1,v2,...")
-    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
     p_sweep.add_argument("--trials", type=int)
     p_sweep.add_argument("--jobs", type=int)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -11,6 +11,7 @@ exponent m^2 * (t+1), i.e. every link of every phase must succeed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -34,6 +35,42 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; maps to CLI exit code 2."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A Python int (not a bool) or a finite float."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _or_none(check):
+    return lambda value: value is None or check(value)
+
+
+#: field -> (type check, what the field must be).  Checked before any value
+#: check, so a JSON document of the wrong types fails as a ConfigError.
+_FIELD_TYPES = {
+    "m": (_is_int, "an integer"),
+    "t": (_is_int, "an integer"),
+    "delta": (_is_number, "a finite number"),
+    "epsilon": (_is_number, "a finite number"),
+    "n": (_or_none(_is_int), "an integer or null"),
+    "q_target": (_or_none(_is_number), "a finite number or null"),
+    "adversary_params": (lambda v: isinstance(v, dict), "an object"),
+    "faulty_ids": (
+        _or_none(lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+        "a list of integers or null",
+    ),
+    "trials": (_is_int, "an integer"),
+    "master_seed": (_is_int, "an integer"),
+    "out_dir": (_or_none(lambda v: isinstance(v, str)), "a string or null"),
+    "write_transcript": (lambda v: isinstance(v, bool), "true or false"),
+    "jobs": (_is_int, "an integer"),
+    "config_version": (_is_int, "an integer"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     m: int
@@ -50,11 +87,14 @@ class ExperimentConfig:
     master_seed: int = 0
     out_dir: Optional[str] = None
     write_transcript: bool = False
-    max_violation_rate: Optional[float] = None
     jobs: int = 1
     config_version: int = CONFIG_VERSION
 
     def validate(self) -> None:
+        for name, (check, what) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.config_version != CONFIG_VERSION:
             raise ConfigError(
                 f"config_version {self.config_version} unsupported (expected {CONFIG_VERSION})"
@@ -87,12 +127,28 @@ class ExperimentConfig:
                 raise ConfigError(f"faulty_ids outside [0, {self.m})")
             if len(ids) > self.t:
                 raise ConfigError(f"{len(ids)} faulty ids exceeds fault bound t={self.t}")
-        from .adversaries import strategy_catalog
+        from .adversaries import make_adversary, strategy_catalog
+        from .quantum_link import ChannelParams
+        from .rf_protocols import ProtocolParams
 
         if self.adversary not in strategy_catalog():
             raise ConfigError(
                 f"unknown adversary {self.adversary!r}; known: {strategy_catalog()}"
             )
+        # Build the strategy once, so that parameters it rejects fail here
+        # and not in the first trial.
+        params = ProtocolParams(
+            self.m, self.t, self.delta, ChannelParams(self.epsilon, self.resolved_n())
+        )
+        try:
+            make_adversary(
+                self.adversary, self.resolved_faulty_ids(), params, **self.adversary_params
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"adversary {self.adversary!r} rejects adversary_params "
+                f"{self.adversary_params!r}: {exc}"
+            ) from exc
 
     def per_link_target(self) -> Optional[float]:
         if self.q_target is None:
@@ -126,9 +182,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = ExperimentConfig(**data)
+        cfg.validate()
         if cfg.faulty_ids is not None:
             cfg.faulty_ids = tuple(cfg.faulty_ids)
-        cfg.validate()
         return cfg
 
     @staticmethod

@@ -6,9 +6,7 @@ protocol layers carry Python float lists, on which :func:`distance` and
 :func:`dot` give the same bits as on float64 arrays without numpy scalar
 overhead.  Frames stay float64 arrays: proper rotation matrices of shape
 (3, 3) whose column k is the owner's local axis k expressed in global
-coordinates.  :func:`as_direction` / :func:`as_frame` validate either at
-construction time so that downstream protocol code can use them without
-re-checking.
+coordinates.
 
 Distances and dot products are accumulated with ``math.fsum`` so the result
 is the correctly rounded sum regardless of component order.  This makes
@@ -22,33 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-UNIT_TOL = 1e-9
-
-_IDENTITY = np.eye(3)
-
-
-def as_direction(v) -> np.ndarray:
-    """Validate and return ``v`` as a unit 3-vector (fresh float64 array)."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValueError(f"direction must have shape (3,), got {arr.shape}")
-    norm = math.sqrt(math.fsum(float(c) * float(c) for c in arr))
-    if abs(norm - 1.0) > UNIT_TOL:
-        raise ValueError(f"direction norm {norm!r} deviates from 1 by more than {UNIT_TOL}")
-    return arr.copy()
-
-
-def as_frame(basis) -> np.ndarray:
-    """Validate and return ``basis`` as a proper rotation matrix."""
-    mat = np.asarray(basis, dtype=np.float64)
-    if mat.shape != (3, 3):
-        raise ValueError(f"frame must have shape (3, 3), got {mat.shape}")
-    if not np.allclose(mat.T @ mat, _IDENTITY, atol=UNIT_TOL, rtol=0.0):
-        raise ValueError("frame basis is not orthonormal")
-    if abs(np.linalg.det(mat) - 1.0) > UNIT_TOL:
-        raise ValueError("frame basis is not a proper rotation (det != +1)")
-    return mat.copy()
 
 
 def distance(u, v) -> float:
@@ -73,21 +44,8 @@ def dot(u, v) -> float:
     return math.fsum((u[0] * v[0], u[1] * v[1], u[2] * v[2]))
 
 
-def angle_between(u, v) -> float:
-    """Angle in radians; dot clamped to [-1, 1] to survive rounding at the poles."""
-    return math.acos(min(1.0, max(-1.0, dot(u, v))))
-
-
 def angle_from_chord(d: float) -> float:
     return 2.0 * math.asin(min(1.0, max(0.0, d / 2.0)))
-
-
-def to_frame(v, frm, to) -> np.ndarray:
-    """Re-express ``v`` (coordinates in frame ``frm``) in frame ``to``.
-
-    Returns to^T (frm v): the same physical vector, new coordinates.
-    """
-    return to.T @ (frm @ np.asarray(v, dtype=np.float64))
 
 
 def to_global(v, frm) -> np.ndarray:
@@ -124,11 +82,6 @@ def random_frames(rngs) -> np.ndarray:
     improper = np.linalg.det(q) < 0.0
     q[improper, :, 2] = -q[improper, :, 2]
     return q
-
-
-def random_frame(rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform proper rotation: :func:`random_frames` of one generator."""
-    return random_frames([rng])[0]
 
 
 def rotate_about(v, axis, angle: float) -> np.ndarray:

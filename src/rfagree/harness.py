@@ -354,7 +354,7 @@ def _worker(args):
 
 
 def allowed_violation_rate(bound: float, trials: int) -> float:
-    """Default acceptance threshold: (1 - bound) plus three binomial sigmas."""
+    """The acceptance threshold: (1 - bound) plus three binomial sigmas."""
     base = 1.0 - bound
     sigma = math.sqrt(max(bound * (1.0 - bound), 0.0) / trials)
     return base + 3.0 * sigma
@@ -391,11 +391,7 @@ def run_experiment(config: ExperimentConfig):
     etas = [m.eta_emp for m in metrics_list if m.eta_emp is not None]
     q_link = ted_success_bound(n, config.delta)
     bound = q_link ** success_exponent("overall_strict", config.m, config.t)
-    allowed = (
-        config.max_violation_rate
-        if config.max_violation_rate is not None
-        else allowed_violation_rate(bound, config.trials)
-    )
+    allowed = allowed_violation_rate(bound, config.trials)
     trial_times.sort()
 
     def percentile(q):

@@ -140,24 +140,6 @@ def prepare_message(msg: QuantumMessage, sender_frame: np.ndarray, params: Chann
         return None
 
 
-def deliver_quantum(
-    msg: QuantumMessage,
-    sender_frame: np.ndarray,
-    receiver_frame: np.ndarray,
-    params: ChannelParams,
-    rng: np.random.Generator,
-):
-    """Physically deliver a quantum message; returns a tally or None.
-
-    The wire payload is in sender-local coordinates; malformed payloads
-    (bad counts, over-long Bloch vectors) degrade to an absent message, so a
-    faulty sender gains nothing from breaking the format.  One link of what
-    :meth:`RoundEngine.run_round` does for a whole round.
-    """
-    cells = prepare_message(msg, sender_frame, params)
-    return None if cells is None else measure_batch(cells, frame_axes(receiver_frame), params, rng)
-
-
 def _symbol(payload):
     """``payload`` as a delivered classical symbol: a Python ``int``, not a ``bool``; else None."""
     return payload if isinstance(payload, int) and not isinstance(payload, bool) else None
@@ -196,23 +178,18 @@ class RoundEngine:
     def node_rng(self, node: int) -> np.random.Generator:
         return substream(self.master_seed, self.trial, 1 + self.round_index, node, node)
 
-    def link_rng(self, sender: int, receiver: int) -> np.random.Generator:
-        return substream(self.master_seed, self.trial, 1 + self.round_index, sender, receiver)
-
     def adversary_stream(self) -> tuple:
         """The :func:`substream` arguments of this round's adversary stream."""
         return (self.master_seed, self.trial, 1 + self.round_index, self.m, 0)
 
-    def adversary_rng(self) -> np.random.Generator:
-        return substream(*self.adversary_stream())
-
     def _fast_link_rng(self, sender: int, receiver: int) -> np.random.Generator:
-        """Same stream as :meth:`link_rng` without per-call construction.
+        """This round's stream for link (sender, receiver), without per-call construction.
 
-        Rewinds the engine's one Philox instance, whose key is the trial's,
-        to the link's counter, which is an order of magnitude cheaper; only
-        for engine-internal draws that are fully consumed before the next
-        rewind.
+        The same stream as ``substream(master_seed, trial, 1 + round_index,
+        sender, receiver)``: it rewinds the engine's one Philox instance,
+        whose key is the trial's, to the link's counter, which is an order
+        of magnitude cheaper; only for engine-internal draws that are fully
+        consumed before the next rewind.
         """
         bits, gen, state = self._link_philox
         state["state"]["counter"][:] = (0, 1 + self.round_index, sender, receiver)

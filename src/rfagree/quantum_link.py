@@ -28,8 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import dot
-
 BLOCH_TOL = 1e-9
 
 #: Sentinel direction (receiver-local coordinates) for degenerate or missing
@@ -92,23 +90,8 @@ class MeasurementTally(NamedTuple):
     n: int
 
 
-def depolarize(state, epsilon: float) -> np.ndarray:
-    """Bloch vector after the depolarizing channel: shrink by (1 - epsilon)."""
-    return (1.0 - epsilon) * np.asarray(state, dtype=np.float64)
-
-
-def outcome_probability(state, axis) -> float:
-    """P(+1) for a Pauli measurement along ``axis`` on Bloch vector ``state``.
-
-    Equals (1 + r.axis)/2 = cos^2(theta/2) for pure states at angle theta.
-    Both vectors must be expressed in the same frame.
-    """
-    p = 0.5 * (1.0 + dot(state, axis))
-    return min(1.0, max(0.0, p))
-
-
 def link_cells(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelParams) -> list:
-    """Rotate, check and depolarize ``msg`` into its measurement cells, in one pass.
+    """Rotate, check and add channel noise to ``msg``: its measurement cells, in one pass.
 
     The one definition of a well-formed wire message.  Each segment's state,
     in ``sender_frame`` coordinates, is rotated to global ones and must be a
@@ -124,8 +107,9 @@ def link_cells(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelPar
     may change between deliveries.
     """
     n = params.n
-    # depolarize() spelt out on Python floats: the same IEEE products, so
-    # the same bits, without numpy scalar overhead.
+    # The depolarizing channel, a shrink by (1 - epsilon), on Python floats:
+    # the same IEEE products as on float64 arrays (tests/helpers.depolarize),
+    # so the same bits, without numpy scalar overhead.
     shrink = 1.0 - params.epsilon
     cells = []
     start = 0
@@ -169,7 +153,8 @@ def measure_batch(
     cell contributes one binomial draw, which matches the per-qubit
     Bernoulli law exactly.
     """
-    # outcome_probability() spelt out on Python floats, as in link_cells.
+    # P(+1) = (1 + r.axis)/2 on Python floats, clamped to [0, 1], as
+    # tests/helpers.outcome_probability computes it on arrays.
     # (A batched einsum rounds differently: it changes about one outcome
     # probability in ten in its last bit.)
     counts = [0, 0, 0]

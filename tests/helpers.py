@@ -1,4 +1,10 @@
-"""Shared test machinery: exhaustive consensus enumeration, rotations and oracles."""
+"""Shared test machinery: exhaustive consensus enumeration, rotations and oracles.
+
+The reference paths and checkers that no run needs live here too: one-link
+delivery, the per-link and adversary streams built from scratch, an all-honest
+phase-king run over inbox lists, the array forms of the channel and the
+outcome probability, and validating direction and frame constructors.
+"""
 
 import itertools
 import json
@@ -12,15 +18,15 @@ from rfagree.classical_consensus import (
     VALUE_ROUND,
     PhaseKingNode,
     coerce_bit,
-    coerce_claim,
-    symbol_counts,
+    rounds_for,
 )
 from rfagree.config import ExperimentConfig
-from rfagree.geometry import distance, dot
+from rfagree.geometry import distance, dot, random_frames
 from rfagree.harness import compute_metrics, quantum_links, trial_record, transcript_records
-from rfagree.netsim import QUANTUM_STEPS
+from rfagree.netsim import QUANTUM_STEPS, prepare_message, substream
 from rfagree.quantum_link import (
     BLOCH_TOL,
+    ChannelParams,
     QuantumMessage,
     _is_count,
     frame_axes,
@@ -31,6 +37,125 @@ from rfagree.quantum_link import (
 #: Per-criterion verdict lines collected by the acceptance suite; printed in
 #: the terminal summary so they survive output capture.
 ACCEPTANCE_LINES = []
+
+UNIT_TOL = 1e-9
+
+_IDENTITY = np.eye(3)
+
+
+def as_direction(v) -> np.ndarray:
+    """Validate and return ``v`` as a unit 3-vector (fresh float64 array)."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.shape != (3,):
+        raise ValueError(f"direction must have shape (3,), got {arr.shape}")
+    norm = math.sqrt(math.fsum(float(c) * float(c) for c in arr))
+    if abs(norm - 1.0) > UNIT_TOL:
+        raise ValueError(f"direction norm {norm!r} deviates from 1 by more than {UNIT_TOL}")
+    return arr.copy()
+
+
+def as_frame(basis) -> np.ndarray:
+    """Validate and return ``basis`` as a proper rotation matrix."""
+    mat = np.asarray(basis, dtype=np.float64)
+    if mat.shape != (3, 3):
+        raise ValueError(f"frame must have shape (3, 3), got {mat.shape}")
+    if not np.allclose(mat.T @ mat, _IDENTITY, atol=UNIT_TOL, rtol=0.0):
+        raise ValueError("frame basis is not orthonormal")
+    if abs(np.linalg.det(mat) - 1.0) > UNIT_TOL:
+        raise ValueError("frame basis is not a proper rotation (det != +1)")
+    return mat.copy()
+
+
+def angle_between(u, v) -> float:
+    """Angle in radians; dot clamped to [-1, 1] to survive rounding at the poles."""
+    return math.acos(min(1.0, max(-1.0, dot(u, v))))
+
+
+def to_frame(v, frm, to) -> np.ndarray:
+    """Re-express ``v`` (coordinates in frame ``frm``) in frame ``to``.
+
+    Returns to^T (frm v): the same physical vector, new coordinates.
+    """
+    return to.T @ (frm @ np.asarray(v, dtype=np.float64))
+
+
+def random_frame(rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform proper rotation: ``random_frames`` of one generator."""
+    return random_frames([rng])[0]
+
+
+def depolarize(state, epsilon: float) -> np.ndarray:
+    """Bloch vector after the depolarizing channel: shrink by (1 - epsilon)."""
+    return (1.0 - epsilon) * np.asarray(state, dtype=np.float64)
+
+
+def outcome_probability(state, axis) -> float:
+    """P(+1) for a Pauli measurement along ``axis`` on Bloch vector ``state``.
+
+    Equals (1 + r.axis)/2 = cos^2(theta/2) for pure states at angle theta.
+    Both vectors must be expressed in the same frame.
+    """
+    p = 0.5 * (1.0 + dot(state, axis))
+    return min(1.0, max(0.0, p))
+
+
+def deliver_quantum(
+    msg: QuantumMessage,
+    sender_frame: np.ndarray,
+    receiver_frame: np.ndarray,
+    params: ChannelParams,
+    rng: np.random.Generator,
+):
+    """Physically deliver a quantum message; returns a tally or None.
+
+    The wire payload is in sender-local coordinates; malformed payloads
+    (bad counts, over-long Bloch vectors) degrade to an absent message, so a
+    faulty sender gains nothing from breaking the format.  One link of what
+    ``RoundEngine.run_round`` does for a whole round.
+    """
+    cells = prepare_message(msg, sender_frame, params)
+    return None if cells is None else measure_batch(cells, frame_axes(receiver_frame), params, rng)
+
+
+def link_rng(engine, sender: int, receiver: int) -> np.random.Generator:
+    """A fresh generator for the engine's current round on link (sender, receiver)."""
+    return substream(engine.master_seed, engine.trial, 1 + engine.round_index, sender, receiver)
+
+
+def adversary_rng(engine) -> np.random.Generator:
+    """A fresh generator for the engine's current-round adversary stream."""
+    return substream(*engine.adversary_stream())
+
+
+def coerce_claim(value) -> int:
+    return value if value in (0, 1) else NO_CLAIM
+
+
+def symbol_counts(received, node_id: int) -> tuple:
+    """(zeros, ones) of a length-m inbox, the node's own slot left out.
+
+    A slot counts as a 0 or a 1 when it equals one, so absent (None) and
+    malformed symbols count as neither, as ``coerce_bit`` and
+    :func:`coerce_claim` read them.
+    """
+    zeros = ones = 0
+    for j, value in enumerate(received):
+        if j != node_id:
+            if value == 1:
+                ones += 1
+            elif value == 0:
+                zeros += 1
+    return zeros, ones
+
+
+def run_all_honest(m: int, t: int, inputs) -> list:
+    """Reference run with every node honest; handy for smoke checks."""
+    nodes = [PhaseKingNode(i, m, t, inputs[i]) for i in range(m)]
+    for r in range(rounds_for(t)):
+        slot = [node.payload(r) for node in nodes]
+        for node in nodes:
+            node.absorb(r, *symbol_counts(slot, node.node_id))
+    return [node.output() for node in nodes]
 
 
 def run_consensus_phase(m, t, phase, values, faulty_id, choice):

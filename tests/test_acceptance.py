@@ -21,8 +21,6 @@ from rfagree.netsim import substream
 from rfagree.quantum_link import (
     ChannelParams,
     QuantumMessage,
-    depolarize,
-    outcome_probability,
     ted_accuracy_bound,
     ted_receive,
     ted_success_bound,
@@ -30,9 +28,12 @@ from rfagree.quantum_link import (
 
 from helpers import (
     ACCEPTANCE_LINES,
+    depolarize,
     exhaustive_consensus_check,
     measure,
     octahedral_rotations,
+    outcome_probability,
+    random_frame,
     transcript_signature,
 )
 
@@ -393,8 +394,6 @@ def test_criterion_9b_generic_rotation_tolerance():
     base_frames = trial_frames(config.master_seed, 0, config.m)
     _, base_metrics, _ = run_trial(config, 0, frames=base_frames)
     rng = np.random.default_rng(3)
-    from rfagree.geometry import random_frame
-
     deltas = []
     for _ in range(5):
         rot = random_frame(rng)

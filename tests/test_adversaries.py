@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from rfagree.adversaries import make_adversary, strategy_catalog
-from rfagree.geometry import random_frame
 from rfagree.quantum_link import ChannelParams
 from rfagree.rf_protocols import ProtocolParams, run_rf_consensus
 
-from helpers import result_metrics, transcript_signature
+from helpers import random_frame, result_metrics, transcript_signature
 
 
 def params_for(m, t, n=20000, delta=0.05, epsilon=0.0):

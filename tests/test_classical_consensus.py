@@ -9,15 +9,19 @@ from rfagree.classical_consensus import (
     NO_CLAIM,
     PhaseKingNode,
     coerce_bit,
-    coerce_claim,
     rounds_for,
-    run_all_honest,
-    symbol_counts,
 )
 from rfagree.netsim import CLASSICAL_ROUND, RoundStep
 from rfagree.rf_protocols import absorb_round
 
-from helpers import phase_choices, reference_absorb, run_consensus_phase
+from helpers import (
+    coerce_claim,
+    phase_choices,
+    reference_absorb,
+    run_all_honest,
+    run_consensus_phase,
+    symbol_counts,
+)
 
 
 def test_rounds_for():

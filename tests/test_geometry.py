@@ -4,18 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfagree.geometry import (
-    angle_between,
-    any_orthogonal,
-    as_direction,
-    as_frame,
-    distance,
-    random_direction,
-    random_frame,
-    rotate_about,
-    to_frame,
-    to_global,
-)
+from rfagree.geometry import any_orthogonal, distance, random_direction, rotate_about, to_global
+
+from helpers import angle_between, as_direction, as_frame, random_frame, to_frame
 
 TOL = 1e-9
 

@@ -23,9 +23,10 @@ from rfagree.harness import (
     trial_frames,
     verify_records,
 )
-from rfagree.geometry import random_frame
 from rfagree.netsim import QUANTUM_STEPS, substream
 from rfagree.quantum_link import MeasurementTally, QuantumMessage, ted_success_bound
+
+from helpers import random_frame
 
 
 def small_config(**overrides):
@@ -562,6 +563,44 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", "--config", str(bad)]) == 2
 
 
+NOISY_CHANNEL = os.path.join(os.path.dirname(__file__), "..", "configs", "noisy_channel.json")
+
+#: One field of configs/noisy_channel.json changed to a value of the wrong
+#: type or a non-finite number (the equivocator case changes two).
+MALFORMED_CONFIGS = {
+    "delta-nan": {"delta": float("nan")},
+    "delta-inf": {"delta": float("inf")},
+    "n-float": {"n": 1000.0},
+    "faulty-ids-bool": {"faulty_ids": [True]},
+    "write-transcript-str": {"write_transcript": "no"},
+    "m-str": {"m": "7"},
+    "m-float": {"m": 7.0},
+    "trials-float": {"trials": 2.5},
+    "jobs-str": {"jobs": "2"},
+    "out-dir-int": {"out_dir": 5},
+    "adversary-params-list": {"adversary_params": [1]},
+    "adversary-params-unknown": {"adversary_params": {"bogus": 1}},
+    "equivocator-separation": {"adversary": "equivocator", "adversary_params": {"separation": 3}},
+    "removed-max-violation-rate": {"max_violation_rate": 0.5},
+}
+
+
+@pytest.mark.parametrize("change", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_cli_run_rejects_malformed_config(tmp_path, capsys, change):
+    with open(NOISY_CHANNEL) as fh:
+        data = json.load(fh)
+    data.update(trials=1, out_dir=str(tmp_path / "out"))
+    data.update(change)
+    path = tmp_path / "cfg.json"
+    # json writes NaN and Infinity as it reads them.
+    path.write_text(json.dumps(data))
+    code = cli_main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error:" in err
+    assert "Traceback" not in err
+
+
 def test_cli_verify(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = small_config(out_dir=str(out), write_transcript=True)
@@ -635,6 +674,18 @@ def test_cli_sweep(tmp_path, capsys):
     assert code == 0
     report = (tmp_path / "sweep" / "report.csv").read_text().splitlines()
     assert len(report) == 3  # header + 2 combos
+
+    # A config sized by q_target: setting n clears q_target, on both paths.
+    sized = tmp_path / "sized.json"
+    small_config(trials=1, n=None, q_target=0.999).save(sized)
+    out = tmp_path / "sized_sweep"
+    code = cli_main(["sweep", "--config", str(sized), "--out", str(out), "--set", "n=5000,20000"])
+    assert code == 0
+    report = (out / "report.csv").read_text().splitlines()
+    assert len(report) == 3
+    assert [row.split(",")[2] for row in report[1:]] == ["5000", "20000"]
+    code = cli_main(["run", "--config", str(sized), "--n", "5000", "--out", str(tmp_path / "run")])
+    assert code == 0
 
 
 def test_run_trial_with_explicit_frames():

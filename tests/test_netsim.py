@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rfagree import netsim
-from rfagree.geometry import distance, random_direction, random_frame, to_global
+from rfagree.geometry import distance, random_direction, to_global
 from rfagree.harness import transcript_records, trial_frames
 from rfagree.netsim import (
     CLASSICAL_ROUND,
@@ -15,14 +15,20 @@ from rfagree.netsim import (
     AuthenticationError,
     RoundEngine,
     RoundStep,
-    deliver_quantum,
     substream,
 )
 from rfagree.quantum_link import ChannelParams, QuantumMessage, ted_receive
 from rfagree.rf_protocols import ProtocolParams, run_rf_consensus
 from rfagree.adversaries import Rusher, make_adversary
 
-from helpers import reference_link_cells, transcript_signature
+from helpers import (
+    adversary_rng,
+    deliver_quantum,
+    link_rng,
+    random_frame,
+    reference_link_cells,
+    transcript_signature,
+)
 
 
 def make_engine(m=4, n=1000, epsilon=0.0, seed=5, trial=0):
@@ -249,7 +255,7 @@ def test_fast_link_rng_matches_link_rng(round_index):
 
     for sender, receiver in [(0, 1), (4, 2), (1, 0), (3, 4)]:
         fast = draws(engine._fast_link_rng(sender, receiver))
-        assert fast == draws(engine.link_rng(sender, receiver))
+        assert fast == draws(link_rng(engine, sender, receiver))
 
 
 def test_numpy_integer_classical_symbol_is_absent():
@@ -412,7 +418,9 @@ def test_engine_tallies_equal_per_link_reference(seed):
                 if r != s:
                     payload = emitted[(s, r)] if s in faulty else honest[s]
                     expected[(s, r)] = (
-                        deliver_quantum(payload, frames[s], frames[r], engine.channel, engine.link_rng(s, r))
+                        deliver_quantum(
+                            payload, frames[s], frames[r], engine.channel, link_rng(engine, s, r)
+                        )
                         if isinstance(payload, QuantumMessage)
                         else None
                     )
@@ -483,7 +491,7 @@ def test_classical_deliveries_equal_per_slot_reference(seed):
 def test_view_rng_is_the_adversary_stream_built_on_first_read(monkeypatch):
     engine, _ = make_engine(m=4)
     engine.round_index = 3
-    expected = engine.adversary_rng().random(4).tolist()
+    expected = adversary_rng(engine).random(4).tolist()
     philox = counting(monkeypatch, np.random, "Philox")
     views = []
 

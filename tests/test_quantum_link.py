@@ -4,23 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfagree.geometry import distance, random_direction, random_frame, to_global
+from rfagree.geometry import distance, random_direction, to_global
 from rfagree.netsim import substream
 from rfagree.quantum_link import (
     SENTINEL,
     ChannelParams,
     MeasurementTally,
     QuantumMessage,
-    depolarize,
     link_cells,
-    outcome_probability,
     required_qubits,
     ted_accuracy_bound,
     ted_receive,
     ted_success_bound,
 )
 
-from helpers import measure, octahedral_rotations
+from helpers import depolarize, measure, octahedral_rotations, outcome_probability, random_frame
 
 
 def test_depolarize_noiseless_identity():

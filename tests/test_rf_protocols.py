@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rfagree.geometry import distance, random_direction, random_frame, to_global
+from rfagree.geometry import distance, random_direction, to_global
 from rfagree.quantum_link import ChannelParams
 from rfagree.rf_protocols import (
     ProtocolParams,
@@ -11,7 +11,7 @@ from rfagree.rf_protocols import (
 )
 from rfagree.adversaries import make_adversary
 
-from helpers import reference_graded_consensus, result_metrics
+from helpers import random_frame, reference_graded_consensus, result_metrics
 
 
 Z = np.array([0.0, 0.0, 1.0])

@@ -1,0 +1,60 @@
+"""``src/`` holds what a run uses: every definition there has a caller outside the tests."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rfagree"
+CALLERS = ("scripts", "perfbench")
+
+
+def loaded_names(tree, skip=None) -> set:
+    """Names read in ``tree``, as ``name`` or ``obj.name``, outside the subtree ``skip``."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def unused_definitions() -> list:
+    """``module.name`` of each top-level function or class that nothing outside tests loads.
+
+    A name counts as used when some module of the package other than
+    ``__init__.py`` loads it outside its own definition, or when a file
+    under ``scripts/`` or ``perfbench/`` loads it.
+    """
+    modules = {
+        path: parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+    }
+    callers = set()
+    for folder in CALLERS:
+        for path in sorted((ROOT / folder).glob("*.py")):
+            callers |= loaded_names(parse(path))
+    unused = []
+    for path, tree in modules.items():
+        elsewhere = set(callers)
+        for other, other_tree in modules.items():
+            if other != path:
+                elsewhere |= loaded_names(other_tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name not in elsewhere and node.name not in loaded_names(tree, skip=node):
+                    unused.append(f"{path.stem}.{node.name}")
+    return unused
+
+
+def test_every_src_definition_has_a_caller_outside_tests():
+    # Reference paths and checkers that only tests call belong in tests/helpers.py.
+    assert unused_definitions() == []
