@@ -168,8 +168,16 @@ class RoundEngine:
         # Per receiver: its axes for measure_batch; per sender: its slots.
         self._axes = [frame_axes(frame) for frame in self.frames]
         self._slots = [tuple((s, r) for r in range(self.m) if r != s) for s in range(self.m)]
+        # The link rewind's state dict holds plain lists, which the Philox
+        # state setter indexes several times faster than the arrays that
+        # ``state`` returns.  The key is read back from a Philox keyed as
+        # substream keys it, so it is the same words.  The buffer is empty
+        # (``buffer_pos`` 4), so its words are never read.
         bits = np.random.Philox(key=[self.master_seed & _MASK64, self.trial & _MASK64])
-        self._link_philox = (bits, np.random.Generator(bits), bits.state)
+        state = bits.state
+        state["state"] = {"counter": [0, 0, 0, 0], "key": state["state"]["key"].tolist()}
+        state["buffer"] = [0, 0, 0, 0]
+        self._link_philox = (bits, np.random.Generator(bits), state)
 
     # Counter word c1 tags the purpose: 0 for setup draws (the frames, see
     # harness.trial_frames), 1 + round for per-round streams.  c2/c3 carry
@@ -192,9 +200,7 @@ class RoundEngine:
         consumed before the next rewind.
         """
         bits, gen, state = self._link_philox
-        state["state"]["counter"][:] = (0, 1 + self.round_index, sender, receiver)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
+        state["state"]["counter"] = [0, 1 + self.round_index, sender, receiver]
         bits.state = state
         return gen
 

@@ -154,14 +154,19 @@ def measure_batch(
     Bernoulli law exactly.
     """
     # P(+1) = (1 + r.axis)/2 on Python floats, clamped to [0, 1], as
-    # tests/helpers.outcome_probability computes it on arrays.
-    # (A batched einsum rounds differently: it changes about one outcome
-    # probability in ten in its last bit.)
+    # tests/helpers.outcome_probability computes it on arrays; by
+    # comparisons, since link_cells lets no NaN through.  (A batched einsum
+    # rounds differently: it changes about one outcome probability in ten
+    # in its last bit.)  ``binomial`` of scalars returns a Python int.
     counts = [0, 0, 0]
     for a, count, x, y, z in cells:
         ax, ay, az = receiver_axes[a]
         p = 0.5 * (1.0 + math.fsum((x * ax, y * ay, z * az)))
-        counts[a] += int(rng.binomial(count, min(1.0, max(0.0, p))))
+        if p > 1.0:
+            p = 1.0
+        elif p < 0.0:
+            p = 0.0
+        counts[a] += rng.binomial(count, p)
     return MeasurementTally(counts[0], counts[1], counts[2], params.n)
 
 

@@ -238,11 +238,23 @@ def test_non_finite_faulty_state_becomes_absent(state):
     assert deliveries == crashed
 
 
-@pytest.mark.parametrize("round_index", [0, 1, 17])
-def test_fast_link_rng_matches_link_rng(round_index):
+@pytest.mark.parametrize(
+    "seed,trial,round_index",
+    [
+        (2**40 + 3, 6, 0),
+        (2**40 + 3, 6, 1),
+        (2**40 + 3, 6, 17),
+        # Seed and trial past 64 bits: the rewind's key must be masked as
+        # substream masks it.
+        (2**64 + 3, 2**64 + 6, 17),
+        (2**70 + 5, 2**65, 2**40),
+        (2**63 + 1, 2**64 + 2**63 + 5, 3),
+    ],
+)
+def test_fast_link_rng_matches_link_rng(seed, trial, round_index):
     # The fast path writes into Philox's internal state dict; this pins it
     # to the documented per-link stream so a numpy change cannot drift it.
-    engine, _ = make_engine(m=5, seed=2**40 + 3, trial=6)
+    engine, _ = make_engine(m=5, seed=seed, trial=trial)
     engine.round_index = round_index
 
     def draws(gen):

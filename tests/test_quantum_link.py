@@ -88,6 +88,28 @@ def test_measure_batch_thirds_partition_two_segments():
         assert tally.k_z == 0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["aligned", "anti-aligned"])
+def test_measure_batch_clamps_outcome_probability(sign):
+    # |r| = 1 + 1e-9 passes link_cells (BLOCH_TOL), and along a receiver
+    # axis it puts P(+1) just above 1 (aligned) or just below 0 (anti-
+    # aligned).  The draws must equal those at the reference's clamped
+    # probability.  The octahedral frame keeps the axes exact.
+    n = 1000
+    params = ChannelParams(epsilon=0.0, n=n)
+    frame = octahedral_rotations()[5]
+    axes = frame.T
+    for a in range(3):
+        state = sign * (1.0 + 1e-9) * axes[a]
+        raw = 0.5 * (1.0 + float(state @ axes[a]))
+        assert raw > 1.0 if sign > 0 else raw < 0.0
+        tally = measure(QuantumMessage.uniform(state, n), frame, params, np.random.default_rng(a))
+        rng = np.random.default_rng(a)
+        expected = [int(rng.binomial(n, outcome_probability(state, axis))) for axis in axes]
+        assert list(tally[:3]) == expected
+        assert tally[a] == (n if sign > 0 else 0)
+        assert all(type(k) is int for k in tally)
+
+
 def test_measure_batch_rejects_count_mismatch():
     params = ChannelParams(epsilon=0.0, n=10)
     bad = QuantumMessage(((np.array([0.0, 0.0, 1.0]), 29),))
