@@ -38,6 +38,22 @@ class Adversary:
         raise NotImplementedError
 
 
+def _per_sender(slots, message_of) -> dict:
+    """{slot: message_of(sender)} with one message per sender of ``slots``.
+
+    A sender's slots share its one message object, so the engine prepares
+    it once, as it does a correct sender's.
+    """
+    messages = {}
+    out = {}
+    for slot in slots:
+        sender = slot[0]
+        if sender not in messages:
+            messages[sender] = message_of(sender)
+        out[slot] = messages[sender]
+    return out
+
+
 def _king_estimates(previous, receivers) -> dict:
     """Estimates (local coords) that ``receivers`` took from the king broadcast.
 
@@ -117,7 +133,9 @@ class Equivocator(Adversary):
     from the receiver's cluster as a random direction does and reinforce
     nothing.  In phases with an honest king the faulty nodes send their
     estimates of the king's direction, as correct nodes would, so every
-    phase stays well formed.  Faulty flags and symbols are always 1.
+    phase stays well formed.  Faulty flags and symbols are always 1.  Each
+    cluster, and each faulty sender's estimate, is one message object shared
+    by the slots that carry it.
     """
 
     name = "equivocator"
@@ -141,23 +159,23 @@ class Equivocator(Adversary):
                 other = rotate_about(
                     base, any_orthogonal(base), angle_from_chord(self.separation)
                 )
+                self._base = QuantumMessage.uniform(base, n)
+                second = QuantumMessage.uniform(other, n)
                 receivers = sorted(r for _, r in slots)
                 half = len(receivers) // 2
                 for idx, r in enumerate(receivers):
-                    self._clusters[r] = base if idx < half else other
-                self._base = base
+                    self._clusters[r] = self._base if idx < half else second
                 for slot in slots:
-                    out[slot] = QuantumMessage.uniform(self._clusters[slot[1]], n)
+                    out[slot] = self._clusters[slot[1]]
         elif step.kind == DIRECTION_EXCHANGE:
             if self._clusters:
                 for slot in slots:
-                    d = self._clusters.get(slot[1], self._base)
-                    out[slot] = QuantumMessage.uniform(d, n)
+                    out[slot] = self._clusters.get(slot[1], self._base)
             else:
                 estimates = _king_estimates(view.previous, self.faulty_set)
-                for slot in slots:
-                    d = estimates.get(slot[0], SENTINEL)
-                    out[slot] = QuantumMessage.uniform(d, n)
+                out = _per_sender(
+                    slots, lambda s: QuantumMessage.uniform(estimates.get(s, SENTINEL), n)
+                )
         else:  # flags and classical symbols
             for slot in slots:
                 out[slot] = 1
@@ -186,13 +204,13 @@ class GradePoisoner(Adversary):
                     out[slot] = msg
         elif step.kind == DIRECTION_EXCHANGE:
             estimates = _king_estimates(view.previous, self.faulty_set)
-            for slot in slots:
-                s = slot[0]
+
+            def message_of(s):
                 if s == step.king_id and self._king_direction is not None:
-                    d = self._king_direction
-                else:
-                    d = estimates.get(s, SENTINEL)
-                out[slot] = QuantumMessage.uniform(d, n)
+                    return QuantumMessage.uniform(self._king_direction, n)
+                return QuantumMessage.uniform(estimates.get(s, SENTINEL), n)
+
+            out = _per_sender(slots, message_of)
         elif step.kind == FLAG_EXCHANGE:
             for slot in slots:
                 out[slot] = 1

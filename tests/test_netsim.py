@@ -444,14 +444,15 @@ def test_engine_tallies_equal_per_link_reference(seed):
 def test_link_cells_independent_of_frame_layout(monkeypatch):
     # The engine takes the frames as one C-ordered array, so a Fortran-
     # ordered copy of the same frames rotates every message with the same
-    # bits (``@`` picks its BLAS kernel by memory layout).
+    # bits (``@`` picks its BLAS kernel by memory layout).  random-noise
+    # sends a new message on every faulty slot, so many are prepared.
     cells = counting_results(monkeypatch, netsim, "link_cells")
     params = ProtocolParams(m=7, t=2, delta=0.05, channel=ChannelParams(epsilon=0.1, n=5000))
     frames = trial_frames(3, 0, params.m)
     runs = []
     for layout in (frames, [np.asfortranarray(f) for f in frames]):
         cells.clear()
-        adversary = make_adversary("grade-poisoner", (5, 6), params)
+        adversary = make_adversary("random-noise", (5, 6), params)
         run_rf_consensus(params, layout, (5, 6), adversary, master_seed=3)
         runs.append(list(cells))
     assert len(runs[0]) > 40
