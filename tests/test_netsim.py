@@ -241,14 +241,16 @@ def test_non_finite_faulty_state_becomes_absent(state):
 @pytest.mark.parametrize(
     "seed,trial,round_index",
     [
-        (2**40 + 3, 6, 0),
-        (2**40 + 3, 6, 1),
-        (2**40 + 3, 6, 17),
+        pytest.param(2**40 + 3, 6, 0, id="0"),
+        pytest.param(2**40 + 3, 6, 1, id="1"),
+        pytest.param(2**40 + 3, 6, 17, id="17"),
         # Seed and trial past 64 bits: the rewind's key must be masked as
         # substream masks it.
-        (2**64 + 3, 2**64 + 6, 17),
-        (2**70 + 5, 2**65, 2**40),
-        (2**63 + 1, 2**64 + 2**63 + 5, 3),
+        pytest.param(2**64 + 3, 2**64 + 6, 17, id="seed-trial-past-64-bits"),
+        pytest.param(2**70 + 5, 2**65, 2**40, id="round-2**40"),
+        # A key word above 2**63, which substream's Philox reads through a
+        # float64 array: the rewind must use the words it ends up with.
+        pytest.param(2**63 + 1, 2**64 + 2**63 + 5, 3, id="key-word-above-2**63"),
     ],
 )
 def test_fast_link_rng_matches_link_rng(seed, trial, round_index):
