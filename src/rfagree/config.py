@@ -115,6 +115,11 @@ class ExperimentConfig:
             raise ConfigError(f"q_target must be in (0, 1), got {self.q_target}")
         if self.q_target_scope not in _SCOPES:
             raise ConfigError(f"q_target_scope must be one of {_SCOPES}")
+        if self.q_target is not None and not self.per_link_target() < 1.0:
+            raise ConfigError(
+                f"q_target {self.q_target!r} at scope {self.q_target_scope!r} rounds to "
+                "a per-link target of 1.0, which no n reaches"
+            )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:

@@ -336,7 +336,7 @@ def transcript_records(trial: int, transcript) -> list:
                 None if t is None else [t.k_x, t.k_y, t.k_z, t.n] for t in rnd.deliveries.values()
             ]
         else:
-            rec["symbols"] = list(rnd.deliveries.values())
+            rec["symbols"] = rnd.deliveries.values()
         records.append(rec)
     return records
 

@@ -29,7 +29,11 @@ independent of how the hidden global frame is oriented.
 The engine writes each resolved round down once, as a :class:`Round` of its
 step, deliveries and wire payloads; the adversary's view of the previous
 round is the last of them, and the estimation oracle and the transcript
-export read them all.
+export read them all.  A quantum round keeps one tally per link.  A
+classical round is kept per sender (:class:`ClassicalDeliveries`): an honest
+sender's symbol once, checked once, and only faulty senders' symbols per
+slot; phase king counts it that way (``rf_protocols.absorb_round``), and the
+per-slot view the transcript export reads is derived from it in one place.
 
 Randomness is derived per (trial, round, sender, receiver) from counter-based
 Philox streams, so replays are stable: adding adversary draws or reordering
@@ -39,6 +43,8 @@ queries can never shift honest randomness.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -72,18 +78,65 @@ class RoundStep(NamedTuple):
     senders: tuple
 
 
+class ClassicalDeliveries(Mapping):
+    """A classical round's deliveries, held per sender; read as {slot: symbol}.
+
+    ``honest`` maps each correct sender of the round to the one symbol all
+    of its receivers got, and ``faulty`` maps each slot of a faulty sender
+    to what that slot delivered; a symbol is None where it was absent or
+    malformed.  As a mapping it is the per-slot view, the one derivation of
+    it: slots run sender-major over ``senders``, each to every other node in
+    ascending order (``slots[s]``), as in a quantum round's dict.
+    """
+
+    __slots__ = ("senders", "slots", "honest", "faulty")
+
+    def __init__(self, senders: tuple, slots: list, honest: dict, faulty: dict):
+        self.senders = senders
+        self.slots = slots
+        self.honest = honest
+        self.faulty = faulty
+
+    def __getitem__(self, slot):
+        sender, receiver = slot
+        if sender in self.honest and receiver != sender and receiver in range(len(self.slots)):
+            return self.honest[sender]
+        return self.faulty[slot]
+
+    def __iter__(self):
+        for sender in self.senders:
+            yield from self.slots[sender]
+
+    def __len__(self):
+        return len(self.senders) * (len(self.slots) - 1)
+
+    def values(self) -> list:
+        """Every slot's symbol in slot order, as a new list."""
+        width = len(self.slots) - 1
+        out = []
+        for sender in self.senders:
+            if sender in self.honest:
+                out += [self.honest[sender]] * width
+            else:
+                out += [self.faulty[slot] for slot in self.slots[sender]]
+        return out
+
+
 class Round(NamedTuple):
     """One resolved round: what every slot of ``step`` carried and delivered.
 
     ``payloads[slot]`` is the wire payload (a message in sender-local
     coordinates, or a symbol) and ``deliveries[slot]`` what the receiver got
     (a tally, or the symbol); both are None exactly where the slot was absent
-    or malformed.
+    or malformed.  A quantum round keeps both as dicts, one entry per slot.
+    A classical round keeps one :class:`ClassicalDeliveries` as both, since
+    a delivered symbol is its own wire payload: it holds an honest sender's
+    symbol once, and per slot only what faulty senders sent.
     """
 
     step: RoundStep
-    deliveries: dict
-    payloads: dict
+    deliveries: Mapping
+    payloads: Mapping
 
 
 @dataclass
@@ -204,7 +257,7 @@ class RoundEngine:
         bits.state = state
         return gen
 
-    def run_round(self, step: RoundStep, honest_payloads: dict, faulty_set, adversary) -> dict:
+    def run_round(self, step: RoundStep, honest_payloads: dict, faulty_set, adversary) -> Mapping:
         """Resolve every slot of ``step``; returns {(sender, receiver): delivery}.
 
         Slots run sender-major over ``step.senders``, each to every other
@@ -216,12 +269,14 @@ class RoundEngine:
         absent or malformed messages.  A classical symbol must be a Python
         ``int`` (not ``bool``); anything else, numpy integers included, is
         delivered as absent.  The resolved round is appended to
-        ``transcript`` as one :class:`Round`.
+        ``transcript`` as one :class:`Round`, whose ``deliveries`` this
+        returns: a dict for a quantum round, a :class:`ClassicalDeliveries`
+        for a classical one.
 
         Work that depends on the payload alone runs once per sender and
-        payload: an honest symbol is checked once, and a quantum message
-        taken through ``link_cells`` once; measurement and its draws run
-        per link.
+        payload: an honest symbol is checked and stored once, and a quantum
+        message taken through ``link_cells`` once; measurement and its
+        draws run per link, and faulty symbols per slot.
         """
         faulty_payloads = {}
         if faulty_set:
@@ -242,7 +297,9 @@ class RoundEngine:
                 node_rng=faulty_node_rng,
             )
             faulty_slots = tuple(
-                slot for s in step.senders if s in faulty_set for slot in self._slots[s]
+                itertools.chain.from_iterable(
+                    self._slots[s] for s in step.senders if s in faulty_set
+                )
             )
             emitted = adversary.emit(view, faulty_slots)
             for slot, payload in emitted.items():
@@ -285,18 +342,18 @@ class RoundEngine:
                     deliveries[slot] = delivery
                     payloads[slot] = None if delivery is None else payload
         else:
+            honest = {}
+            faulty = {}
             for sender in step.senders:
                 if sender in faulty_set:
                     for slot in self._slots[sender]:
-                        deliveries[slot] = _symbol(faulty_payloads.get(slot))
+                        faulty[slot] = _symbol(faulty_payloads.get(slot))
                 else:
-                    symbol = _symbol(honest_payloads[sender])
-                    for slot in self._slots[sender]:
-                        deliveries[slot] = symbol
+                    honest[sender] = _symbol(honest_payloads[sender])
             # A delivered symbol is its own wire payload.  Not copied:
             # correct nodes absorb these deliveries before the next round
             # shows them to the adversary.
-            payloads = deliveries
+            deliveries = payloads = ClassicalDeliveries(step.senders, self._slots, honest, faulty)
         self.round_index += 1
         self.transcript.append(Round(step, deliveries, payloads))
         return deliveries

@@ -231,8 +231,11 @@ def node_payloads(step: RoundStep, nodes: dict) -> dict:
     return {i: nodes[i].payload(step) for i in step.senders if i in nodes}
 
 
-def absorb_round(step: RoundStep, nodes: dict, deliveries: dict, m: int) -> None:
-    """Hand each of ``nodes`` its inbox from the deliveries of ``step``."""
+def absorb_round(step: RoundStep, nodes: dict, deliveries, m: int) -> None:
+    """Hand each of ``nodes`` its inbox from the deliveries of ``step``.
+
+    ``deliveries`` is what ``RoundEngine.run_round`` returned for the step.
+    """
     if step.kind == KING_BROADCAST:
         king = step.king_id
         for i, node in nodes.items():
@@ -241,15 +244,23 @@ def absorb_round(step: RoundStep, nodes: dict, deliveries: dict, m: int) -> None
     elif step.kind == CLASSICAL_ROUND:
         # Phase king decides by symbol counts: per receiver, the 0s and 1s
         # delivered to it (absent and malformed symbols count as neither).
-        zeros = [0] * m
-        ones = [0] * m
-        for (_, receiver), symbol in deliveries.items():
+        # An honest symbol is counted once for every node, and taken back
+        # from its own sender; a faulty slot counts for its receiver alone.
+        honest = deliveries.honest
+        both = [0, 0]
+        for symbol in honest.values():
+            if symbol == 0 or symbol == 1:
+                both[symbol] += 1
+        zeros = [both[0]] * m
+        ones = [both[1]] * m
+        for (_, receiver), symbol in deliveries.faulty.items():
             if symbol == 1:
                 ones[receiver] += 1
             elif symbol == 0:
                 zeros[receiver] += 1
         for i, node in nodes.items():
-            node.cc_absorb(step.cc_round, zeros[i], ones[i])
+            own = honest.get(i)
+            node.cc_absorb(step.cc_round, zeros[i] - (own == 0), ones[i] - (own == 1))
     else:
         for i, node in nodes.items():
             inbox = {j: deliveries[(j, i)] for j in range(m) if j != i}

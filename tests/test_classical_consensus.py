@@ -11,7 +11,8 @@ from rfagree.classical_consensus import (
     coerce_bit,
     rounds_for,
 )
-from rfagree.netsim import CLASSICAL_ROUND, RoundStep
+from rfagree.netsim import CLASSICAL_ROUND, RoundEngine, RoundStep
+from rfagree.quantum_link import ChannelParams
 from rfagree.rf_protocols import absorb_round
 
 from helpers import (
@@ -181,26 +182,64 @@ class CountsNode:
         self.node.absorb(r, zeros, ones)
 
 
+class Scripted:
+    """A strategy that emits fixed symbols; slots missing from them stay silent."""
+
+    def __init__(self, emitted):
+        self.emitted = emitted
+
+    def emit(self, view, slots):
+        return {slot: self.emitted[slot] for slot in slots if slot in self.emitted}
+
+
+def delivered(payload):
+    """The symbol a slot delivers: a Python int that is not a bool, else None."""
+    return payload if isinstance(payload, int) and not isinstance(payload, bool) else None
+
+
 @pytest.mark.parametrize("m,t", [(4, 1), (7, 2), (10, 3)])
 def test_absorb_round_counts_equal_inbox_reference(m, t):
-    # The per-receiver counts absorb_round takes from a round's deliveries,
-    # against the inbox list each receiver was once handed, on deliveries
-    # holding NO_CLAIM, out-of-range and absent symbols.
+    # The per-receiver counts absorb_round takes from a round as the engine
+    # holds it (each honest symbol once, faulty slots one by one), against
+    # the inbox list each receiver was once handed, built here from the
+    # payloads sent.  Honest senders send bits, NO_CLAIM or nothing; faulty
+    # ones valid, out-of-range and malformed symbols or nothing, king rounds
+    # included.  Faulty nodes absorb too, as HonestShadow's do.
     rng = np.random.default_rng(100 + m)
-    odd = [2, -1, None]
+    odd_honest = [2, None]
+    odd_faulty = [None, True, np.int64(1), 2, -1, "1", "missing"]
+    engine = RoundEngine(m, ChannelParams(0.0, 1), np.stack([np.eye(3)] * m), m, 0)
+
+    def pick(odd):
+        if rng.random() < 0.4:
+            return odd[rng.integers(0, len(odd))]
+        return int(rng.integers(0, 2))
+
     for _ in range(50):
+        faulty = frozenset(int(i) for i in rng.choice(m, size=t, replace=False))
         bits = [int(b) for b in rng.integers(0, 2, size=m)]
         nodes = {i: CountsNode(PhaseKingNode(i, m, t, bits[i])) for i in range(m)}
         reference = {i: PhaseKingNode(i, m, t, bits[i]) for i in range(m)}
         for r in range(rounds_for(t)):
             senders = (r // 3,) if r % 3 == KING_ROUND else tuple(range(m))
-            deliveries = {
-                (s, i): odd[rng.integers(0, len(odd))] if rng.random() < 0.3 else int(rng.integers(0, 2))
-                for s in senders
-                for i in range(m)
-                if i != s
-            }
-            absorb_round(RoundStep(CLASSICAL_ROUND, 0, 0, r, senders), nodes, deliveries, m)
+            step = RoundStep(CLASSICAL_ROUND, 0, 0, r, senders)
+            honest = {s: pick(odd_honest) for s in senders if s not in faulty}
+            emitted = {}
+            for s in senders:
+                if s in faulty:
+                    for i in range(m):
+                        symbol = pick(odd_faulty)
+                        if i != s and symbol != "missing":
+                            emitted[(s, i)] = symbol
+            deliveries = engine.run_round(step, honest, faulty, Scripted(emitted))
+            absorb_round(step, nodes, deliveries, m)
             for i in range(m):
-                reference_absorb(reference[i], r, [deliveries.get((j, i)) for j in range(m)])
+                inbox = [
+                    delivered(emitted.get((j, i)) if j in faulty else honest.get(j))
+                    if j != i
+                    else None
+                    for j in range(m)
+                ]
+                assert [deliveries.get((j, i)) for j in range(m)] == inbox
+                reference_absorb(reference[i], r, inbox)
                 assert node_state(nodes[i].node) == node_state(reference[i])

@@ -58,7 +58,13 @@ def test_config_validation_errors():
         small_config(faulty_ids=(0, 1)).validate()  # exceeds t
     with pytest.raises(ConfigError):
         small_config(trials=0).validate()
+    # Below 1, but its m^2 (t+1)-th root is 1.0 in floating point.
+    with pytest.raises(ConfigError, match="per-link target of 1.0"):
+        small_config(
+            m=7, t=2, n=None, q_target=0.9999999999999999, q_target_scope="overall_strict"
+        ).validate()
     small_config().validate()
+
 
 
 def test_config_round_trip(tmp_path):
@@ -566,7 +572,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 NOISY_CHANNEL = os.path.join(os.path.dirname(__file__), "..", "configs", "noisy_channel.json")
 
 #: One field of configs/noisy_channel.json changed to a value of the wrong
-#: type or a non-finite number (the equivocator case changes two).
+#: type or a non-finite number.  The equivocator case changes two fields, and
+#: the q-target case three: to a q_target whose per-link root rounds to 1.0.
 MALFORMED_CONFIGS = {
     "delta-nan": {"delta": float("nan")},
     "delta-inf": {"delta": float("inf")},
@@ -582,6 +589,9 @@ MALFORMED_CONFIGS = {
     "adversary-params-unknown": {"adversary_params": {"bogus": 1}},
     "equivocator-separation": {"adversary": "equivocator", "adversary_params": {"separation": 3}},
     "removed-max-violation-rate": {"max_violation_rate": 0.5},
+    "q-target-one-per-link": {
+        "n": None, "q_target": 0.9999999999999999, "q_target_scope": "overall_strict",
+    },
 }
 
 

@@ -40,6 +40,9 @@ def test_every_counter_and_layer_is_hit(tmp_path):
     slots = [d for rec in rounds for d in rec.get("tallies", rec.get("symbols"))]
     delivered = [t for rec in rounds for t in rec.get("tallies", []) if t is not None]
     assert tracer.counts["netsim.slots_resolved"] == len(slots)
+    # The crashed node's slots are the absent ones; no gated workload
+    # resolves an absent slot, so this is where their count is checked.
+    assert tracer.counts["netsim.absent_deliveries"] == slots.count(None) > 0
     assert tracer.counts["quantum_link.measure_batch_calls"] == len(delivered) > 0
     layers = {span[0] for span in tracer.spans}
     assert set(tracing.SELF_TIME_METRICS) - layers == set()
