@@ -82,11 +82,11 @@ class ClassicalDeliveries(Mapping):
     """A classical round's deliveries, held per sender; read as {slot: symbol}.
 
     ``honest`` maps each correct sender of the round to the one symbol all
-    of its receivers got, and ``faulty`` maps each slot of a faulty sender
-    to what that slot delivered; a symbol is None where it was absent or
-    malformed.  As a mapping it is the per-slot view, the one derivation of
-    it: slots run sender-major over ``senders``, each to every other node in
-    ascending order (``slots[s]``), as in a quantum round's dict.
+    of its receivers got, and ``faulty`` maps each faulty sender to the list
+    of what its slots delivered, in ``slots[sender]`` order (every other
+    node, ascending); a symbol is None where it was absent or malformed.
+    As a mapping it is the per-slot view, the one derivation of it: slots
+    run sender-major over ``senders``, as in a quantum round's dict.
     """
 
     __slots__ = ("senders", "slots", "honest", "faulty")
@@ -99,9 +99,13 @@ class ClassicalDeliveries(Mapping):
 
     def __getitem__(self, slot):
         sender, receiver = slot
-        if sender in self.honest and receiver != sender and receiver in range(len(self.slots)):
-            return self.honest[sender]
-        return self.faulty[slot]
+        if receiver != sender and receiver in range(len(self.slots)):
+            if sender in self.honest:
+                return self.honest[sender]
+            if sender in self.faulty:
+                # Slot k of a sender goes to node k, or k + 1 past the sender.
+                return self.faulty[sender][receiver - (receiver > sender)]
+        raise KeyError(slot)
 
     def __iter__(self):
         for sender in self.senders:
@@ -112,14 +116,21 @@ class ClassicalDeliveries(Mapping):
 
     def values(self) -> list:
         """Every slot's symbol in slot order, as a new list."""
+        honest, faulty = self.honest, self.faulty
         width = len(self.slots) - 1
         out = []
         for sender in self.senders:
-            if sender in self.honest:
-                out += [self.honest[sender]] * width
-            else:
-                out += [self.faulty[slot] for slot in self.slots[sender]]
+            out += [honest[sender]] * width if sender in honest else faulty[sender]
         return out
+
+    def inbox(self, receiver: int) -> dict:
+        """{sender: symbol} of every slot to ``receiver``."""
+        honest, faulty = self.honest, self.faulty
+        return {
+            s: honest[s] if s in honest else faulty[s][receiver - (receiver > s)]
+            for s in self.senders
+            if s != receiver
+        }
 
 
 class Round(NamedTuple):
@@ -346,8 +357,9 @@ class RoundEngine:
             faulty = {}
             for sender in step.senders:
                 if sender in faulty_set:
-                    for slot in self._slots[sender]:
-                        faulty[slot] = _symbol(faulty_payloads.get(slot))
+                    faulty[sender] = [
+                        _symbol(faulty_payloads.get(slot)) for slot in self._slots[sender]
+                    ]
                 else:
                     honest[sender] = _symbol(honest_payloads[sender])
             # A delivered symbol is its own wire payload.  Not copied:

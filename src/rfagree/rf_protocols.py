@@ -253,21 +253,21 @@ def absorb_round(step: RoundStep, nodes: dict, deliveries, m: int) -> None:
                 both[symbol] += 1
         zeros = [both[0]] * m
         ones = [both[1]] * m
-        for (_, receiver), symbol in deliveries.faulty.items():
-            if symbol == 1:
-                ones[receiver] += 1
-            elif symbol == 0:
-                zeros[receiver] += 1
+        for sender, symbols in deliveries.faulty.items():
+            for (_, receiver), symbol in zip(deliveries.slots[sender], symbols):
+                if symbol == 1:
+                    ones[receiver] += 1
+                elif symbol == 0:
+                    zeros[receiver] += 1
         for i, node in nodes.items():
             own = honest.get(i)
             node.cc_absorb(step.cc_round, zeros[i] - (own == 0), ones[i] - (own == 1))
+    elif step.kind == DIRECTION_EXCHANGE:
+        for i, node in nodes.items():
+            node.receive_directions({j: deliveries[(j, i)] for j in range(m) if j != i})
     else:
         for i, node in nodes.items():
-            inbox = {j: deliveries[(j, i)] for j in range(m) if j != i}
-            if step.kind == DIRECTION_EXCHANGE:
-                node.receive_directions(inbox)
-            else:
-                node.receive_flags(inbox)
+            node.receive_flags(deliveries.inbox(i))
 
 
 def run_king_phase(
