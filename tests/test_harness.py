@@ -66,7 +66,6 @@ def test_config_validation_errors():
     small_config().validate()
 
 
-
 def test_config_round_trip(tmp_path):
     cfg = small_config(adversary="equivocator", adversary_params={"separation": 1.0}, faulty_ids=(0,))
     path = tmp_path / "cfg.json"
