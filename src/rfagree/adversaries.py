@@ -3,7 +3,9 @@
 One strategy object controls all faulty nodes of a trial jointly and fills
 every slot whose sender is faulty, after seeing the current round's honest
 traffic (the engine guarantees the rushing order) and the previous round's
-deliveries.  The catalog is a test battery, not a worst-case construction:
+deliveries.  ``emit`` returns {sender: payload} for a faulty sender that
+broadcasts, as most strategies here do, and {(sender, receiver): payload}
+for the slots of one that equivocates; see ``RoundEngine.run_round``.  The catalog is a test battery, not a worst-case construction:
 each strategy probes a different part of the stack (thresholds, grades, the
 classical subprotocol, replay).
 
@@ -37,21 +39,9 @@ class Adversary:
     def emit(self, view, slots) -> dict:
         raise NotImplementedError
 
-
-def _per_sender(slots, message_of) -> dict:
-    """{slot: message_of(sender)} with one message per sender of ``slots``.
-
-    A sender's slots share its one message object, so the engine prepares
-    it once, as it does a correct sender's.
-    """
-    messages = {}
-    out = {}
-    for slot in slots:
-        sender = slot[0]
-        if sender not in messages:
-            messages[sender] = message_of(sender)
-        out[slot] = messages[sender]
-    return out
+    def senders(self, view) -> list:
+        """The faulty senders of the view's step, ascending: the keys of a broadcast."""
+        return [s for s in view.step.senders if s in self.faulty_set]
 
 
 def _king_estimates(previous, receivers) -> dict:
@@ -87,8 +77,7 @@ class HonestShadow(Adversary):
             absorb_round(previous.step, self.nodes, previous.deliveries, self.params.m)
         if view.step.kind == KING_BROADCAST:
             start_phase(self.nodes, view.step.king_id, view.node_rng)
-        payloads = node_payloads(view.step, self.nodes)
-        return {slot: payloads[slot[0]] for slot in slots}
+        return node_payloads(view.step, self.nodes)
 
 
 class Crash(Adversary):
@@ -134,8 +123,8 @@ class Equivocator(Adversary):
     nothing.  In phases with an honest king the faulty nodes send their
     estimates of the king's direction, as correct nodes would, so every
     phase stays well formed.  Faulty flags and symbols are always 1.  Each
-    cluster, and each faulty sender's estimate, is one message object shared
-    by the slots that carry it.
+    cluster is one message object shared by the slots that carry it; the
+    estimates, flags and symbols are broadcasts.
     """
 
     name = "equivocator"
@@ -173,12 +162,12 @@ class Equivocator(Adversary):
                     out[slot] = self._clusters.get(slot[1], self._base)
             else:
                 estimates = _king_estimates(view.previous, self.faulty_set)
-                out = _per_sender(
-                    slots, lambda s: QuantumMessage.uniform(estimates.get(s, SENTINEL), n)
-                )
+                out = {
+                    s: QuantumMessage.uniform(estimates.get(s, SENTINEL), n)
+                    for s in self.senders(view)
+                }
         else:  # flags and classical symbols
-            for slot in slots:
-                out[slot] = 1
+            out = dict.fromkeys(self.senders(view), 1)
         return out
 
 
@@ -199,21 +188,16 @@ class GradePoisoner(Adversary):
             self._king_direction = None
             if step.king_id in self.faulty_set:
                 self._king_direction = random_direction(view.rng)
-                msg = QuantumMessage.uniform(self._king_direction, n)
-                for slot in slots:
-                    out[slot] = msg
+                out[step.king_id] = QuantumMessage.uniform(self._king_direction, n)
         elif step.kind == DIRECTION_EXCHANGE:
             estimates = _king_estimates(view.previous, self.faulty_set)
-
-            def message_of(s):
+            for s in self.senders(view):
                 if s == step.king_id and self._king_direction is not None:
-                    return QuantumMessage.uniform(self._king_direction, n)
-                return QuantumMessage.uniform(estimates.get(s, SENTINEL), n)
-
-            out = _per_sender(slots, message_of)
+                    out[s] = QuantumMessage.uniform(self._king_direction, n)
+                else:
+                    out[s] = QuantumMessage.uniform(estimates.get(s, SENTINEL), n)
         elif step.kind == FLAG_EXCHANGE:
-            for slot in slots:
-                out[slot] = 1
+            out = dict.fromkeys(self.senders(view), 1)
         else:
             for slot in slots:
                 out[slot] = (slot[1] + step.cc_round) % 2
@@ -242,33 +226,26 @@ class Rusher(Adversary):
     def emit(self, view, slots):
         step = view.step
         n = self.params.channel.n
-        out = {}
         if step.kind == KING_BROADCAST:
             # Only the king transmits here, so there is nothing to rush;
             # improvise a direction of our own.
-            msg = QuantumMessage.uniform(random_direction(view.rng), n)
-            for slot in slots:
-                out[slot] = msg
+            payload = QuantumMessage.uniform(random_direction(view.rng), n)
         elif step.kind == DIRECTION_EXCHANGE:
             payload = view.honest_payloads.get(self.target)
             if payload is None:
-                msg = QuantumMessage.uniform(random_direction(view.rng), n)
+                payload = QuantumMessage.uniform(random_direction(view.rng), n)
             else:
                 state = payload.segments[0][0]
                 shifted = rotate_about(state, any_orthogonal(state), self.shift)
                 shifted = shifted / math.sqrt(
                     shifted[0] ** 2 + shifted[1] ** 2 + shifted[2] ** 2
                 )
-                msg = QuantumMessage.uniform(shifted, n)
-            for slot in slots:
-                out[slot] = msg
+                payload = QuantumMessage.uniform(shifted, n)
         else:
             payload = view.honest_payloads.get(self.target)
             if payload is None:
                 payload = int(view.rng.integers(0, 2))
-            for slot in slots:
-                out[slot] = payload
-        return out
+        return dict.fromkeys(self.senders(view), payload)
 
 
 _CATALOG = {

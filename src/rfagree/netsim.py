@@ -3,16 +3,16 @@
 Communication model:
 
 * broadcast: in every round a correct node sends one payload to every other
-  node, so honest traffic is one payload per honest sender; only a faulty
-  sender can send different things to different receivers;
+  node, so honest traffic is one payload per honest sender; a faulty sender
+  may broadcast too, or send different things to different receivers;
 * public: before the faulty nodes commit their messages for a round, the
   adversary is shown every delivery of the previous round plus every honest
   message of the current round (a rushing adversary, the strongest reading).
   Round by round that covers every delivery before the last, and every
   honest payload was already in an earlier rushing view;
 * authenticated: the engine stamps sender identities, so the adversary can
-  only fill slots whose sender is in its faulty set; anything else raises
-  :class:`AuthenticationError`;
+  only fill slots whose sender is in its faulty set, one by one or as that
+  sender's broadcast; anything else raises :class:`AuthenticationError`;
 * synchronous: every (sender, receiver) slot of a round is resolved in that
   round, possibly as ``Absent``; receivers substitute protocol-level
   defaults and continue, so no execution can stall.
@@ -30,9 +30,10 @@ The engine writes each resolved round down once, as a :class:`Round` of its
 step, deliveries and wire payloads; the adversary's view of the previous
 round is the last of them, and the estimation oracle and the transcript
 export read them all.  A quantum round keeps one tally per link.  A
-classical round is kept per sender (:class:`ClassicalDeliveries`): an honest
-sender's symbol once, checked once, and only faulty senders' symbols per
-slot; phase king counts it that way (``rf_protocols.absorb_round``), and the
+classical round is kept per sender (:class:`ClassicalDeliveries`): a
+broadcaster's symbol once, checked once, whether the sender is correct or
+faulty, and per slot only the symbols of faulty senders that equivocate;
+phase king counts it that way (``rf_protocols.absorb_round``), and the
 per-slot view the transcript export reads is derived from it in one place.
 
 Randomness is derived per (trial, round, sender, receiver) from counter-based
@@ -81,30 +82,32 @@ class RoundStep(NamedTuple):
 class ClassicalDeliveries(Mapping):
     """A classical round's deliveries, held per sender; read as {slot: symbol}.
 
-    ``honest`` maps each correct sender of the round to the one symbol all
-    of its receivers got, and ``faulty`` maps each faulty sender to the list
-    of what its slots delivered, in ``slots[sender]`` order (every other
-    node, ascending); a symbol is None where it was absent or malformed.
-    As a mapping it is the per-slot view, the one derivation of it: slots
-    run sender-major over ``senders``, as in a quantum round's dict.
+    ``broadcast`` maps each sender whose one symbol all its receivers got to
+    that symbol: every correct sender of the round, and every faulty sender
+    that the adversary gave no slot key (see :meth:`RoundEngine.run_round`).
+    ``per_slot`` maps each other faulty sender to the list of what its
+    slots delivered, in ``slots[sender]`` order (every other node,
+    ascending).  A symbol is None where it was absent or malformed.  As a
+    mapping it is the per-slot view, the one derivation of it: slots run
+    sender-major over ``senders``, as in a quantum round's dict.
     """
 
-    __slots__ = ("senders", "slots", "honest", "faulty")
+    __slots__ = ("senders", "slots", "broadcast", "per_slot")
 
-    def __init__(self, senders: tuple, slots: list, honest: dict, faulty: dict):
+    def __init__(self, senders: tuple, slots: list, broadcast: dict, per_slot: dict):
         self.senders = senders
         self.slots = slots
-        self.honest = honest
-        self.faulty = faulty
+        self.broadcast = broadcast
+        self.per_slot = per_slot
 
     def __getitem__(self, slot):
         sender, receiver = slot
         if receiver != sender and receiver in range(len(self.slots)):
-            if sender in self.honest:
-                return self.honest[sender]
-            if sender in self.faulty:
+            if sender in self.broadcast:
+                return self.broadcast[sender]
+            if sender in self.per_slot:
                 # Slot k of a sender goes to node k, or k + 1 past the sender.
-                return self.faulty[sender][receiver - (receiver > sender)]
+                return self.per_slot[sender][receiver - (receiver > sender)]
         raise KeyError(slot)
 
     def __iter__(self):
@@ -116,18 +119,18 @@ class ClassicalDeliveries(Mapping):
 
     def values(self) -> list:
         """Every slot's symbol in slot order, as a new list."""
-        honest, faulty = self.honest, self.faulty
+        broadcast, per_slot = self.broadcast, self.per_slot
         width = len(self.slots) - 1
         out = []
         for sender in self.senders:
-            out += [honest[sender]] * width if sender in honest else faulty[sender]
+            out += [broadcast[sender]] * width if sender in broadcast else per_slot[sender]
         return out
 
     def inbox(self, receiver: int) -> dict:
         """{sender: symbol} of every slot to ``receiver``."""
-        honest, faulty = self.honest, self.faulty
+        broadcast, per_slot = self.broadcast, self.per_slot
         return {
-            s: honest[s] if s in honest else faulty[s][receiver - (receiver > s)]
+            s: broadcast[s] if s in broadcast else per_slot[s][receiver - (receiver > s)]
             for s in self.senders
             if s != receiver
         }
@@ -141,8 +144,8 @@ class Round(NamedTuple):
     (a tally, or the symbol); both are None exactly where the slot was absent
     or malformed.  A quantum round keeps both as dicts, one entry per slot.
     A classical round keeps one :class:`ClassicalDeliveries` as both, since
-    a delivered symbol is its own wire payload: it holds an honest sender's
-    symbol once, and per slot only what faulty senders sent.
+    a delivered symbol is its own wire payload: it holds a broadcaster's
+    symbol once, and per slot only what equivocating faulty senders sent.
     """
 
     step: RoundStep
@@ -273,9 +276,13 @@ class RoundEngine:
 
         Slots run sender-major over ``step.senders``, each to every other
         node in ascending order.  ``honest_payloads`` maps every honest
-        sender to the one payload it broadcasts; the adversary fills the
-        faulty senders' slots one by one after seeing them (missing faulty
-        slots count as absent), so it alone can equivocate.  Deliveries are
+        sender to the one payload it broadcasts.  The adversary fills the
+        faulty senders' slots after seeing them.  A key of the dict its
+        ``emit`` returns is either a faulty sender (a Python ``int``, not a
+        ``bool``), whose one payload goes on every slot of that sender, or a
+        ``(sender, receiver)`` slot, whose payload goes on that slot alone
+        and overrides the sender's broadcast there; slots given neither are
+        absent.  So only the adversary can equivocate.  Deliveries are
         MeasurementTally for quantum payloads, int for bits, and None for
         absent or malformed messages.  A classical symbol must be a Python
         ``int`` (not ``bool``); anything else, numpy integers included, is
@@ -285,11 +292,15 @@ class RoundEngine:
         for a classical one.
 
         Work that depends on the payload alone runs once per sender and
-        payload: an honest symbol is checked and stored once, and a quantum
-        message taken through ``link_cells`` once; measurement and its
-        draws run per link, and faulty symbols per slot.
+        payload, whether the sender is correct or faulty: a broadcaster's
+        symbol is checked and stored once, and its quantum message taken
+        through ``link_cells`` once.  Each link then gets only its stream
+        rewind and ``measure_batch``.  Only the senders given slot keys are
+        resolved slot by slot.
         """
-        faulty_payloads = {}
+        broadcast = {}  # faulty sender -> the payload on all of its slots
+        per_slot = {}  # slot -> payload
+        equivocators = set()  # the faulty senders given slot keys
         if faulty_set:
 
             def faulty_node_rng(node):
@@ -312,60 +323,81 @@ class RoundEngine:
                     self._slots[s] for s in step.senders if s in faulty_set
                 )
             )
-            emitted = adversary.emit(view, faulty_slots)
-            for slot, payload in emitted.items():
-                if slot[0] not in faulty_set:
-                    raise AuthenticationError(
-                        f"adversary emitted on slot {slot} owned by correct sender"
-                    )
-                faulty_payloads[slot] = payload
-
-        deliveries = {}
-        if step.kind in QUANTUM_STEPS:
-            payloads = {}
-            # (sender, id(payload)) -> the payload's link cells, or None:
-            # each message is prepared once per round, however many slots
-            # carry it.  Keyed by sender too, since faulty senders may share
-            # one object.  Nothing is kept on the message: its state arrays
-            # may change between rounds.
-            prepared = {}
-            for sender in step.senders:
-                faulty = sender in faulty_set
-                for slot in self._slots[sender]:
-                    payload = faulty_payloads.get(slot) if faulty else honest_payloads[sender]
-                    delivery = None
-                    if isinstance(payload, QuantumMessage):
-                        key = (sender, id(payload))
-                        if key in prepared:
-                            cells = prepared[key]
-                        else:
-                            cells = prepared[key] = prepare_message(
-                                payload, self.frames[sender], self.channel
-                            )
-                        if cells is not None:
-                            receiver = slot[1]
-                            delivery = measure_batch(
-                                cells,
-                                self._axes[receiver],
-                                self.channel,
-                                self._fast_link_rng(sender, receiver),
-                            )
-                    deliveries[slot] = delivery
-                    payloads[slot] = None if delivery is None else payload
-        else:
-            honest = {}
-            faulty = {}
-            for sender in step.senders:
-                if sender in faulty_set:
-                    faulty[sender] = [
-                        _symbol(faulty_payloads.get(slot)) for slot in self._slots[sender]
-                    ]
+            for key, payload in adversary.emit(view, faulty_slots).items():
+                if isinstance(key, int) and not isinstance(key, bool):
+                    sender = key
+                    broadcast[sender] = payload
                 else:
-                    honest[sender] = _symbol(honest_payloads[sender])
+                    sender = key[0]
+                    per_slot[key] = payload
+                    equivocators.add(sender)
+                if sender not in faulty_set:
+                    raise AuthenticationError(
+                        f"adversary emitted {key!r} for correct sender {sender}"
+                    )
+
+        slots = self._slots
+        if step.kind in QUANTUM_STEPS:
+            # Looked up here, not at import: tracing replaces the module's name.
+            measure = measure_batch
+            frames, axes, channel, link_rng = self.frames, self._axes, self.channel, self._fast_link_rng
+            deliveries = {}
+            payloads = {}
+            for sender in step.senders:
+                if sender in equivocators:
+                    default = broadcast.get(sender)
+                    # id(payload) -> its link cells, or None: each message
+                    # is prepared once per sender, however many slots carry
+                    # it.  Nothing is kept on the message: its state arrays
+                    # may change between rounds.
+                    prepared = {}
+                    for slot in slots[sender]:
+                        payload = per_slot.get(slot, default)
+                        delivery = None
+                        if isinstance(payload, QuantumMessage):
+                            key = id(payload)
+                            if key not in prepared:
+                                prepared[key] = prepare_message(payload, frames[sender], channel)
+                            cells = prepared[key]
+                            if cells is not None:
+                                receiver = slot[1]
+                                delivery = measure(
+                                    cells, axes[receiver], channel, link_rng(sender, receiver)
+                                )
+                        deliveries[slot] = delivery
+                        payloads[slot] = None if delivery is None else payload
+                    continue
+                payload = broadcast.get(sender) if sender in faulty_set else honest_payloads[sender]
+                cells = None
+                if isinstance(payload, QuantumMessage):
+                    cells = prepare_message(payload, frames[sender], channel)
+                if cells is None:
+                    for slot in slots[sender]:
+                        deliveries[slot] = payloads[slot] = None
+                else:
+                    for slot in slots[sender]:
+                        receiver = slot[1]
+                        deliveries[slot] = measure(
+                            cells, axes[receiver], channel, link_rng(sender, receiver)
+                        )
+                        payloads[slot] = payload
+        else:
+            symbols = {}
+            slot_symbols = {}
+            for sender in step.senders:
+                if sender in equivocators:
+                    default = broadcast.get(sender)
+                    slot_symbols[sender] = [
+                        _symbol(per_slot.get(slot, default)) for slot in slots[sender]
+                    ]
+                elif sender in faulty_set:
+                    symbols[sender] = _symbol(broadcast.get(sender))
+                else:
+                    symbols[sender] = _symbol(honest_payloads[sender])
             # A delivered symbol is its own wire payload.  Not copied:
             # correct nodes absorb these deliveries before the next round
             # shows them to the adversary.
-            deliveries = payloads = ClassicalDeliveries(step.senders, self._slots, honest, faulty)
+            deliveries = payloads = ClassicalDeliveries(step.senders, slots, symbols, slot_symbols)
         self.round_index += 1
         self.transcript.append(Round(step, deliveries, payloads))
         return deliveries

@@ -244,23 +244,24 @@ def absorb_round(step: RoundStep, nodes: dict, deliveries, m: int) -> None:
     elif step.kind == CLASSICAL_ROUND:
         # Phase king decides by symbol counts: per receiver, the 0s and 1s
         # delivered to it (absent and malformed symbols count as neither).
-        # An honest symbol is counted once for every node, and taken back
-        # from its own sender; a faulty slot counts for its receiver alone.
-        honest = deliveries.honest
+        # A broadcast symbol, a correct or a faulty sender's, is counted
+        # once for every node and taken back from its own sender; a slot
+        # of an equivocating sender counts for its receiver alone.
+        broadcast = deliveries.broadcast
         both = [0, 0]
-        for symbol in honest.values():
+        for symbol in broadcast.values():
             if symbol == 0 or symbol == 1:
                 both[symbol] += 1
         zeros = [both[0]] * m
         ones = [both[1]] * m
-        for sender, symbols in deliveries.faulty.items():
+        for sender, symbols in deliveries.per_slot.items():
             for (_, receiver), symbol in zip(deliveries.slots[sender], symbols):
                 if symbol == 1:
                     ones[receiver] += 1
                 elif symbol == 0:
                     zeros[receiver] += 1
         for i, node in nodes.items():
-            own = honest.get(i)
+            own = broadcast.get(i)
             node.cc_absorb(step.cc_round, zeros[i] - (own == 0), ones[i] - (own == 1))
     elif step.kind == DIRECTION_EXCHANGE:
         for i, node in nodes.items():

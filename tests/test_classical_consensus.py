@@ -183,13 +183,13 @@ class CountsNode:
 
 
 class Scripted:
-    """A strategy that emits fixed symbols; slots missing from them stay silent."""
+    """A strategy that emits a fixed dict of broadcast and slot keys."""
 
     def __init__(self, emitted):
         self.emitted = emitted
 
     def emit(self, view, slots):
-        return {slot: self.emitted[slot] for slot in slots if slot in self.emitted}
+        return dict(self.emitted)
 
 
 def delivered(payload):
@@ -200,11 +200,12 @@ def delivered(payload):
 @pytest.mark.parametrize("m,t", [(4, 1), (7, 2), (10, 3)])
 def test_absorb_round_counts_equal_inbox_reference(m, t):
     # The per-receiver counts absorb_round takes from a round as the engine
-    # holds it (each honest symbol once, faulty slots one by one), against
-    # the inbox list each receiver was once handed, built here from the
-    # payloads sent.  Honest senders send bits, NO_CLAIM or nothing; faulty
-    # ones valid, out-of-range and malformed symbols or nothing, king rounds
-    # included.  Faulty nodes absorb too, as HonestShadow's do.
+    # holds it (each broadcast symbol once, other faulty slots one by one),
+    # against the inbox list each receiver was once handed, built here from
+    # the payloads sent.  Honest senders send bits, NO_CLAIM or nothing;
+    # faulty ones valid, out-of-range and malformed symbols or nothing, slot
+    # by slot or as a broadcast with or without slot keys over it, king
+    # rounds included.  Faulty nodes absorb too, as HonestShadow's do.
     rng = np.random.default_rng(100 + m)
     odd_honest = [2, None]
     odd_faulty = [None, True, np.int64(1), 2, -1, "1", "missing"]
@@ -227,15 +228,21 @@ def test_absorb_round_counts_equal_inbox_reference(m, t):
             emitted = {}
             for s in senders:
                 if s in faulty:
+                    mode = rng.integers(0, 3)  # slots, broadcast, broadcast and slots
+                    if mode:
+                        symbol = pick(odd_faulty)
+                        if symbol != "missing":
+                            emitted[s] = symbol
                     for i in range(m):
                         symbol = pick(odd_faulty)
-                        if i != s and symbol != "missing":
+                        keyed = mode == 0 or (mode == 2 and rng.random() < 0.4)
+                        if i != s and keyed and symbol != "missing":
                             emitted[(s, i)] = symbol
             deliveries = engine.run_round(step, honest, faulty, Scripted(emitted))
             absorb_round(step, nodes, deliveries, m)
             for i in range(m):
                 inbox = [
-                    delivered(emitted.get((j, i)) if j in faulty else honest.get(j))
+                    delivered(emitted.get((j, i), emitted.get(j)) if j in faulty else honest.get(j))
                     if j != i
                     else None
                     for j in range(m)

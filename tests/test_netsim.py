@@ -106,6 +106,87 @@ def test_authentication_rejects_forged_sender():
         engine.run_round(step, payloads, forger.faulty_set, forger)
 
 
+class Emitting:
+    """A strategy that returns a fixed dict from ``emit``, whatever the slots."""
+
+    def __init__(self, emitted):
+        self.emitted = emitted
+
+    def emit(self, view, slots):
+        return dict(self.emitted)
+
+
+@pytest.mark.parametrize("quantum", [False, True], ids=["classical", "quantum"])
+def test_broadcast_for_correct_sender_raises(quantum):
+    engine, _ = make_engine(m=4)
+    if quantum:
+        step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(4)))
+        payloads = {i: QuantumMessage.uniform(UP, engine.channel.n) for i in range(3)}
+    else:
+        step = RoundStep(FLAG_EXCHANGE, 0, 0, None, tuple(range(4)))
+        payloads = {i: 1 for i in range(3)}
+    # A broadcast key names its sender: correct node 0 here, next to a
+    # well-formed broadcast of faulty node 3.
+    forged = Emitting({3: payloads[0], 0: payloads[0]})
+    with pytest.raises(AuthenticationError):
+        engine.run_round(step, payloads, frozenset({3}), forged)
+    # A bool is no sender id, so it is no broadcast key.
+    with pytest.raises(TypeError):
+        engine.run_round(step, payloads, frozenset({1, 3}), Emitting({True: payloads[0]}))
+
+
+def test_slot_keys_override_a_classical_broadcast():
+    m = 7
+    engine, _ = make_engine(m=m)
+    step = RoundStep(CLASSICAL_ROUND, 0, 0, 0, tuple(range(m)))
+    honest = {i: i % 2 for i in range(5)}
+    # 5 broadcasts 1 with two overrides; 6 broadcasts 0 alone.
+    emitted = {5: 1, (5, 1): 0, (5, 2): None, 6: 0}
+    deliveries = engine.run_round(step, honest, frozenset({5, 6}), Emitting(emitted))
+    assert deliveries.broadcast == {**honest, 6: 0}
+    assert deliveries.per_slot == {5: [1, 0, None, 1, 1, 1]}
+    assert [deliveries[(5, r)] for r in range(m) if r != 5] == [1, 0, None, 1, 1, 1]
+    assert [deliveries[(6, r)] for r in range(m) if r != 6] == [0] * 6
+    assert deliveries.inbox(2) == {0: 0, 1: 1, 3: 1, 4: 0, 5: None, 6: 0}
+    (record,) = transcript_records(0, engine.transcript)
+    assert record["symbols"] == deliveries.values() == [deliveries[slot] for slot in deliveries]
+
+
+def test_slot_keys_override_a_quantum_broadcast(monkeypatch):
+    rotations = counting(monkeypatch, netsim, "link_cells")
+    measurements = counting(monkeypatch, netsim, "measure_batch")
+    m, n = 7, 1000
+    engine, frames = make_engine(m=m, n=n, epsilon=0.1, seed=3)
+    rng = np.random.default_rng(3)
+    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(m)))
+    honest = {i: QuantumMessage.uniform(random_direction(rng), n) for i in range(5)}
+    a, b, c = (QuantumMessage.uniform(random_direction(rng), n) for _ in range(3))
+    # 5 broadcasts a, with b on slot (5, 2) and nothing on (5, 3); 6 broadcasts c.
+    emitted = {5: a, (5, 2): b, (5, 3): None, 6: c}
+    sent = {(s, r): honest[s] for s in honest for r in range(m) if r != s}
+    sent.update({(5, r): a for r in range(m) if r != 5})
+    sent.update({(6, r): c for r in range(m) if r != 6})
+    sent.update({(5, 2): b, (5, 3): None})
+    expected = {
+        (s, r): None
+        if msg is None
+        else deliver_quantum(msg, frames[s], frames[r], engine.channel, link_rng(engine, s, r))
+        for (s, r), msg in sent.items()
+    }
+    rotations.clear()
+    measurements.clear()
+    deliveries = engine.run_round(step, honest, frozenset({5, 6}), Emitting(emitted))
+    assert deliveries == expected
+    assert list(deliveries) == list(sent)
+    assert engine.transcript[0].payloads == sent
+    # One link_cells per sender and message; one measure_batch per delivered link.
+    assert [msg for msg, _, _ in rotations] == [*honest.values(), a, b, c]
+    assert len(measurements) == len(sent) - 1
+    (record,) = transcript_records(0, engine.transcript)
+    assert record["payloads"][6] == [[c.segments[0][0].tolist(), 3 * n]]
+    assert record["payloads"][5] is None and list(record["slot_payloads"]) == ["5"]
+
+
 def test_rushing_adversary_sees_current_round():
     # A zero-shift rusher echoes the target's current-round direction
     # exactly; only a rushing adversary can do that.
@@ -224,18 +305,24 @@ def test_non_finite_faulty_state_becomes_absent(state):
         def emit(self, view, slots):
             return {slot: msg for slot in slots}
 
-    deliveries, transcript = direction_round_with(NonFinite([3], params), {3})
+    class NonFiniteBroadcast(Rusher):
+        def emit(self, view, slots):
+            return {3: msg}
+
     crashed, _ = direction_round_with(make_adversary("crash", [3], params), {3})
-    faulty_slots = [slot for slot in deliveries if slot[0] == 3]
-    assert len(faulty_slots) == 3
-    assert all(deliveries[slot] is None for slot in faulty_slots)
-    assert all(p is None for (s, _), p in transcript[0].payloads.items() if s == 3)
-    # Sender 3's three slots are exported with no payload and no tally.
-    (record,) = transcript_records(0, transcript)
-    assert record["senders"] == [0, 1, 2, 3]
-    assert record["payloads"][3] is None and record["slot_payloads"] == {}
-    assert record["tallies"][9:] == [None, None, None]
-    assert deliveries == crashed
+    # Sent on each slot, or once as sender 3's broadcast: absent on every slot.
+    for strategy in (NonFinite, NonFiniteBroadcast):
+        deliveries, transcript = direction_round_with(strategy([3], params), {3})
+        faulty_slots = [slot for slot in deliveries if slot[0] == 3]
+        assert len(faulty_slots) == 3
+        assert all(deliveries[slot] is None for slot in faulty_slots)
+        assert all(p is None for (s, _), p in transcript[0].payloads.items() if s == 3)
+        # Sender 3's three slots are exported with no payload and no tally.
+        (record,) = transcript_records(0, transcript)
+        assert record["senders"] == [0, 1, 2, 3]
+        assert record["payloads"][3] is None and record["slot_payloads"] == {}
+        assert record["tallies"][9:] == [None, None, None]
+        assert deliveries == crashed
 
 
 @pytest.mark.parametrize(
@@ -390,7 +477,8 @@ def test_engine_tallies_equal_per_link_reference(seed):
     # Every slot's delivery equals deliver_quantum on that link alone, with
     # the documented per-link stream.  Faulty senders 5 and 6 send one
     # shared multi-segment message object, per-slot messages and malformed
-    # payloads, so a rotation reused across senders, slots or rounds shows.
+    # payloads, slot by slot or as a broadcast with or without slot keys
+    # over it, so a rotation reused across senders, slots or rounds shows.
     m, n = 7, 1000
     engine, frames = make_engine(m=m, n=n, epsilon=0.1, seed=seed)
     rng = np.random.default_rng(seed)
@@ -415,22 +503,29 @@ def test_engine_tallies_equal_per_link_reference(seed):
             for i in step.senders
             if i not in faulty
         }
+
+        def pick():
+            choice = rng.integers(0, 3)
+            if choice == 0:
+                return shared
+            if choice == 1:
+                return QuantumMessage.uniform(random_direction(rng), n)
+            return malformed[rng.integers(0, len(malformed))]
+
         emitted = {}
         for s in step.senders:
-            for r in range(m):
-                if s in faulty and r != s:
-                    pick = rng.integers(0, 3)
-                    if pick == 0:
-                        emitted[(s, r)] = shared
-                    elif pick == 1:
-                        emitted[(s, r)] = QuantumMessage.uniform(random_direction(rng), n)
-                    else:
-                        emitted[(s, r)] = malformed[rng.integers(0, len(malformed))]
+            if s in faulty:
+                mode = rng.integers(0, 3)  # slots, broadcast, broadcast and slots
+                if mode:
+                    emitted[s] = shared if rng.random() < 0.5 else pick()
+                for r in range(m):
+                    if r != s and mode != 1 and rng.random() < (1.0 if mode == 0 else 0.4):
+                        emitted[(s, r)] = pick()
         expected = {}
         for s in step.senders:
             for r in range(m):
                 if r != s:
-                    payload = emitted[(s, r)] if s in faulty else honest[s]
+                    payload = emitted.get((s, r), emitted.get(s)) if s in faulty else honest[s]
                     expected[(s, r)] = (
                         deliver_quantum(
                             payload, frames[s], frames[r], engine.channel, link_rng(engine, s, r)
@@ -438,7 +533,7 @@ def test_engine_tallies_equal_per_link_reference(seed):
                         if isinstance(payload, QuantumMessage)
                         else None
                     )
-        deliveries = engine.run_round(step, honest, faulty, Scripted(emitted.values()))
+        deliveries = engine.run_round(step, honest, faulty, Emitting(emitted))
         assert deliveries == expected
         assert sum(d is not None for d in deliveries.values()) > len(honest) * (m - 1)
 
