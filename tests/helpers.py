@@ -84,6 +84,24 @@ def random_frame(rng: np.random.Generator) -> np.ndarray:
     return random_frames([rng])[0]
 
 
+def cross_rotate_about(v, axis, angle: float) -> np.ndarray:
+    """``geometry.rotate_about`` with ``np.cross``: the oracle for its per-component form."""
+    v = np.asarray(v, dtype=np.float64)
+    axis = np.asarray(axis, dtype=np.float64)
+    c = math.cos(angle)
+    s = math.sin(angle)
+    return v * c + np.cross(axis, v) * s + axis * dot(axis, v) * (1.0 - c)
+
+
+def cross_any_orthogonal(v) -> np.ndarray:
+    """``geometry.any_orthogonal`` with ``np.argmin`` and ``np.cross``: its oracle."""
+    pick = int(np.argmin(np.abs(v)))
+    e = np.zeros(3)
+    e[pick] = 1.0
+    w = np.cross(v, e)
+    return w / math.sqrt(max(dot(w, w), 1e-300))
+
+
 def depolarize(state, epsilon: float) -> np.ndarray:
     """Bloch vector after the depolarizing channel: shrink by (1 - epsilon)."""
     return (1.0 - epsilon) * np.asarray(state, dtype=np.float64)

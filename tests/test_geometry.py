@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rfagree.geometry import any_orthogonal, distance, random_direction, rotate_about, to_global
 
-from helpers import angle_between, as_direction, as_frame, random_frame, to_frame
+from helpers import (
+    angle_between,
+    as_direction,
+    as_frame,
+    cross_any_orthogonal,
+    cross_rotate_about,
+    random_frame,
+    to_frame,
+)
 
 TOL = 1e-9
 
@@ -173,3 +181,35 @@ def test_rotate_about_preserves_angle_to_axis(v, angle):
     rotated = rotate_about(v, axis, angle)
     assert np.linalg.norm(rotated) == pytest.approx(1.0, abs=1e-9)
     assert angle_between(v, rotated) == pytest.approx(abs(angle), abs=1e-7)
+
+
+# Components with signed zeros, exact ties and magnitudes far from 1, so that
+# every argmin pick, tie-break and zero sign is reached.
+_components = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]),
+)
+_vectors = st.one_of(directions(), st.lists(_components, min_size=3, max_size=3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_vectors, _vectors, st.floats(min_value=-10.0, max_value=10.0))
+@example([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], math.pi / 2)  # axis-aligned
+@example([0.0, -1.0, 0.0], [-0.0, 0.0, -1.0], -math.pi)
+@example([-0.0, -0.0, 1.0], [0.0, -0.0, -0.0], 0.0)  # negative zeros
+@example([-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], 1.0)
+@example([0.1, 0.8, 0.6], [0.0, 0.6, -0.8], 0.3)  # argmin picks 0
+@example([0.8, 0.1, 0.6], [0.6, 0.0, -0.8], 0.3)  # argmin picks 1
+@example([0.8, 0.6, 0.1], [0.6, -0.8, 0.0], 0.3)  # argmin picks 2
+@example([0.5, -0.5, 0.75], [0.0, 0.0, 1.0], 2.0)  # smallest |v_k| tied at 0 and 1
+@example([0.5, 0.75, -0.5], [1.0, 0.0, 0.0], 2.0)  # at 0 and 2
+@example([0.75, -0.5, 0.5], [0.0, 1.0, 0.0], 2.0)  # at 1 and 2
+@example([-0.5, 0.5, -0.5], [0.0, -1.0, 0.0], 2.0)  # at all three
+def test_float_geometry_equals_np_cross_reference(v, axis, angle):
+    # The per-component cross products give np.cross's bits, -0.0 included.
+    for vec in (v, np.asarray(v, dtype=np.float64)):
+        assert any_orthogonal(vec).tobytes() == cross_any_orthogonal(np.asarray(vec)).tobytes()
+    for ax in (axis, any_orthogonal(v)):
+        got = rotate_about(v, ax, angle)
+        assert got.dtype == np.float64 and got.shape == (3,)
+        assert got.tobytes() == cross_rotate_about(v, ax, angle).tobytes()
