@@ -65,16 +65,15 @@ def random_direction(rng: np.random.Generator) -> np.ndarray:
             return g / norm
 
 
-def random_frames(rngs) -> np.ndarray:
-    """One Haar-uniform proper rotation per generator, as an (k, 3, 3) array.
+def random_frames(draws) -> np.ndarray:
+    """One Haar-uniform proper rotation per Gaussian matrix, as a (k, 3, 3) array.
 
-    Sign-corrected QR of a Gaussian matrix, one 3x3 ``standard_normal``
-    draw from each generator; the stacked ``qr`` and ``det`` calls factor
-    each matrix on its own, so the result is the same bits as one call per
-    matrix.
+    ``draws`` is a (k, 3, 3) array of standard normal draws; each matrix
+    is taken through a sign-corrected QR.  The stacked ``qr`` and ``det``
+    calls factor each matrix on its own, so the result is the same bits as
+    one call per matrix.
     """
-    a = np.stack([rng.standard_normal((3, 3)) for rng in rngs])
-    q, r = np.linalg.qr(a)
+    q, r = np.linalg.qr(draws)
     # Absorbing the signs of diag(r) makes the QR output Haar on O(3).
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, np.newaxis, :]
     # Right-multiplying by diag(1, 1, -1) is an exact, measure-preserving

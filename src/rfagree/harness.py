@@ -45,7 +45,7 @@ import numpy as np
 from .adversaries import make_adversary
 from .config import ExperimentConfig, success_exponent
 from .geometry import distance, random_frames, to_global
-from .netsim import QUANTUM_STEPS, substream
+from .netsim import QUANTUM_STEPS, rewindable_philox
 from .quantum_link import (
     ChannelParams,
     MeasurementTally,
@@ -226,8 +226,18 @@ def compute_metrics(record: dict, links, delta_eff: float) -> TrialMetrics:
 
 
 def trial_frames(master_seed: int, trial: int, m: int) -> np.ndarray:
-    """The trial's node frames, one (m, 3, 3) array; node i's from its own stream."""
-    return random_frames([substream(master_seed, trial, 0, node, 0) for node in range(m)])
+    """The trial's node frames, one (m, 3, 3) array.
+
+    Node i's frame is drawn from its own stream, ``substream(master_seed,
+    trial, 0, i, 0)``, reached by rewinding one Philox per trial.
+    """
+    bits, gen, state = rewindable_philox(master_seed, trial)
+    draws = np.empty((m, 3, 3))
+    for node in range(m):
+        state["state"]["counter"] = [0, 0, node, 0]
+        bits.state = state
+        gen.standard_normal(out=draws[node])
+    return random_frames(draws)
 
 
 def run_trial(config: ExperimentConfig, trial: int, frames=None):

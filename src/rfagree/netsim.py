@@ -181,13 +181,39 @@ class AdversaryView:
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+def _words(*words) -> np.ndarray:
+    """``words`` masked to 64 bits, as the exact uint64 array Philox takes.
+
+    Philox reads a list of Python ints through a float64 array when a word
+    is 2**63 or more, which rounds it; a uint64 array is taken as it is.
+    """
+    return np.array([w & _MASK64 for w in words], dtype=np.uint64)
+
+
 def substream(key0: int, key1: int, c1: int, c2: int, c3: int) -> np.random.Generator:
     """Independent Philox stream for one (key, counter-tag) combination."""
-    bits = np.random.Philox(
-        counter=[0, c1 & _MASK64, c2 & _MASK64, c3 & _MASK64],
-        key=[key0 & _MASK64, key1 & _MASK64],
-    )
+    bits = np.random.Philox(counter=_words(0, c1, c2, c3), key=_words(key0, key1))
     return np.random.Generator(bits)
+
+
+def rewindable_philox(key0: int, key1: int) -> tuple:
+    """(bits, generator, state) of one Philox keyed as :func:`substream` keys it.
+
+    Setting ``state["state"]["counter"] = [0, c1, c2, c3]`` and then
+    ``bits.state = state`` rewinds ``generator`` to the start of
+    ``substream(key0, key1, c1, c2, c3)``, an order of magnitude cheaper
+    than building that stream; only for draws that are fully consumed
+    before the next rewind.  The state dict holds plain lists, which the
+    state setter indexes several times faster than the arrays that
+    ``bits.state`` returns.  The buffer is empty (``buffer_pos`` 4), so its
+    words are never read.
+    """
+    key = _words(key0, key1)
+    bits = np.random.Philox(key=key)
+    state = bits.state
+    state["state"] = {"counter": [0, 0, 0, 0], "key": key.tolist()}
+    state["buffer"] = [0, 0, 0, 0]
+    return bits, np.random.Generator(bits), state
 
 
 #: What a malformed quantum payload raises on its way through the link.
@@ -235,16 +261,7 @@ class RoundEngine:
         # Per receiver: its axes for measure_batch; per sender: its slots.
         self._axes = [frame_axes(frame) for frame in self.frames]
         self._slots = [tuple((s, r) for r in range(self.m) if r != s) for s in range(self.m)]
-        # The link rewind's state dict holds plain lists, which the Philox
-        # state setter indexes several times faster than the arrays that
-        # ``state`` returns.  The key is read back from a Philox keyed as
-        # substream keys it, so it is the same words.  The buffer is empty
-        # (``buffer_pos`` 4), so its words are never read.
-        bits = np.random.Philox(key=[self.master_seed & _MASK64, self.trial & _MASK64])
-        state = bits.state
-        state["state"] = {"counter": [0, 0, 0, 0], "key": state["state"]["key"].tolist()}
-        state["buffer"] = [0, 0, 0, 0]
-        self._link_philox = (bits, np.random.Generator(bits), state)
+        self._link_philox = rewindable_philox(self.master_seed, self.trial)
 
     # Counter word c1 tags the purpose: 0 for setup draws (the frames, see
     # harness.trial_frames), 1 + round for per-round streams.  c2/c3 carry
@@ -262,9 +279,9 @@ class RoundEngine:
 
         The same stream as ``substream(master_seed, trial, 1 + round_index,
         sender, receiver)``: it rewinds the engine's one Philox instance,
-        whose key is the trial's, to the link's counter, which is an order
-        of magnitude cheaper; only for engine-internal draws that are fully
-        consumed before the next rewind.
+        whose key is the trial's, to the link's counter (see
+        :func:`rewindable_philox`); only for engine-internal draws that are
+        fully consumed before the next rewind.
         """
         bits, gen, state = self._link_philox
         state["state"]["counter"] = [0, 1 + self.round_index, sender, receiver]

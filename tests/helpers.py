@@ -80,8 +80,8 @@ def to_frame(v, frm, to) -> np.ndarray:
 
 
 def random_frame(rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform proper rotation: ``random_frames`` of one generator."""
-    return random_frames([rng])[0]
+    """Haar-uniform proper rotation: ``random_frames`` of one 3x3 draw from ``rng``."""
+    return random_frames(rng.standard_normal((3, 3))[np.newaxis])[0]
 
 
 def cross_rotate_about(v, axis, angle: float) -> np.ndarray:

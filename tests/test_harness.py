@@ -527,8 +527,9 @@ def per_matrix_frame(rng):
 @pytest.mark.parametrize("m", [4, 7, 10, 31])
 def test_trial_frames_equal_per_node_frames(m):
     # One stacked QR for a trial's frames gives the same bits as one
-    # random_frame per node, and as factoring each matrix on its own.
-    for seed in range(200):
+    # random_frame per node, and as factoring each matrix on its own.  The
+    # rewound Philox takes seeds at and past 2**63 as substream does.
+    for seed in [*range(200), 2**63, 2**63 + 1, 2**64 - 1]:
         frames = trial_frames(seed, seed % 3, m)
         assert frames.shape == (m, 3, 3) and frames.flags.c_contiguous
         for node in range(m):

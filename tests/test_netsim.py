@@ -90,6 +90,22 @@ def test_substream_independent_of_construction_order():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "args, other",
+    [
+        pytest.param((2**63, 0, 1, 2, 3), (2**63 + 1, 0, 1, 2, 3), id="seed"),
+        pytest.param((2**64 - 1, 0, 1, 2, 3), (2**64 - 2, 0, 1, 2, 3), id="seed-top"),
+        pytest.param((5, 2**63, 1, 2, 3), (5, 2**63 + 1, 1, 2, 3), id="trial"),
+        pytest.param((5, 0, 2**63 + 3, 2, 3), (5, 0, 2**63 + 2, 2, 3), id="counter"),
+    ],
+)
+def test_substream_keeps_words_above_2_63_apart(args, other):
+    # Words that a float64 array rounds alike give different streams, and
+    # none warns (the suite fails on a RuntimeWarning), as a word rounded
+    # up to 2**64 once did.
+    assert substream(*args).random(4).tolist() != substream(*other).random(4).tolist()
+
+
 def test_authentication_rejects_forged_sender():
     engine, _ = make_engine(m=4)
     params = ProtocolParams(4, 1, 0.05, engine.channel)
@@ -335,8 +351,8 @@ def test_non_finite_faulty_state_becomes_absent(state):
         # substream masks it.
         pytest.param(2**64 + 3, 2**64 + 6, 17, id="seed-trial-past-64-bits"),
         pytest.param(2**70 + 5, 2**65, 2**40, id="round-2**40"),
-        # A key word above 2**63, which substream's Philox reads through a
-        # float64 array: the rewind must use the words it ends up with.
+        # Key words above 2**63, which a float64 array cannot hold: both
+        # streams must key Philox with the exact words.
         pytest.param(2**63 + 1, 2**64 + 2**63 + 5, 3, id="key-word-above-2**63"),
     ],
 )
