@@ -5,9 +5,10 @@ every slot whose sender is faulty, after seeing the current round's honest
 traffic (the engine guarantees the rushing order) and the previous round's
 deliveries.  ``emit`` returns {sender: payload} for a faulty sender that
 broadcasts, as most strategies here do, and {(sender, receiver): payload}
-for the slots of one that equivocates; see ``RoundEngine.run_round``.  The catalog is a test battery, not a worst-case construction:
-each strategy probes a different part of the stack (thresholds, grades, the
-classical subprotocol, replay).
+for the slots of one that equivocates; see ``RoundEngine.run_round``.  The
+catalog is a test battery, not a worst-case construction: each strategy
+probes a different part of the stack (thresholds, grades, the classical
+subprotocol, replay).
 
 Strategies only read wire-visible data (payloads, tallies, bits) plus their
 own random streams, never honest private state, so every strategy is
