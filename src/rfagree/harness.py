@@ -57,6 +57,16 @@ from .rf_protocols import ProtocolParams, TrialResult, phase_steps, run_rf_conse
 
 CONSISTENCY_FACTOR = 30.0
 
+#: Encodes every exported JSONL line: the bytes of ``json.dumps(obj, sort_keys=True)``.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _jsonl_lines(records):
+    """Each of ``records`` as one JSONL line, newline included."""
+    encode = _ENCODER.encode
+    for rec in records:
+        yield encode(rec) + "\n"
+
 
 @dataclass
 class TrialMetrics:
@@ -352,13 +362,21 @@ def transcript_records(trial: int, transcript) -> list:
 
 
 def _worker(args):
-    """One trial of a validated config, serially or in a pool worker; times its own run_trial."""
+    """One trial of a validated config, serially or in a pool worker; times its own run_trial.
+
+    The trial's transcript comes back as its transcript.jsonl text (None
+    without export), encoded where the trial ran: text is what the run
+    holds until it writes, and all a pool worker sends back.
+    """
     config, trial = args
     t0 = time.monotonic()
     result, metrics, record = run_trial(config, trial)
     seconds = time.monotonic() - t0
+    # transcript_records by its module name: tracing replaces it there.
     transcript = (
-        transcript_records(trial, result.transcript) if config.write_transcript else None
+        "".join(_jsonl_lines(transcript_records(trial, result.transcript)))
+        if config.write_transcript
+        else None
     )
     return trial, record, metrics, transcript, seconds
 
@@ -435,17 +453,14 @@ def run_experiment(config: ExperimentConfig):
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         with open(os.path.join(config.out_dir, "trials.jsonl"), "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.writelines(_jsonl_lines(records))
         with open(os.path.join(config.out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         emit_report([summary], os.path.join(config.out_dir, "report.csv"))
         if config.write_transcript:
             with open(os.path.join(config.out_dir, "transcript.jsonl"), "w") as fh:
-                for transcript in transcripts:
-                    for rec in transcript:
-                        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.writelines(transcripts)
 
     return summary, records, metrics_list
 
@@ -525,6 +540,7 @@ def round_links(rec: dict, m: int, n: int) -> list:
         slot_payloads = rec["slot_payloads"]
         for sender, shared in zip(senders, rec["payloads"], strict=True):
             per_slot = slot_payloads.get(str(sender))
+            shared_state = None  # checked on the sender's first delivered slot
             for j, receiver in enumerate(r for r in range(m) if r != sender):
                 t = next(tallies)
                 if t is not None:
@@ -535,10 +551,13 @@ def round_links(rec: dict, m: int, n: int) -> list:
                         and 0 <= k_x <= n and 0 <= k_y <= n and 0 <= k_z <= n
                     ):
                         raise ValueError(f"tally {t!r} is not four ints with 0 <= k <= n = {n}")
-                    sent = shared if per_slot is None else per_slot[j]
-                    links.append(
-                        (sender, receiver, _sent_state(sent), MeasurementTally(k_x, k_y, k_z, n))
-                    )
+                    if per_slot is not None:
+                        sent = _sent_state(per_slot[j])
+                    else:
+                        if shared_state is None:
+                            shared_state = _sent_state(shared)
+                        sent = shared_state
+                    links.append((sender, receiver, sent, MeasurementTally(k_x, k_y, k_z, n)))
     return links
 
 

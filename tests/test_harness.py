@@ -166,13 +166,17 @@ def test_trials_jsonl_byte_identical_across_runs(tmp_path):
 
 
 def test_parallel_jobs_match_serial(tmp_path):
-    serial = small_config(out_dir=str(tmp_path / "serial"), trials=4)
-    parallel = small_config(out_dir=str(tmp_path / "parallel"), trials=4, jobs=2)
+    # Each trial's transcript is encoded in the worker that ran it.
+    serial = small_config(out_dir=str(tmp_path / "serial"), trials=4, write_transcript=True)
+    parallel = small_config(
+        out_dir=str(tmp_path / "parallel"), trials=4, jobs=2, write_transcript=True
+    )
     run_experiment(serial)
     run_experiment(parallel)
-    a = (tmp_path / "serial" / "trials.jsonl").read_bytes()
-    b = (tmp_path / "parallel" / "trials.jsonl").read_bytes()
-    assert a == b
+    for name in ("trials.jsonl", "transcript.jsonl"):
+        a = (tmp_path / "serial" / name).read_bytes()
+        b = (tmp_path / "parallel" / name).read_bytes()
+        assert a == b, name
 
 
 def is_quantum(rec):
