@@ -12,7 +12,8 @@ Subcommands:
              per-axis qubit count n.
 * ``verify`` recompute every metric from exported trials.jsonl (and
              transcript.jsonl if given), compare against the stored ones
-             and check the files' structure; exit 1 on any mismatch.
+             and check the files' structure; exit 1 on any mismatch, 2 on
+             a configuration error or a file that cannot be read.
 * ``sweep``  cartesian parameter sweeps over a base config; one summary per
              combination plus a combined report.csv.
 """
@@ -27,7 +28,7 @@ import sys
 
 from .config import ConfigError, ExperimentConfig, success_exponent
 from .harness import CONSISTENCY_FACTOR, emit_report, run_experiment, verify_records
-from .quantum_link import required_qubits, ted_accuracy_bound, ted_success_bound
+from .quantum_link import ted_accuracy_bound, ted_success_bound
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -85,6 +86,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_calc(args) -> int:
+    # Checked first: the accuracy target is converted through it.
+    if not 0.0 <= args.epsilon <= 1.0:
+        raise ConfigError(f"epsilon must be in [0, 1], got {args.epsilon}")
     if args.accuracy is not None:
         delta_eff = args.accuracy / CONSISTENCY_FACTOR
         delta = (delta_eff - 2.5 * args.epsilon) / (1.0 - args.epsilon) if args.epsilon < 1.0 else 0.0
@@ -107,10 +111,15 @@ def cmd_calc(args) -> int:
         scope, target = "per_link", args.q_target
     else:
         raise ConfigError("one of --overall-success / --q-target is required")
+    # Validated as a config sized by this target is: m >= 2, delta > 0, the
+    # target in (0, 1) and its per-link root below 1.0.
+    config = ExperimentConfig.from_dict(
+        {"m": args.m, "t": 0, "delta": delta, "epsilon": args.epsilon,
+         "q_target": target, "q_target_scope": scope}
+    )
     exponent = success_exponent(scope, args.m)
-    q_link = target ** (1.0 / exponent)
-
-    n = required_qubits(delta, q_link)
+    q_link = config.per_link_target()
+    n = config.resolved_n()
     out = {
         "m": args.m,
         "epsilon": args.epsilon,
@@ -129,7 +138,11 @@ def cmd_calc(args) -> int:
 
 def cmd_verify(args) -> int:
     config = ExperimentConfig.load(args.config)
-    mismatches = verify_records(args.records, args.transcript, config)
+    try:
+        mismatches = verify_records(args.records, args.transcript, config)
+    except OSError as exc:
+        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     if mismatches:
         for line in mismatches:
             print(line, file=sys.stderr)

@@ -318,13 +318,35 @@ def _segments(msg) -> list:
     return [[[float(c) for c in state], int(count)] for state, count in msg.segments]
 
 
+def _per_sender(senders, wires) -> tuple:
+    """(shared, per_slot) of a round's wire lists, one list per sender in ``senders`` order.
+
+    ``shared`` has one entry per sender: what every one of its slots
+    carried, or None when its slots differ; ``per_slot`` maps
+    ``str(sender)`` to its list for each sender whose slots differ.  A
+    sender's list may hold one entry for all of its slots.
+    """
+    shared, per_slot = [], {}
+    for sender, wire in zip(senders, wires):
+        if wire.count(wire[0]) == len(wire):
+            shared.append(wire[0])
+        else:
+            shared.append(None)
+            per_slot[str(sender)] = wire
+    return shared, per_slot
+
+
 def transcript_records(trial: int, transcript) -> list:
     """One record per round, rounds in order; README "Output files" has the schema.
 
     Per-slot lists follow the engine's slot order (each of ``senders`` to
-    every other node, receivers ascending), so they carry no slot keys.  A
-    quantum round writes a sender's payload once when all of its slots carry
-    the same one, as a correct sender's always do, and per slot otherwise.
+    every other node, receivers ascending), so they carry no slot keys.
+    Both kinds of round write what a sender sent once when all of its slots
+    carry the same thing, as a correct sender's always do, and per slot
+    otherwise (:func:`_per_sender`): a quantum round its payloads, a
+    classical round its symbols, read from the
+    :class:`~rfagree.netsim.ClassicalDeliveries` per sender.  Only a quantum
+    round's tallies are per slot.
     """
     records = []
     for index, rnd in enumerate(transcript):
@@ -340,23 +362,22 @@ def transcript_records(trial: int, transcript) -> list:
         if step.kind in QUANTUM_STEPS:
             sent = list(rnd.payloads.values())
             width = len(sent) // len(step.senders)
-            payloads = rec["payloads"] = []
-            slot_payloads = rec["slot_payloads"] = {}
-            for i, sender in enumerate(step.senders):
+            wires = []
+            for i in range(len(step.senders)):
                 msgs = sent[i * width:(i + 1) * width]
                 if all(p is msgs[0] for p in msgs):  # a correct sender's one message
                     msgs = msgs[:1]
-                wire = [None if p is None else _segments(p) for p in msgs]
-                if wire.count(wire[0]) == len(wire):
-                    payloads.append(wire[0])
-                else:
-                    payloads.append(None)
-                    slot_payloads[str(sender)] = wire
+                wires.append([None if p is None else _segments(p) for p in msgs])
+            rec["payloads"], rec["slot_payloads"] = _per_sender(step.senders, wires)
             rec["tallies"] = [
                 None if t is None else [t.k_x, t.k_y, t.k_z, t.n] for t in rnd.deliveries.values()
             ]
         else:
-            rec["symbols"] = rnd.deliveries.values()
+            broadcast, per_slot = rnd.deliveries.broadcast, rnd.deliveries.per_slot
+            rec["symbols"], rec["slot_symbols"] = _per_sender(
+                step.senders,
+                [[broadcast[s]] if s in broadcast else per_slot[s] for s in step.senders],
+            )
         records.append(rec)
     return records
 
@@ -518,46 +539,71 @@ def _sent_state(segments):
     return segments[0][0]
 
 
+def _slot_lists(rec: dict, key: str, senders: list, m: int) -> dict:
+    """The record's ``key`` (``slot_payloads`` or ``slot_symbols``), its shape checked.
+
+    Each key must name a sender of the record and hold one entry per slot
+    of that sender, m - 1 of them.
+    """
+    lists = rec[key]
+    names = {str(s) for s in senders} if lists else ()  # most rounds have none
+    for name, entries in lists.items():
+        if name not in names:
+            raise ValueError(f"{key} key {name!r} is not one of senders {senders!r}")
+        if len(entries) != m - 1:
+            raise ValueError(f"{key}[{name!r}] has {len(entries)} entries, not m - 1 = {m - 1}")
+    return lists
+
+
 def round_links(rec: dict, m: int, n: int) -> list:
     """(sender, receiver, sent_local, tally) of every delivered slot of one exported round.
 
     The inverse of :func:`transcript_records` for what the estimation oracle
-    reads.  The record's shape is checked as it is read: a malformed one
-    raises ValueError, KeyError, TypeError, IndexError or AttributeError.
-    Each tally must be four ints ``[k_x, k_y, k_z, n]`` with every k in
-    [0, n] and ``n`` the run's per-axis qubit count.
+    reads; a classical round has no links.  The record's shape is checked
+    as it is read: a malformed one raises ValueError, KeyError, TypeError,
+    IndexError or AttributeError.  ``payloads`` and ``symbols`` hold one
+    entry per sender and ``tallies`` one per slot; ``slot_payloads`` and
+    ``slot_symbols`` must be present, and each of their keys names a sender
+    and holds m - 1 entries.  A sender's shared payload is checked once,
+    with its first delivered slot.  Each tally must be four ints ``[k_x,
+    k_y, k_z, n]`` with every k in [0, n] and ``n`` the run's per-axis
+    qubit count.
     """
     senders = rec["senders"]
     if not all(type(s) is int and 0 <= s < m for s in senders):
         raise ValueError(f"senders {senders!r} are not all nodes in range({m})")
-    quantum = rec["step"] in QUANTUM_STEPS
-    slots = rec["tallies" if quantum else "symbols"]
-    if len(slots) != len(senders) * (m - 1):
-        raise ValueError(f"{len(slots)} slots for {len(senders)} senders at m={m}")
+    if rec["step"] not in QUANTUM_STEPS:
+        symbols = rec["symbols"]
+        if len(symbols) != len(senders):
+            raise ValueError(f"{len(symbols)} symbols for {len(senders)} senders")
+        _slot_lists(rec, "slot_symbols", senders, m)
+        return []
+    tallies = rec["tallies"]
+    if len(tallies) != len(senders) * (m - 1):
+        raise ValueError(f"{len(tallies)} tallies for {len(senders)} senders at m={m}")
+    slot_payloads = _slot_lists(rec, "slot_payloads", senders, m)
+    tallies = iter(tallies)
     links = []
-    if quantum:
-        tallies = iter(slots)
-        slot_payloads = rec["slot_payloads"]
-        for sender, shared in zip(senders, rec["payloads"], strict=True):
-            per_slot = slot_payloads.get(str(sender))
-            shared_state = None  # checked on the sender's first delivered slot
-            for j, receiver in enumerate(r for r in range(m) if r != sender):
-                t = next(tallies)
-                if t is not None:
-                    k_x, k_y, k_z, t_n = t
-                    if not (
-                        type(k_x) is int and type(k_y) is int and type(k_z) is int
-                        and type(t_n) is int and t_n == n
-                        and 0 <= k_x <= n and 0 <= k_y <= n and 0 <= k_z <= n
-                    ):
-                        raise ValueError(f"tally {t!r} is not four ints with 0 <= k <= n = {n}")
-                    if per_slot is not None:
-                        sent = _sent_state(per_slot[j])
-                    else:
-                        if shared_state is None:
-                            shared_state = _sent_state(shared)
-                        sent = shared_state
-                    links.append((sender, receiver, sent, MeasurementTally(k_x, k_y, k_z, n)))
+    for sender, shared in zip(senders, rec["payloads"], strict=True):
+        per_slot = slot_payloads.get(str(sender))
+        shared_state = None  # checked on the sender's first delivered slot
+        for j, receiver in enumerate(r for r in range(m) if r != sender):
+            t = next(tallies)
+            if t is not None:
+                k_x, k_y, k_z, t_n = t
+                if not (
+                    type(k_x) is int and type(k_y) is int and type(k_z) is int
+                    and type(t_n) is int and t_n == n
+                    and 0 <= k_x <= n and 0 <= k_y <= n and 0 <= k_z <= n
+                ):
+                    raise ValueError(f"tally {t!r} is not four ints with 0 <= k <= n = {n}")
+                if per_slot is not None:
+                    sent = _sent_state(per_slot[j])
+                else:
+                    if shared_state is None:
+                        shared_state = _sent_state(shared)
+                    sent = shared_state
+                links.append((sender, receiver, sent, MeasurementTally(k_x, k_y, k_z, n)))
     return links
 
 

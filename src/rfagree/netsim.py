@@ -34,7 +34,8 @@ classical round is kept per sender (:class:`ClassicalDeliveries`): a
 broadcaster's symbol once, checked once, whether the sender is correct or
 faulty, and per slot only the symbols of faulty senders that equivocate;
 phase king counts it that way (``rf_protocols.absorb_round``), and the
-per-slot view the transcript export reads is derived from it in one place.
+transcript export writes it that way.  Its per-slot view is derived from it
+in one place.
 
 Randomness is derived per (trial, round, sender, receiver) from counter-based
 Philox streams, so replays are stable: adding adversary draws or reordering
@@ -87,9 +88,15 @@ class ClassicalDeliveries(Mapping):
     that the adversary gave no slot key (see :meth:`RoundEngine.run_round`).
     ``per_slot`` maps each other faulty sender to the list of what its
     slots delivered, in ``slots[sender]`` order (every other node,
-    ascending).  A symbol is None where it was absent or malformed.  As a
-    mapping it is the per-slot view, the one derivation of it: slots run
-    sender-major over ``senders``, as in a quantum round's dict.
+    ascending).  A symbol is None where it was absent or malformed.
+    Phase king (``rf_protocols.absorb_round``) and the transcript export
+    (``harness.transcript_records``) read these two dicts.
+
+    As a mapping it is the per-slot view, the one derivation of it: slots
+    run sender-major over ``senders``, as in a quantum round's dict.  Its
+    readers are the flag exchange's inboxes (:meth:`inbox`), the
+    benchmark's tracing, which counts the slots and absent symbols through
+    ``len`` and :meth:`values`, and the tests.
     """
 
     __slots__ = ("senders", "slots", "broadcast", "per_slot")

@@ -371,27 +371,33 @@ def expand_round_record(rec, m):
 
     Each is ``{trial, round, phase, step, cc_round, sender, receiver, kind,
     payload, tally}``, with ``kind`` ``quantum``, ``bit`` or ``absent``, in
-    the engine's slot order.  The oracle for a lossless per-round export.
+    the engine's slot order.  A sender's payload or symbol is its entry of
+    ``payloads``/``symbols``, or per slot from ``slot_payloads``/
+    ``slot_symbols`` where the record has its list.  The oracle for a
+    lossless per-round export.
     """
     header = {key: rec[key] for key in ("trial", "round", "phase", "step", "cc_round")}
     quantum = rec["step"] in QUANTUM_STEPS
-    deliveries = rec["tallies"] if quantum else rec["symbols"]
-    slot_payloads = rec["slot_payloads"] if quantum else {}
+    shared, slot_lists = (
+        (rec["payloads"], rec["slot_payloads"]) if quantum else (rec["symbols"], rec["slot_symbols"])
+    )
+    assert len(shared) == len(rec["senders"])
     slots = [
         (idx, j, sender, receiver)
         for idx, sender in enumerate(rec["senders"])
         for j, receiver in enumerate(r for r in range(m) if r != sender)
     ]
-    assert len(deliveries) == len(slots)
+    tallies = rec["tallies"] if quantum else [None] * len(slots)
+    assert len(tallies) == len(slots)
     expanded = []
-    for (idx, j, sender, receiver), delivery in zip(slots, deliveries):
+    for (idx, j, sender, receiver), delivery in zip(slots, tallies):
+        per_slot = slot_lists.get(str(sender))
+        payload = shared[idx] if per_slot is None else per_slot[j]
         if quantum:
-            per_slot = slot_payloads.get(str(sender))
-            payload = rec["payloads"][idx] if per_slot is None else per_slot[j]
             kind = "quantum"
             tally = None if delivery is None else dict(zip(("k_x", "k_y", "k_z", "n"), delivery))
         else:
-            payload, kind, tally = delivery, "bit", None
+            kind, tally = "bit", None
         expanded.append(
             dict(
                 header,

@@ -29,15 +29,15 @@ GOLDEN_TRIALS = 2
 GOLDEN = {
     "equivocator.json": (
         "8093d6e5b0c6e9b213b42b9aa3b19cd3a6731b8b07bcd99bbfbb8ac75b3e4926",
-        "10e6176ac2fa46c2bcc9e91c54598db9bdb336478110f5c3ded5da833616ccbb",
+        "d183b1060df10596dab3122176a23b497038a739f8116b307ea9e67c25157d1e",
     ),
     "honest_small.json": (
         "3781f5ed225b675e575c2692435e3115a4481b458c1d335746c630b93a2a8709",
-        "58c4f4d14d7709c97e99513b7bfef082d03c47604656759f37e51147e190451d",
+        "dc6ce0e022adf31e572937a73782f2d9920a10209e96e62caa2f735eaeb473b5",
     ),
     "noisy_channel.json": (
         "602405f30381d19016b93ca8458dd9e6c281716f9021f612e2796b2f0c6e7559",
-        "9f5483ca3dffdd310f839cffcf6d12fbbae0b18c794c6000c9931e18b5ba2909",
+        "c9efc3059120d1b36e478fbff49de5b01cc016190236849cc6a59e6fc6dc08cd",
     ),
 }
 
@@ -47,27 +47,27 @@ GOLDEN = {
 STRATEGY_GOLDEN = {
     "crash": (
         "75dc9ef5b720b3ec291c099c8f2a817972cff09f0ea10aadd3585e5eff51c9f5",
-        "dd0e152ce6ab9bcbafc7554304190c05132775036b4b21a57172f68cec570919",
+        "107e241464b2ea3871f077a40bc434c18f5d72dec3e01d2220678557d3b5b56a",
     ),
     "equivocator": (
         "82160c3184ffef1a44d35d2c134e8c330b7816511c7fbe08aeb80cd3fb25c0cf",
-        "13bff14dfaee353a9005c80721534c27f6ac0def018be5cac0916ffd8c0d4630",
+        "82f13c89a515fa155a0e4378595a316f088af1a1136ccaa3f2d2e91fbeaac44b",
     ),
     "grade-poisoner": (
         "e77c709be16769ee5bd479859fd4e3f751f0ee4bd920fd53a59d0757b0520503",
-        "21cbf58716a5109badf616b0c7fa83bfc992a1a01e01454e2f617ca1ed788030",
+        "fcd9c6c1893c6d84a265162902ef1b99a90d7e6b634705a715532d5b3c9b1a1b",
     ),
     "honest-shadow": (
         "fcc20ab9a434f3f759b1dc68035a47ca56cdad4225ce381cc4635c2f29b281e9",
-        "cee9589271a08c172c7e292383e201149c1c1677d3f6bc6b9cf2eea52b724e6d",
+        "40f2cc6ca691d8dac52a0391bc3707f44f7095e372d1ed41ee71eeaacb659d4f",
     ),
     "random-noise": (
         "cfdb6ceb28bbdda9a422e6e48092c4bdfd3420149dabc7ef67481a555fe9e1c8",
-        "93c801ee37f25bd6f3377a30fe9107d56cabb3098c5b2369bf6e9851fc6faac1",
+        "9218fa8b457ad1d335ab5fb01cf7a7598fdd4235b8c015a5b49e98fbd787af83",
     ),
     "rusher": (
         "e77c709be16769ee5bd479859fd4e3f751f0ee4bd920fd53a59d0757b0520503",
-        "ce61e21361775ca471b90c9792057bdb168ebc3956c0a997864eef46410304f4",
+        "c7119512f87a28df37651bb866297312f3df954894b47553fb16fd4b3154c9c5",
     ),
 }
 
@@ -146,7 +146,7 @@ def test_strategy_golden_digests(name, tmp_path):
 # hit the degenerate-estimate sentinel; seed 1 gives some in both trials.
 DEGENERATE_GOLDEN = (
     "33e3dc5f04294b263bb701f083952b101c0a28d945d387b230fff683104ceb99",
-    "e1e4e2711227c0d3dfd8652d4d5ac58ce4199774285bf1928b37278426c260f0",
+    "8c12908ff2888bfdda2b28325b08dc73393ccce4c102fd90bbb51c94aa41ddf6",
 )
 
 

@@ -385,24 +385,56 @@ def test_verify_reports_unreadable_transcript_line(tmp_path):
     assert mismatches[0].startswith(f"trial 0: transcript line {lineno}: ValueError: ")
 
 
+def is_classical(rec):
+    return not is_quantum(rec)
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "predicate, edit, error",
     [
-        pytest.param(lambda rec: rec["payloads"][0][0].__setitem__(0, [1.0, "x"]), id="bad-state"),
-        pytest.param(lambda rec: rec["senders"].__setitem__(0, 4), id="sender-out-of-range"),
-        pytest.param(lambda rec: rec["tallies"].pop(), id="short-tallies"),
-        pytest.param(lambda rec: rec["tallies"].__setitem__(0, [0, 0, 0, 0]), id="zero-n-tally"),
-        pytest.param(lambda rec: rec["tallies"].__setitem__(0, [10**400] * 4), id="huge-tally"),
+        pytest.param(
+            is_quantum, lambda rec: rec["payloads"][0][0].__setitem__(0, [1.0, "x"]), "ValueError",
+            id="bad-state",
+        ),
+        pytest.param(
+            is_quantum, lambda rec: rec["senders"].__setitem__(0, 4), "ValueError",
+            id="sender-out-of-range",
+        ),
+        pytest.param(is_quantum, lambda rec: rec["tallies"].pop(), "ValueError", id="short-tallies"),
+        pytest.param(
+            is_quantum, lambda rec: rec["tallies"].__setitem__(0, [0, 0, 0, 0]), "ValueError",
+            id="zero-n-tally",
+        ),
+        pytest.param(
+            is_quantum, lambda rec: rec["tallies"].__setitem__(0, [10**400] * 4), "ValueError",
+            id="huge-tally",
+        ),
+        pytest.param(
+            is_quantum, lambda rec: rec["slot_payloads"].__setitem__("9", rec["payloads"][:1] * 3),
+            "ValueError", id="slot-payloads-not-a-sender",
+        ),
+        pytest.param(is_classical, lambda rec: rec["symbols"].pop(), "ValueError", id="short-symbols"),
+        pytest.param(
+            is_classical, lambda rec: rec["slot_symbols"].__setitem__("0", [1, 1]), "ValueError",
+            id="short-slot-symbols",
+        ),
+        pytest.param(
+            is_classical, lambda rec: rec["slot_symbols"].__setitem__("7", [1, 1, 1]), "ValueError",
+            id="slot-symbols-not-a-sender",
+        ),
+        pytest.param(
+            is_classical, lambda rec: rec.pop("slot_symbols"), "KeyError", id="no-slot-symbols"
+        ),
     ],
 )
-def test_verify_reports_malformed_transcript_shape(tmp_path, edit):
+def test_verify_reports_malformed_transcript_shape(tmp_path, predicate, edit, error):
     # Checked while the line is read, not later in estimation_failures.
     out = tmp_path / "out"
     cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
     run_experiment(cfg)
-    lineno = rewrite_line(out / "transcript.jsonl", is_quantum, edit)
+    lineno = rewrite_line(out / "transcript.jsonl", predicate, edit)
     mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
-    assert mismatches[0].startswith(f"trial 0: transcript line {lineno}: ValueError: ")
+    assert mismatches[0].startswith(f"trial 0: transcript line {lineno}: {error}: ")
 
 
 class HalfMalformed(RandomNoise):
@@ -559,6 +591,28 @@ def test_cli_calc_infeasible_accuracy(capsys):
     assert code == 2
 
 
+#: calc inputs outside what ExperimentConfig.validate accepts.
+CALC_OUT_OF_RANGE = {
+    "overall-success-one": ["--m", "4", "--overall-success", "1.0", "--delta", "0.01"],
+    # Below 1, but its m^2-th root at m=10 is 1.0 in floating point.
+    "per-link-root-one": ["--m", "10", "--overall-success", "0.9999999999999999", "--delta", "0.01"],
+    "negative-delta": ["--m", "4", "--overall-success", "0.9", "--delta", "-1"],
+    "m-zero": ["--m", "0", "--overall-success", "0.9", "--delta", "0.01"],
+    "negative-epsilon": [
+        "--m", "4", "--overall-success", "0.9", "--delta", "0.01", "--epsilon", "-0.5",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", CALC_OUT_OF_RANGE.values(), ids=CALC_OUT_OF_RANGE.keys())
+def test_cli_calc_rejects_out_of_range_input(capsys, argv):
+    code = cli_main(["calc", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg = small_config(trials=2)
     path = tmp_path / "cfg.json"
@@ -640,6 +694,27 @@ def test_cli_verify(tmp_path, capsys):
     code = cli_main(["verify", "--config", str(path), "--records", str(out / "trials.jsonl")])
     assert code == 1
     assert "trials line 1: JSONDecodeError: " in capsys.readouterr().err
+
+
+def test_cli_verify_reports_unreadable_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
+    run_experiment(cfg)
+    path = tmp_path / "cfg.json"
+    cfg.save(path)
+    trials, transcript = out / "trials.jsonl", out / "transcript.jsonl"
+    missing = tmp_path / "missing.jsonl"
+    capsys.readouterr()
+    for records, rounds, unreadable in [
+        (missing, transcript, missing),
+        (trials, missing, missing),
+        (trials, tmp_path, tmp_path),  # a directory
+    ]:
+        argv = ["verify", "--config", str(path), "--records", str(records)]
+        code = cli_main(argv + ["--transcript", str(rounds)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"cannot read {unreadable}: ") and "Traceback" not in err
 
 
 def test_cli_verify_reports_out_of_range_tally(tmp_path, capsys):

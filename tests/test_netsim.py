@@ -24,6 +24,7 @@ from rfagree.adversaries import Rusher, make_adversary
 from helpers import (
     adversary_rng,
     deliver_quantum,
+    expand_round_record,
     link_rng,
     random_frame,
     reference_link_cells,
@@ -165,7 +166,24 @@ def test_slot_keys_override_a_classical_broadcast():
     assert [deliveries[(6, r)] for r in range(m) if r != 6] == [0] * 6
     assert deliveries.inbox(2) == {0: 0, 1: 1, 3: 1, 4: 0, 5: None, 6: 0}
     (record,) = transcript_records(0, engine.transcript)
-    assert record["symbols"] == deliveries.values() == [deliveries[slot] for slot in deliveries]
+    # One symbol per sender; 5's slots differ, so they are exported per slot.
+    assert record["symbols"] == [0, 1, 0, 1, 0, None, 0]
+    assert record["slot_symbols"] == {"5": [1, 0, None, 1, 1, 1]}
+    exported = [slot["payload"] for slot in expand_round_record(record, m)]
+    assert exported == deliveries.values() == [deliveries[slot] for slot in deliveries]
+
+
+def test_classical_slots_that_agree_are_exported_once():
+    m = 4
+    engine, _ = make_engine(m=m)
+    step = RoundStep(CLASSICAL_ROUND, 0, 0, 0, tuple(range(m)))
+    # Faulty 3 fills each of its slots by key, all with the same symbol.
+    emitted = {(3, r): 1 for r in range(3)}
+    deliveries = engine.run_round(step, {0: 0, 1: 1, 2: 0}, frozenset({3}), Emitting(emitted))
+    assert deliveries.per_slot == {3: [1, 1, 1]}
+    (record,) = transcript_records(0, engine.transcript)
+    assert record["symbols"] == [0, 1, 0, 1] and record["slot_symbols"] == {}
+    assert [slot["payload"] for slot in expand_round_record(record, m)] == deliveries.values()
 
 
 def test_slot_keys_override_a_quantum_broadcast(monkeypatch):
@@ -276,7 +294,10 @@ def test_absent_payload_recorded_and_none_delivered():
     assert list(deliveries) == [(0, 1), (0, 2), (0, 3)]
     assert set(deliveries.values()) == {None}
     assert set(engine.transcript[0].payloads.values()) == {None}
-    assert transcript_records(0, engine.transcript)[0]["symbols"] == [None, None, None]
+    (record,) = transcript_records(0, engine.transcript)
+    assert record["symbols"] == [None] and record["slot_symbols"] == {}
+    expanded = expand_round_record(record, 4)
+    assert [(s["kind"], s["payload"]) for s in expanded] == [("absent", None)] * 3
 
 
 def direction_round_with(adversary, faulty, seed=11):
@@ -390,7 +411,8 @@ def test_numpy_integer_classical_symbol_is_absent():
     assert [engine.transcript[0].payloads[(3, r)] for r in range(3)] == [None, None, None]
     (record,) = transcript_records(0, engine.transcript)
     assert record["senders"] == [0, 1, 2, 3]
-    assert record["symbols"][9:] == [None, None, None]
+    assert record["symbols"] == [1, 1, 1, None] and record["slot_symbols"] == {}
+    assert [s["payload"] for s in expand_round_record(record, 4)][9:] == [None, None, None]
 
 
 def test_adversary_view_carries_previous_round():

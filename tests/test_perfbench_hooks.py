@@ -13,6 +13,8 @@ from pathlib import Path
 from rfagree import harness
 from rfagree.config import ExperimentConfig
 
+from helpers import expand_round_record
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -37,12 +39,13 @@ def test_every_counter_and_layer_is_hit(tmp_path):
     # Each slot of the transcript was resolved by a traced round, and each
     # delivered quantum slot was measured by the traced measure_batch.
     rounds = [json.loads(line) for line in (tmp_path / "transcript.jsonl").read_text().splitlines()]
-    slots = [d for rec in rounds for d in rec.get("tallies", rec.get("symbols"))]
-    delivered = [t for rec in rounds for t in rec.get("tallies", []) if t is not None]
+    slots = [slot for rec in rounds for slot in expand_round_record(rec, config.m)]
+    absent = [slot for slot in slots if slot["kind"] == "absent"]
+    delivered = [slot for slot in slots if slot["tally"] is not None]
     assert tracer.counts["netsim.slots_resolved"] == len(slots)
     # The crashed node's slots are the absent ones; no gated workload
     # resolves an absent slot, so this is where their count is checked.
-    assert tracer.counts["netsim.absent_deliveries"] == slots.count(None) > 0
+    assert tracer.counts["netsim.absent_deliveries"] == len(absent) > 0
     assert tracer.counts["quantum_link.measure_batch_calls"] == len(delivered) > 0
     layers = {span[0] for span in tracer.spans}
     assert set(tracing.SELF_TIME_METRICS) - layers == set()
