@@ -17,9 +17,10 @@ calls it again on the exported files:
   accept and land within delta_eff of the king's direction;
 * estimation-failure oracle: every correct-to-correct quantum transmission
   is decoded again from its tally and compared against the sent direction
-  at the delta_eff accuracy.  Trials where every such link succeeded are
-  marked fully successful; on those, consistency and persistency are
-  deterministic consequences of the thresholds and must never fail;
+  at the delta_eff accuracy, in one array pass over the trial's links.
+  Trials where every such link succeeded are marked fully successful; on
+  those, consistency and persistency are deterministic consequences of the
+  thresholds and must never fail;
 * degenerate tallies: those a correct node received that decode to the
   sentinel, counted in the same pass over the links.
 
@@ -32,13 +33,14 @@ which appear only in summary.json / report.csv.
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .config import ExperimentConfig, success_exponent
 from .geometry import distance, random_frames, to_global
 from .netsim import QUANTUM_STEPS, rewindable_philox
 from .quantum_link import (
+    SENTINEL,
     ChannelParams,
     MeasurementTally,
     ted_accuracy_bound,
@@ -87,43 +90,111 @@ class TrialMetrics:
         return dict(vars(self))
 
 
-def quantum_links(transcript):
-    """(sender, receiver, sent_local, tally) of every delivered quantum envelope.
+@dataclass
+class LinkColumns:
+    """A trial's delivered quantum links, one list per column: the estimation oracle's input.
 
-    ``sent_local`` is the state of the first segment in sender-local
-    coordinates: the sent direction, for an honest sender.
+    Entry i of every list is link i: its sender and receiver ids, the first
+    state it carried (``sent``, in sender-local coordinates: the sent
+    direction, for a correct sender) and its tally, a
+    :class:`~rfagree.quantum_link.MeasurementTally` or the exported
+    ``[k_x, k_y, k_z, n]``.
     """
+
+    senders: list = field(default_factory=list)
+    receivers: list = field(default_factory=list)
+    sent: list = field(default_factory=list)
+    tallies: list = field(default_factory=list)
+
+    def extend(self, other: "LinkColumns") -> None:
+        """Append ``other``'s links after these."""
+        self.senders += other.senders
+        self.receivers += other.receivers
+        self.sent += other.sent
+        self.tallies += other.tallies
+
+
+def quantum_links(transcript) -> LinkColumns:
+    """The :class:`LinkColumns` of every delivered quantum envelope of a transcript."""
+    links = LinkColumns()
+    senders, receivers, sent, tallies = links.senders, links.receivers, links.sent, links.tallies
     for rnd in transcript:
         if rnd.step.kind in QUANTUM_STEPS:
-            for (sender, receiver), tally in rnd.deliveries.items():
+            payloads = rnd.payloads
+            for slot, tally in rnd.deliveries.items():
                 if tally is not None:
-                    sent_local = rnd.payloads[(sender, receiver)].segments[0][0]
-                    yield sender, receiver, sent_local, tally
+                    senders.append(slot[0])
+                    receivers.append(slot[1])
+                    sent.append(payloads[slot].segments[0][0])
+                    tallies.append(tally)
+    return links
 
 
-def link_metrics(links, frames, faulty, delta_eff: float):
+#: A link whose distance from the array pass lies within this of delta_eff
+#: is decided again by :func:`_link_fails`.  With rotation frames and
+#: vectors of length at most 1, every array result is within a few ulps
+#: (about 1e-15) of the scalar one, far inside this band, so both decide
+#: every link alike.
+NEAR_THRESHOLD = 1e-9
+
+
+def _link_fails(sent_local, sender_frame, tally, receiver_frame, delta_eff: float) -> bool:
+    """Whether one link's decoded estimate lies beyond delta_eff of the sent direction.
+
+    The scalar formula: ``ted_receive`` and ``distance`` on the two vectors
+    in the global frame.
+    """
+    estimate, _ = ted_receive(MeasurementTally(*tally))
+    sent = to_global(sent_local, sender_frame).tolist()
+    return distance(sent, to_global(estimate, receiver_frame).tolist()) > delta_eff
+
+
+def link_metrics(links: LinkColumns, frames, faulty, delta_eff: float):
     """(estimation_failures, degenerate) over the delivered quantum ``links``.
 
-    Every tally a correct node received is decoded again, as the node did;
-    ``degenerate`` counts those that fell back to the sentinel.  A
-    correct-to-correct link fails when the decoded estimate and the sent
-    direction differ by more than delta_eff in the global frame.
+    One array pass over the columns.  Every tally a correct node received
+    is decoded again, as the node did; ``degenerate`` counts those that
+    fell back to the sentinel, which ``ted_receive`` does exactly when
+    ``2 k == n`` on all three axes.  A correct-to-correct link fails when
+    the decoded estimate and the sent direction differ by more than
+    delta_eff in the global frame.  Tallies are decoded with the IEEE
+    operations of ``ted_receive`` and both vectors rotated by stacked
+    ``matmul``; the normalization and the distance are summed in another
+    order than ``math.fsum``, so a link within :data:`NEAR_THRESHOLD` of
+    delta_eff is decided by the scalar formula, and the counts equal those
+    of one ``ted_receive`` and ``distance`` call per link.
     """
-    failures = degenerate = 0
-    last = (None, None, None)  # (sender, sent_local, sent direction in the global frame)
-    for sender, receiver, sent_local, tally in links:
-        if receiver in faulty:
-            continue
-        estimate_local, flagged = ted_receive(tally)
-        degenerate += flagged
-        if sender in faulty:
-            continue
-        if sender != last[0] or sent_local is not last[1]:  # a correct sender's next message
-            last = (sender, sent_local, to_global(sent_local, frames[sender]).tolist())
-        estimate = to_global(estimate_local, frames[receiver]).tolist()
-        if distance(last[2], estimate) > delta_eff:
-            failures += 1
-    return failures, degenerate
+    tallies = np.fromiter(
+        itertools.chain.from_iterable(links.tallies), dtype=np.int64, count=4 * len(links.tallies)
+    ).reshape(-1, 4)
+    counts, n = tallies[:, :3], tallies[:, 3:]
+    is_faulty = np.array([i in faulty for i in range(len(frames))], dtype=bool)
+    senders = np.array(links.senders, dtype=np.intp)
+    receivers = np.array(links.receivers, dtype=np.intp)
+    to_correct = ~is_faulty[receivers]
+    flagged = (2 * counts == n).all(axis=1)
+    degenerate = int(np.count_nonzero(flagged & to_correct))
+
+    idx = np.flatnonzero(to_correct & ~is_faulty[senders])
+    raw = 2.0 * counts[idx] / n[idx] - 1.0
+    flagged = flagged[idx]
+    length = np.sqrt((raw * raw).sum(axis=1))
+    estimate = raw / np.where(flagged, 1.0, length)[:, np.newaxis]
+    estimate[flagged] = SENTINEL
+    sent = np.array([links.sent[i] for i in idx.tolist()], dtype=np.float64).reshape(-1, 3)
+    sender_frames, receiver_frames = frames[senders[idx]], frames[receivers[idx]]
+    diff = (
+        np.matmul(sender_frames, sent[:, :, np.newaxis])
+        - np.matmul(receiver_frames, estimate[:, :, np.newaxis])
+    )[:, :, 0]
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    fails = dist > delta_eff
+    for i in np.flatnonzero(np.abs(dist - delta_eff) <= NEAR_THRESHOLD).tolist():
+        link = idx[i]
+        fails[i] = _link_fails(
+            links.sent[link], sender_frames[i], links.tallies[link], receiver_frames[i], delta_eff
+        )
+    return int(np.count_nonzero(fails)), degenerate
 
 
 def agreement_metrics(global_outputs: dict, honest_ids, delta_eff: float):
@@ -180,10 +251,11 @@ def compute_metrics(record: dict, links, delta_eff: float) -> TrialMetrics:
     ``outputs_global`` must be what :func:`outputs_global` derives from
     ``outputs_local``: :func:`trial_record` writes it so, and ``verify``
     puts the derived one in before calling this.  ``links`` are the
-    trial's (sender, receiver, sent_local, tally) quantum links, or None
-    when unknown, which leaves the three fields read from them None.  The
-    run and ``verify`` both call this, so a stored metric and its check
-    share every formula.
+    trial's quantum links as :class:`LinkColumns` (:func:`quantum_links` at
+    run time, :func:`round_links` in ``verify``), or None when unknown,
+    which leaves the three fields read from them None.  The run and
+    ``verify`` both call this, so a stored metric and its check share every
+    formula.
     """
     frames = record_frames(record)
 
@@ -555,8 +627,8 @@ def _slot_lists(rec: dict, key: str, senders: list, m: int) -> dict:
     return lists
 
 
-def round_links(rec: dict, m: int, n: int) -> list:
-    """(sender, receiver, sent_local, tally) of every delivered slot of one exported round.
+def round_links(rec: dict, m: int, n: int) -> LinkColumns:
+    """The :class:`LinkColumns` of every delivered slot of one exported round.
 
     The inverse of :func:`transcript_records` for what the estimation oracle
     reads; a classical round has no links.  The record's shape is checked
@@ -567,8 +639,9 @@ def round_links(rec: dict, m: int, n: int) -> list:
     and holds m - 1 entries.  A sender's shared payload is checked once,
     with its first delivered slot.  Each tally must be four ints ``[k_x,
     k_y, k_z, n]`` with every k in [0, n] and ``n`` the run's per-axis
-    qubit count.
+    qubit count; it goes into the columns as read.
     """
+    links = LinkColumns()
     senders = rec["senders"]
     if not all(type(s) is int and 0 <= s < m for s in senders):
         raise ValueError(f"senders {senders!r} are not all nodes in range({m})")
@@ -577,33 +650,36 @@ def round_links(rec: dict, m: int, n: int) -> list:
         if len(symbols) != len(senders):
             raise ValueError(f"{len(symbols)} symbols for {len(senders)} senders")
         _slot_lists(rec, "slot_symbols", senders, m)
-        return []
+        return links
     tallies = rec["tallies"]
     if len(tallies) != len(senders) * (m - 1):
         raise ValueError(f"{len(tallies)} tallies for {len(senders)} senders at m={m}")
     slot_payloads = _slot_lists(rec, "slot_payloads", senders, m)
     tallies = iter(tallies)
-    links = []
+    add_sender, add_receiver = links.senders.append, links.receivers.append
+    add_sent, add_tally = links.sent.append, links.tallies.append
     for sender, shared in zip(senders, rec["payloads"], strict=True):
         per_slot = slot_payloads.get(str(sender))
-        shared_state = None  # checked on the sender's first delivered slot
+        sent = None  # a shared payload is checked on the sender's first delivered slot
         for j, receiver in enumerate(r for r in range(m) if r != sender):
             t = next(tallies)
-            if t is not None:
-                k_x, k_y, k_z, t_n = t
-                if not (
-                    type(k_x) is int and type(k_y) is int and type(k_z) is int
-                    and type(t_n) is int and t_n == n
-                    and 0 <= k_x <= n and 0 <= k_y <= n and 0 <= k_z <= n
-                ):
-                    raise ValueError(f"tally {t!r} is not four ints with 0 <= k <= n = {n}")
-                if per_slot is not None:
-                    sent = _sent_state(per_slot[j])
-                else:
-                    if shared_state is None:
-                        shared_state = _sent_state(shared)
-                    sent = shared_state
-                links.append((sender, receiver, sent, MeasurementTally(k_x, k_y, k_z, n)))
+            if t is None:
+                continue
+            k_x, k_y, k_z, t_n = t
+            if not (
+                type(k_x) is int and type(k_y) is int and type(k_z) is int
+                and type(t_n) is int and t_n == n
+                and 0 <= k_x <= n and 0 <= k_y <= n and 0 <= k_z <= n
+            ):
+                raise ValueError(f"tally {t!r} is not four ints with 0 <= k <= n = {n}")
+            if per_slot is not None:
+                sent = _sent_state(per_slot[j])
+            elif sent is None:
+                sent = _sent_state(shared)
+            add_sender(sender)
+            add_receiver(receiver)
+            add_sent(sent)
+            add_tally(t)
     return links
 
 
@@ -617,12 +693,14 @@ def _read_jsonl(path, name: str, read, mismatches: list) -> None:
     A malformed line raises ValueError, KeyError, TypeError, IndexError or
     AttributeError while it is read, and is reported as ``trial N: <name>
     line L: <Error>: <reason>`` (without ``trial N:`` if that is unknown).
+    Lines are read as bytes and each decoded as UTF-8 in that ``try``, so
+    a line that is not UTF-8 is one such mismatch (``UnicodeDecodeError``).
     """
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             trial = None
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 trial = rec["trial"]
                 if type(trial) is not int:
                     raise ValueError(f"trial number {trial!r} is not an int")
@@ -637,8 +715,9 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
 
     Every stored metric is computed again by :func:`compute_metrics` from
     its record and, when a transcript is given, from the quantum links read
-    back from it; without a transcript the three fields read from the links
-    (:data:`LINK_FIELDS`) are not checked.  A record's ``outputs_global``
+    back from it by :func:`round_links`, held per trial as one
+    :class:`LinkColumns`; without a transcript the three fields read from
+    the links (:data:`LINK_FIELDS`) are not checked.  A record's ``outputs_global``
     is derived again from its ``outputs_local`` and ``frames``, and its
     ``n`` and ``master_seed`` are compared with the config's; the phases'
     ``inputs`` and ``grades`` are not checked, as that would mean running
@@ -646,7 +725,8 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     checked too: trials.jsonl holds trials 0..trials-1 once each, and the
     transcript holds, for each of them, rounds 0..R-1 once each and in
     order, R being the rounds of the trial's t+1 king phases.  A line that
-    cannot be read, or whose shape is wrong, is itself a mismatch.
+    cannot be read (not UTF-8, not JSON), or whose shape is wrong, is itself
+    a mismatch.
     """
     mismatches = []
     links_by_trial = {}
@@ -655,7 +735,10 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
 
     def read_round(trial, rec):
         links = round_links(rec, config.m, n)
-        links_by_trial.setdefault(trial, []).extend(links)
+        if trial in links_by_trial:
+            links_by_trial[trial].extend(links)
+        else:
+            links_by_trial[trial] = links
         rounds_by_trial.setdefault(trial, []).append(rec["round"])
 
     if transcript_path is not None:

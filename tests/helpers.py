@@ -3,7 +3,8 @@
 The reference paths and checkers that no run needs live here too: one-link
 delivery, the per-link and adversary streams built from scratch, an all-honest
 phase-king run over inbox lists, the array forms of the channel and the
-outcome probability, and validating direction and frame constructors.
+outcome probability, the chord distance written out in full, the estimation
+oracle one link at a time, and validating direction and frame constructors.
 """
 
 import itertools
@@ -21,17 +22,19 @@ from rfagree.classical_consensus import (
     rounds_for,
 )
 from rfagree.config import ExperimentConfig
-from rfagree.geometry import distance, dot, random_frames
+from rfagree.geometry import distance, dot, random_frames, to_global
 from rfagree.harness import compute_metrics, quantum_links, trial_record, transcript_records
 from rfagree.netsim import QUANTUM_STEPS, prepare_message, substream
 from rfagree.quantum_link import (
     BLOCH_TOL,
     ChannelParams,
+    MeasurementTally,
     QuantumMessage,
     _is_count,
     frame_axes,
     link_cells,
     measure_batch,
+    ted_receive,
 )
 
 #: Per-criterion verdict lines collected by the acceptance suite; printed in
@@ -64,6 +67,19 @@ def as_frame(basis) -> np.ndarray:
     if abs(np.linalg.det(mat) - 1.0) > UNIT_TOL:
         raise ValueError("frame basis is not a proper rotation (det != +1)")
     return mat.copy()
+
+
+def written_out_distance(u, v) -> float:
+    """``geometry.distance`` with each difference written out twice: the oracle for its bits."""
+    return math.sqrt(
+        math.fsum(
+            (
+                (u[0] - v[0]) * (u[0] - v[0]),
+                (u[1] - v[1]) * (u[1] - v[1]),
+                (u[2] - v[2]) * (u[2] - v[2]),
+            )
+        )
+    )
 
 
 def angle_between(u, v) -> float:
@@ -347,6 +363,33 @@ def octahedral_rotations():
                     mats.append(mat)
         OCTAHEDRAL_ROTATIONS = mats
     return OCTAHEDRAL_ROTATIONS
+
+
+def reference_link_metrics(links, frames, faulty, delta_eff: float):
+    """``harness.link_metrics`` one link at a time: the oracle for its array pass.
+
+    Walks the :class:`~rfagree.harness.LinkColumns` link by link, decodes
+    each tally a correct node received with ``ted_receive`` and compares a
+    correct-to-correct link's estimate with the sent direction by
+    ``distance`` in the global frame.
+    """
+    failures = degenerate = 0
+    last = (None, None, None)  # (sender, sent_local, sent direction in the global frame)
+    for sender, receiver, sent_local, tally in zip(
+        links.senders, links.receivers, links.sent, links.tallies
+    ):
+        if receiver in faulty:
+            continue
+        estimate_local, flagged = ted_receive(MeasurementTally(*tally))
+        degenerate += flagged
+        if sender in faulty:
+            continue
+        if sender != last[0] or sent_local is not last[1]:  # a correct sender's next message
+            last = (sender, sent_local, to_global(sent_local, frames[sender]).tolist())
+        estimate = to_global(estimate_local, frames[receiver]).tolist()
+        if distance(last[2], estimate) > delta_eff:
+            failures += 1
+    return failures, degenerate
 
 
 def result_metrics(result):

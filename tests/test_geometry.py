@@ -14,6 +14,7 @@ from helpers import (
     cross_rotate_about,
     random_frame,
     to_frame,
+    written_out_distance,
 )
 
 TOL = 1e-9
@@ -35,6 +36,23 @@ def directions(draw):
         v = np.array([1.0, 0.0, 0.0])
         n = 1.0
     return v / n
+
+
+# Components of directions and mixed states, with room to spare.
+_components = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_components, min_size=3, max_size=3), st.lists(_components, min_size=3, max_size=3))
+@example([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
+@example([0.6, 0.8, 0.0], [0.6, 0.8, 0.0])
+def test_distance_equals_written_out_formula(u, v):
+    # One subtraction per component gives the bits of the formula that
+    # writes each difference out twice, on lists and on float64 arrays.
+    want = written_out_distance(u, v).hex()
+    assert distance(u, v).hex() == want
+    assert distance(np.array(u), np.array(v)).hex() == want
+    assert type(distance(np.array(u), np.array(v))) is float
 
 
 @st.composite

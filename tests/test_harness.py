@@ -10,23 +10,34 @@ from rfagree import harness
 from rfagree.adversaries import RandomNoise
 from rfagree.config import ConfigError, ExperimentConfig
 from rfagree.cli import main as cli_main
+from rfagree.geometry import distance, to_global
 from rfagree.harness import (
     LINK_FIELDS,
+    LinkColumns,
     TrialMetrics,
     allowed_violation_rate,
     compute_metrics,
     emit_report,
+    link_metrics,
     quantum_links,
+    record_frames,
     round_links,
     run_experiment,
     run_trial,
+    transcript_records,
     trial_frames,
     verify_records,
 )
 from rfagree.netsim import QUANTUM_STEPS, substream
-from rfagree.quantum_link import MeasurementTally, QuantumMessage, ted_success_bound
+from rfagree.quantum_link import (
+    MeasurementTally,
+    QuantumMessage,
+    ted_accuracy_bound,
+    ted_receive,
+    ted_success_bound,
+)
 
-from helpers import random_frame
+from helpers import random_frame, reference_link_metrics
 
 
 def small_config(**overrides):
@@ -469,9 +480,12 @@ def test_exported_links_equal_engine_links(tmp_path, monkeypatch, adversary):
     result, _, _ = run_trial(cfg, 0)
 
     def canonical(links):
-        return [(s, r, [float(c) for c in state], tally) for s, r, state, tally in links]
+        states = [[float(c) for c in state] for state in links.sent]
+        return links.senders, links.receivers, states, [list(t) for t in links.tallies]
 
-    exported = [link for rec in records for link in round_links(rec, cfg.m, cfg.n)]
+    exported = LinkColumns()
+    for rec in records:
+        exported.extend(round_links(rec, cfg.m, cfg.n))
     assert canonical(exported) == canonical(quantum_links(result.transcript))
     quantum = [rec for rec in records if is_quantum(rec)]
     absent = any(t is None for rec in quantum for t in rec["tallies"])
@@ -518,11 +532,73 @@ def test_metrics_on_synthetic_outputs():
     # Degenerate tallies count wherever a correct node receives them;
     # failures only on correct-to-correct links.
     half, up, east = MeasurementTally(1, 1, 1, 2), MeasurementTally(1, 1, 2, 2), MeasurementTally(2, 1, 1, 2)
-    links = [(3, 0, z, half), (0, 3, z, half), (0, 1, z, up), (1, 2, z, east)]
+    links = LinkColumns([3, 0, 0, 1], [0, 3, 1, 2], [z] * 4, [half, half, up, east])
     metrics = compute_metrics(record, links, 0.05)
     assert (metrics.estimation_failures, metrics.degenerate, metrics.fully_successful) == (
         1, 1, False
     )
+
+
+@pytest.mark.parametrize(
+    "adversary, n, epsilon, seed",
+    [
+        ("random-noise", 2, 0.02, 1),  # degenerate tallies, per-slot payloads
+        ("random-noise", 20, 0.3, 5),  # many failures
+        ("equivocator", 2000, 0.02, 7),
+        ("grade-poisoner", 100, 0.1, 11),
+        ("crash", 50, 0.05, 13),
+    ],
+)
+def test_link_metrics_equal_reference(adversary, n, epsilon, seed):
+    # The array pass counts what one ted_receive and distance call per link
+    # count, with faulty senders and receivers, per-slot payloads, noise
+    # and degenerate tallies, on the run's links and on those read back.
+    cfg = ExperimentConfig(
+        m=7, t=2, delta=0.05, epsilon=epsilon, n=n, adversary=adversary,
+        trials=4, master_seed=seed, write_transcript=True,
+    )
+    delta_eff = ted_accuracy_bound(cfg.delta, cfg.epsilon)
+    seen = [0, 0]
+    for trial in range(cfg.trials):
+        result, metrics, record = run_trial(cfg, trial)
+        frames = record_frames(record)
+        faulty = frozenset(record["faulty_ids"])
+        run_links = quantum_links(result.transcript)
+        exported = LinkColumns()
+        for rec in transcript_records(trial, result.transcript):
+            exported.extend(round_links(json.loads(json.dumps(rec)), cfg.m, n))
+        want = reference_link_metrics(run_links, frames, faulty, delta_eff)
+        assert link_metrics(run_links, frames, faulty, delta_eff) == want
+        assert link_metrics(exported, frames, faulty, delta_eff) == want
+        assert (metrics.estimation_failures, metrics.degenerate) == want
+        seen = [a + b for a, b in zip(seen, want)]
+    if n <= 20:
+        assert seen[0] > 0
+    if n == 2:
+        assert seen[1] > 0
+
+
+def test_link_metrics_near_threshold(monkeypatch):
+    # A link whose scalar distance is exactly delta_eff, or one ulp either
+    # side of it, is decided by the scalar formula, as one distance call
+    # per link decides it.
+    rng = np.random.default_rng(21)
+    frames = np.array([random_frame(rng) for _ in range(2)])
+    sent = rng.standard_normal(3)
+    sent = (sent / np.linalg.norm(sent)).tolist()
+    tally = MeasurementTally(700, 310, 905, 1000)
+    links = LinkColumns([0], [1], [sent], [tally])
+    d = distance(
+        to_global(sent, frames[0]).tolist(), to_global(ted_receive(tally)[0], frames[1]).tolist()
+    )
+    calls = []
+    decide = harness._link_fails
+    monkeypatch.setattr(harness, "_link_fails", lambda *args: calls.append(args) or decide(*args))
+    for delta_eff, failures in ((d, 0), (math.nextafter(d, 0.0), 1), (math.nextafter(d, 3.0), 0)):
+        calls.clear()
+        assert reference_link_metrics(links, frames, frozenset(), delta_eff) == (failures, 0)
+        assert link_metrics(links, frames, frozenset(), delta_eff) == (failures, 0)
+        assert len(calls) == 1
 
 
 def test_allowed_violation_rate_formula():
@@ -715,6 +791,34 @@ def test_cli_verify_reports_unreadable_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"cannot read {unreadable}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["trials", "transcript"])
+def test_cli_verify_reports_line_that_is_not_utf8(tmp_path, capsys, name):
+    # Once a UnicodeDecodeError traceback; now a mismatch on that line.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
+    run_experiment(cfg)
+    path = tmp_path / "cfg.json"
+    cfg.save(path)
+    target = out / f"{name}.jsonl"
+    target.write_bytes(b"\xff\xfe" + target.read_bytes())
+    capsys.readouterr()
+    code = cli_main(
+        [
+            "verify",
+            "--config",
+            str(path),
+            "--records",
+            str(out / "trials.jsonl"),
+            "--transcript",
+            str(out / "transcript.jsonl"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"{name} line 1: UnicodeDecodeError: ")
+    assert "Traceback" not in err
 
 
 def test_cli_verify_reports_out_of_range_tally(tmp_path, capsys):
