@@ -27,7 +27,9 @@ calls it again on the exported files:
 Files: trials.jsonl (one record per trial), summary.json (aggregates plus
 timing), report.csv (one row per summary), transcript.jsonl (optional, one
 record per round).  Byte-for-byte reproducible except timing fields,
-which appear only in summary.json / report.csv.
+which appear only in summary.json / report.csv.  The run writes the JSONL
+lines as each trial finishes, and ``verify`` reads the two JSONL files in
+step, so neither holds every trial.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -457,9 +458,10 @@ def transcript_records(trial: int, transcript) -> list:
 def _worker(args):
     """One trial of a validated config, serially or in a pool worker; times its own run_trial.
 
-    The trial's transcript comes back as its transcript.jsonl text (None
-    without export), encoded where the trial ran: text is what the run
-    holds until it writes, and all a pool worker sends back.
+    Returns the trial's metrics, its trials.jsonl line, its transcript.jsonl
+    text (None without export) and its run_trial seconds.  Both texts are
+    encoded where the trial ran: they are all the run writes of the trial,
+    and all a pool worker sends back besides its metrics.
     """
     config, trial = args
     t0 = time.monotonic()
@@ -471,7 +473,7 @@ def _worker(args):
         if config.write_transcript
         else None
     )
-    return trial, record, metrics, transcript, seconds
+    return metrics, _ENCODER.encode(record) + "\n", transcript, seconds
 
 
 def allowed_violation_rate(bound: float, trials: int) -> float:
@@ -482,27 +484,51 @@ def allowed_violation_rate(bound: float, trials: int) -> float:
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run all trials; returns (summary, trial_records, metrics_list).
+    """Run all trials; returns (summary, None, metrics_list).
 
-    Writes trials.jsonl / summary.json / report.csv (and transcript.jsonl
-    when enabled) under config.out_dir if it is set.
+    When config.out_dir is set, each trial's trials.jsonl line (and its
+    transcript.jsonl lines when enabled) is written as the trial finishes,
+    in trial order, and summary.json and report.csv after the last one.
+    The run holds only each trial's :class:`TrialMetrics` and run time, so
+    its memory does not grow with the trial count beyond those.  The middle
+    element is None: the records are in trials.jsonl.  A run that raises
+    removes the JSONL files it opened, so it leaves no partial export.
     """
     config.validate()
     n = config.resolved_n()
     start = time.monotonic()
-    jobs = [(config, k) for k in range(config.trials)]
-    records = [None] * config.trials
-    metrics_list = [None] * config.trials
-    transcripts = [None] * config.trials
+    jobs = ((config, k) for k in range(config.trials))
+    metrics_list = []
     trial_times = []
+    paths = []
+    if config.out_dir:
+        os.makedirs(config.out_dir, exist_ok=True)
+        names = ["trials.jsonl"] + (["transcript.jsonl"] if config.write_transcript else [])
+        paths = [os.path.join(config.out_dir, name) for name in names]
 
-    with ProcessPoolExecutor(config.jobs) if config.jobs > 1 else nullcontext() as pool:
-        results = pool.map(_worker, jobs) if pool else map(_worker, jobs)
-        for trial, record, metrics, transcript, seconds in results:
-            records[trial] = record
-            metrics_list[trial] = metrics
-            transcripts[trial] = transcript
-            trial_times.append(seconds)
+    files = []
+    try:
+        with ExitStack() as stack:
+            for path in paths:
+                files.append(stack.enter_context(open(path, "w")))
+            if config.jobs > 1:
+                # Imported here: it loads multiprocessing, which a serial run never needs.
+                from concurrent.futures import ProcessPoolExecutor
+
+                results = stack.enter_context(ProcessPoolExecutor(config.jobs)).map(_worker, jobs)
+            else:
+                results = map(_worker, jobs)
+            # map and pool.map both yield in trial order.
+            for metrics, line, transcript, seconds in results:
+                for fh, text in zip(files, (line, transcript)):
+                    fh.write(text)
+                metrics_list.append(metrics)
+                trial_times.append(seconds)
+    except BaseException:
+        for fh in files:
+            with suppress(OSError):
+                os.remove(fh.name)
+        raise
 
     elapsed = time.monotonic() - start
     violations = sum(
@@ -544,18 +570,12 @@ def run_experiment(config: ExperimentConfig):
     }
 
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        with open(os.path.join(config.out_dir, "trials.jsonl"), "w") as fh:
-            fh.writelines(_jsonl_lines(records))
         with open(os.path.join(config.out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         emit_report([summary], os.path.join(config.out_dir, "report.csv"))
-        if config.write_transcript:
-            with open(os.path.join(config.out_dir, "transcript.jsonl"), "w") as fh:
-                fh.writelines(transcripts)
 
-    return summary, records, metrics_list
+    return summary, None, metrics_list
 
 
 REPORT_COLUMNS = (
@@ -687,27 +707,37 @@ def round_links(rec: dict, m: int, n: int) -> LinkColumns:
 LINK_FIELDS = ("estimation_failures", "degenerate", "fully_successful")
 
 
-def _read_jsonl(path, name: str, read, mismatches: list) -> None:
-    """Call ``read(trial, rec)`` on each line of ``path``; a line that fails is a mismatch.
+#: What a malformed line raises while it is read or checked.
+LINE_ERRORS = (ValueError, KeyError, TypeError, IndexError, AttributeError)
 
-    A malformed line raises ValueError, KeyError, TypeError, IndexError or
-    AttributeError while it is read, and is reported as ``trial N: <name>
-    line L: <Error>: <reason>`` (without ``trial N:`` if that is unknown).
-    Lines are read as bytes and each decoded as UTF-8 in that ``try``, so
-    a line that is not UTF-8 is one such mismatch (``UnicodeDecodeError``).
+
+def _line_mismatch(trial, name: str, lineno: int, exc: Exception) -> str:
+    """``trial N: <name> line L: <Error>: <reason>``, without ``trial N:`` if that is unknown."""
+    prefix = "" if trial is None else f"trial {trial}: "
+    return f"{prefix}{name} line {lineno}: {type(exc).__name__}: {exc}"
+
+
+def _read_jsonl(fh, name: str, read, mismatches: list):
+    """Yield ``(lineno, trial, read(trial, rec))`` for each line of ``fh``, lazily.
+
+    ``fh`` is a file open in binary mode.  A line that raises one of
+    :data:`LINE_ERRORS` while it is decoded or read is a mismatch
+    (:func:`_line_mismatch`) and yields nothing.  Each line is decoded as
+    UTF-8 in that ``try``, so a line that is not UTF-8 is one such mismatch
+    (``UnicodeDecodeError``).
     """
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            trial = None
-            try:
-                rec = json.loads(line.decode("utf-8"))
-                trial = rec["trial"]
-                if type(trial) is not int:
-                    raise ValueError(f"trial number {trial!r} is not an int")
-                read(trial, rec)
-            except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
-                prefix = "" if trial is None else f"trial {trial}: "
-                mismatches.append(f"{prefix}{name} line {lineno}: {type(exc).__name__}: {exc}")
+    for lineno, line in enumerate(fh, 1):
+        trial = None
+        try:
+            rec = json.loads(line.decode("utf-8"))
+            trial = rec["trial"]
+            if type(trial) is not int:
+                raise ValueError(f"trial number {trial!r} is not an int")
+            value = read(trial, rec)
+        except LINE_ERRORS as exc:
+            mismatches.append(_line_mismatch(trial, name, lineno, exc))
+        else:
+            yield lineno, trial, value
 
 
 def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> list:
@@ -715,63 +745,106 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
 
     Every stored metric is computed again by :func:`compute_metrics` from
     its record and, when a transcript is given, from the quantum links read
-    back from it by :func:`round_links`, held per trial as one
-    :class:`LinkColumns`; without a transcript the three fields read from
-    the links (:data:`LINK_FIELDS`) are not checked.  A record's ``outputs_global``
-    is derived again from its ``outputs_local`` and ``frames``, and its
-    ``n`` and ``master_seed`` are compared with the config's; the phases'
-    ``inputs`` and ``grades`` are not checked, as that would mean running
-    the protocol again.  The export's structure is
+    back from it by :func:`round_links`; without a transcript the three
+    fields read from the links (:data:`LINK_FIELDS`) are not checked.  A
+    record's ``outputs_global`` is derived again from its ``outputs_local``
+    and ``frames``, and its ``n`` and ``master_seed`` are compared with the
+    config's; the phases' ``inputs`` and ``grades`` are not checked, as that
+    would mean running the protocol again.  The export's structure is
     checked too: trials.jsonl holds trials 0..trials-1 once each, and the
     transcript holds, for each of them, rounds 0..R-1 once each and in
     order, R being the rounds of the trial's t+1 king phases.  A line that
     cannot be read (not UTF-8, not JSON), or whose shape is wrong, is itself
     a mismatch.
+
+    The two files are read in step.  A trial's transcript block ends where
+    a line of another trial follows it, or at the end of the file.  Its
+    record is checked once the block is read, and both are then dropped,
+    so files in trial order are verified in memory that does not grow with
+    the trial count; where one file runs ahead, the links read ahead wait
+    for their records.  Transcript lines of a trial whose record was
+    already checked (a repeated or split block) feed no metric and fail the
+    structure check, and a repeated trials.jsonl record is checked without
+    the link fields.  A trial's transcript-line mismatches come before its
+    metric mismatches.
     """
     mismatches = []
-    links_by_trial = {}
-    rounds_by_trial = {}
     n = config.resolved_n()
-
-    def read_round(trial, rec):
-        links = round_links(rec, config.m, n)
-        if trial in links_by_trial:
-            links_by_trial[trial].extend(links)
-        else:
-            links_by_trial[trial] = links
-        rounds_by_trial.setdefault(trial, []).append(rec["round"])
-
-    if transcript_path is not None:
-        _read_jsonl(transcript_path, "transcript", read_round, mismatches)
-
     delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
-    numbers = []
+    counts = collections.Counter()  # trials.jsonl records per trial number
+    rounds = {}  # trial -> (its transcript lines read, whether they ran 0, 1, 2, ...)
+    links = {}  # trial -> LinkColumns read for a trial whose record is not checked yet
+    current = None  # the trial of the last transcript line read
 
-    def check_trial(trial, record):
-        numbers.append(trial)
-        links = links_by_trial.get(trial)
-        derived = {
-            "n": n,
-            "master_seed": config.master_seed,
-            "outputs_global": outputs_global(record, record_frames(record)),
-        }
-        for key, value in derived.items():
-            if record[key] != value:
-                mismatches.append(f"trial {trial}: {key} stored={record[key]!r} recomputed={value!r}")
-        # The metrics are computed from the derived outputs, not the stored.
-        record["outputs_global"] = derived["outputs_global"]
-        stored = record["metrics"]
-        for key, value in compute_metrics(record, links, delta_eff).to_dict().items():
-            if (links is not None or key not in LINK_FIELDS) and stored.get(key) != value:
-                mismatches.append(
-                    f"trial {trial}: {key} stored={stored.get(key)!r} recomputed={value!r}"
-                )
+    def check(trial, lineno, record, trial_links):
+        try:
+            derived = {
+                "n": n,
+                "master_seed": config.master_seed,
+                "outputs_global": outputs_global(record, record_frames(record)),
+            }
+            for key, value in derived.items():
+                if record[key] != value:
+                    mismatches.append(
+                        f"trial {trial}: {key} stored={record[key]!r} recomputed={value!r}"
+                    )
+            # The metrics are computed from the derived outputs, not the stored.
+            record["outputs_global"] = derived["outputs_global"]
+            stored = record["metrics"]
+            metrics = compute_metrics(record, trial_links, delta_eff).to_dict()
+            for key, value in metrics.items():
+                if (trial_links is not None or key not in LINK_FIELDS) and stored.get(key) != value:
+                    mismatches.append(
+                        f"trial {trial}: {key} stored={stored.get(key)!r} recomputed={value!r}"
+                    )
+        except LINE_ERRORS as exc:
+            mismatches.append(_line_mismatch(trial, "trials", lineno, exc))
 
-    _read_jsonl(trials_path, "trials", check_trial, mismatches)
+    def read_rounds(waiting):
+        """Read transcript lines until the block of trial ``waiting`` is complete.
+
+        That is up to the first line of another trial after the block, or
+        the end of the file; ``waiting`` is the trial whose record waits,
+        and None, once trials.jsonl is read through, reads to the end.  A
+        line's links are kept for that trial and for one whose record has
+        not come yet.  A line of a trial already checked feeds no metric,
+        so it fails the structure check.
+        """
+        nonlocal current
+        for _, trial, (trial_links, number) in round_lines:
+            current = trial
+            checked = trial != waiting and trial in counts
+            seen, in_order = rounds.get(trial, (0, True))
+            rounds[trial] = (seen + 1, in_order and number == seen and not checked)
+            if waiting is not None and not checked:
+                if trial in links:
+                    links[trial].extend(trial_links)
+                else:
+                    links[trial] = trial_links
+            if trial != waiting and waiting in rounds:
+                return
+
+    with open(trials_path, "rb") as records_fh, (
+        nullcontext(()) if transcript_path is None else open(transcript_path, "rb")
+    ) as rounds_fh:
+        round_lines = _read_jsonl(
+            rounds_fh,
+            "transcript",
+            lambda trial, rec: (round_links(rec, config.m, n), rec["round"]),
+            mismatches,
+        )
+        for lineno, trial, record in _read_jsonl(
+            records_fh, "trials", lambda trial, rec: rec, mismatches
+        ):
+            counts[trial] += 1
+            # A repeated record does not wait: it is checked without links.
+            if counts[trial] == 1 and (trial not in rounds or current == trial):
+                read_rounds(trial)
+            check(trial, lineno, record, links.pop(trial, None))
+        read_rounds(None)
 
     expected = range(config.trials)
     beyond = f"not one of the config's {config.trials} trials"
-    counts = collections.Counter(numbers)
     for trial in sorted(counts.keys() | set(expected)):
         if trial not in expected:
             mismatches.append(f"trial {trial}: trials.jsonl record, but {beyond}")
@@ -779,14 +852,14 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
             mismatches.append(f"trial {trial}: {counts[trial]} trials.jsonl records, not 1")
     if transcript_path is not None:
         per_phase = sum(1 for _ in phase_steps(config.m, config.t, 0, 0))
-        rounds = list(range((config.t + 1) * per_phase))
-        for trial in sorted(rounds_by_trial.keys() | set(expected)):
-            if trial not in rounds_by_trial:
+        total = (config.t + 1) * per_phase
+        for trial in sorted(rounds.keys() | set(expected)):
+            if trial not in rounds:
                 mismatches.append(f"trial {trial}: no transcript lines")
             elif trial not in expected:
                 mismatches.append(f"trial {trial}: transcript lines, but {beyond}")
-            elif rounds_by_trial[trial] != rounds:
+            elif rounds[trial] != (total, True):
                 mismatches.append(
-                    f"trial {trial}: transcript rounds are not 0..{rounds[-1]} once each, in order"
+                    f"trial {trial}: transcript rounds are not 0..{total - 1} once each, in order"
                 )
     return mismatches

@@ -1,7 +1,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,13 +151,13 @@ def test_report_eta_decreases_with_n(tmp_path):
 def test_run_experiment_summary_and_files(tmp_path):
     cfg = small_config(out_dir=str(tmp_path / "out"), write_transcript=True)
     summary, records, metrics = run_experiment(cfg)
+    assert records is None  # the records are in trials.jsonl
     assert summary["trials"] == 3
     assert summary["violations"] == 0
     assert summary["passed"] is True
     assert summary["per_run_success_bound"] == pytest.approx(
         ted_success_bound(20000, 0.05) ** (16 * 2)
     )
-    assert len(records) == 3
     out = tmp_path / "out"
     assert (out / "trials.jsonl").exists()
     assert (out / "summary.json").exists()
@@ -164,6 +168,68 @@ def test_run_experiment_summary_and_files(tmp_path):
     assert len(lines) == 3
     rec = json.loads(lines[0])
     assert rec["metrics"]["consistency_ok"] is True
+
+
+def test_failed_run_leaves_no_partial_export(tmp_path, monkeypatch):
+    # Lines are written as trials finish; a run that raises removes them.
+    run_trial = harness.run_trial
+
+    def failing(config, trial, frames=None):
+        if trial == 1:
+            raise RuntimeError("trial 1 failed")
+        return run_trial(config, trial, frames)
+
+    monkeypatch.setattr(harness, "run_trial", failing)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_experiment(small_config(out_dir=str(out), write_transcript=True))
+    assert out.is_dir()
+    assert not (out / "trials.jsonl").exists()
+    assert not (out / "transcript.jsonl").exists()
+
+
+def test_import_leaves_out_the_process_pool():
+    # Only a run with jobs > 1 imports the pool, and multiprocessing,
+    # socket and logging with it.
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    code = "import sys, rfagree; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_memory_flat_in_trial_count(tmp_path):
+    # tracemalloc peaks of a run and of its verify at 10 and at 40 trials.
+    # Each trial adds only its TrialMetrics (under 1 KB here) to the run, and
+    # nothing that stays to verify.  Holding every record and transcript until
+    # the end, the run once grew by 505 KB from 10 to 40 trials, and verify,
+    # holding every trial's links, by 275 KB.
+    def peaks(trials):
+        out = tmp_path / str(trials)
+        cfg = small_config(out_dir=str(out), trials=trials, write_transcript=True)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
+            verify_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert mismatches == []
+        return run_peak, verify_peak
+
+    peaks(1)  # lazy set-up out of the way
+    (run_10, verify_10), (run_40, verify_40) = peaks(10), peaks(40)
+    assert run_40 - run_10 < 100_000
+    assert verify_40 - verify_10 < 50_000
 
 
 def test_trials_jsonl_byte_identical_across_runs(tmp_path):
@@ -312,6 +378,50 @@ def test_verify_checks_export_structure(tmp_path, name, damage, expected):
     run_experiment(cfg)
     damage(out / name)
     assert verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg) == expected
+
+
+def reverse_trials(path):
+    """Write the lines of ``path`` with the trials' blocks in reverse order."""
+    blocks = {}
+    for line in path.read_text().splitlines(keepends=True):
+        blocks.setdefault(json.loads(line)["trial"], []).append(line)
+    path.write_text("".join(line for trial in reversed(blocks) for line in blocks[trial]))
+
+
+@pytest.mark.parametrize("name", ["trials.jsonl", "transcript.jsonl"])
+def test_verify_reads_trials_out_of_order(tmp_path, name):
+    # verify reads both files in step; where one runs ahead, the links read
+    # ahead wait for their records, so the link fields are still checked.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), write_transcript=True)
+    run_experiment(cfg)
+    trials, transcript = out / "trials.jsonl", out / "transcript.jsonl"
+    reverse_trials(out / name)
+    assert verify_records(trials, transcript, cfg) == []
+
+    def edit(rec):
+        rec["metrics"]["estimation_failures"] = 1
+
+    rewrite_line(trials, lambda rec: rec["trial"] == 1, edit)
+    assert verify_records(trials, transcript, cfg) == [
+        "trial 1: estimation_failures stored=1 recomputed=0"
+    ]
+
+
+def test_verify_fails_a_split_transcript_block(tmp_path):
+    # Trial 1's rounds stay 0..17 in order, but its last nine come after
+    # trial 2's: its record was checked without them, so they fail the
+    # structure check rather than go unchecked.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), write_transcript=True)
+    run_experiment(cfg)
+    path = out / "transcript.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    late = [line for line in lines if json.loads(line)["trial"] == 1][9:]
+    path.write_text("".join(line for line in lines if line not in late) + "".join(late))
+    assert verify_records(out / "trials.jsonl", path, cfg) == [
+        "trial 1: transcript rounds are not 0..17 once each, in order"
+    ]
 
 
 @pytest.mark.parametrize(
