@@ -51,11 +51,8 @@ def _king_estimates(previous, receivers) -> dict:
     ``previous`` is the view's last resolved round, the king broadcast when
     the direction exchange is being emitted.
     """
-    return {
-        r: received_direction(tally)
-        for (_, r), tally in previous.deliveries.items()
-        if r in receivers
-    }
+    king = previous.step.king_id
+    return {r: received_direction(previous.deliveries[(king, r)]) for r in receivers if r != king}
 
 
 class HonestShadow(Adversary):

@@ -120,6 +120,12 @@ class ExperimentConfig:
                 f"q_target {self.q_target!r} at scope {self.q_target_scope!r} rounds to "
                 "a per-link target of 1.0, which no n reaches"
             )
+        try:
+            n = self.resolved_n()
+        except (OverflowError, ZeroDivisionError):  # sizing at a delta past the float range
+            n = math.inf
+        if n > 2**63 - 1:  # Generator.binomial takes n as an int64
+            raise ConfigError(f"n must be at most 2**63 - 1, the binomial draws' limit; got {n}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
@@ -142,9 +148,7 @@ class ExperimentConfig:
             )
         # Build the strategy once, so that parameters it rejects fail here
         # and not in the first trial.
-        params = ProtocolParams(
-            self.m, self.t, self.delta, ChannelParams(self.epsilon, self.resolved_n())
-        )
+        params = ProtocolParams(self.m, self.t, self.delta, ChannelParams(self.epsilon, n))
         try:
             make_adversary(
                 self.adversary, self.resolved_faulty_ids(), params, **self.adversary_params

@@ -38,6 +38,7 @@ import collections
 import itertools
 import json
 import math
+import operator
 import os
 import time
 from contextlib import ExitStack, nullcontext, suppress
@@ -116,18 +117,20 @@ class LinkColumns:
 
 
 def quantum_links(transcript) -> LinkColumns:
-    """The :class:`LinkColumns` of every delivered quantum envelope of a transcript."""
+    """The :class:`LinkColumns` of a transcript's delivered quantum links, read per sender."""
     links = LinkColumns()
     senders, receivers, sent, tallies = links.senders, links.receivers, links.sent, links.tallies
     for rnd in transcript:
         if rnd.step.kind in QUANTUM_STEPS:
             payloads = rnd.payloads
-            for slot, tally in rnd.deliveries.items():
-                if tally is not None:
-                    senders.append(slot[0])
-                    receivers.append(slot[1])
-                    sent.append(payloads[slot].segments[0][0])
-                    tallies.append(tally)
+            for sender, sender_tallies in rnd.deliveries.per_slot.items():
+                msgs = payloads.per_slot.get(sender) or itertools.repeat(payloads.broadcast[sender])
+                for (_, receiver), msg, tally in zip(payloads.slots[sender], msgs, sender_tallies):
+                    if tally is not None:
+                        senders.append(sender)
+                        receivers.append(receiver)
+                        sent.append(msg.segments[0][0])
+                        tallies.append(tally)
     return links
 
 
@@ -391,16 +394,21 @@ def _segments(msg) -> list:
     return [[[float(c) for c in state], int(count)] for state, count in msg.segments]
 
 
-def _per_sender(senders, wires) -> tuple:
-    """(shared, per_slot) of a round's wire lists, one list per sender in ``senders`` order.
+def _per_sender(entries, encode=None) -> tuple:
+    """(shared, per_slot) of a round's :class:`~rfagree.netsim.PerSender` ``entries``.
 
-    ``shared`` has one entry per sender: what every one of its slots
-    carried, or None when its slots differ; ``per_slot`` maps
-    ``str(sender)`` to its list for each sender whose slots differ.  A
-    sender's list may hold one entry for all of its slots.
+    ``shared`` has one entry per sender, in ``entries.senders`` order: what
+    every one of its slots carried, or None when its slots differ;
+    ``per_slot`` maps ``str(sender)`` to its list for each sender whose
+    slots differ.  Slots are compared by value, after ``encode`` maps each
+    entry but None to its JSON form.
     """
     shared, per_slot = [], {}
-    for sender, wire in zip(senders, wires):
+    broadcast, lists = entries.broadcast, entries.per_slot
+    for sender in entries.senders:
+        wire = [broadcast[sender]] if sender in broadcast else lists[sender]
+        if encode is not None:
+            wire = [None if entry is None else encode(entry) for entry in wire]
         if wire.count(wire[0]) == len(wire):
             shared.append(wire[0])
         else:
@@ -414,12 +422,12 @@ def transcript_records(trial: int, transcript) -> list:
 
     Per-slot lists follow the engine's slot order (each of ``senders`` to
     every other node, receivers ascending), so they carry no slot keys.
-    Both kinds of round write what a sender sent once when all of its slots
-    carry the same thing, as a correct sender's always do, and per slot
-    otherwise (:func:`_per_sender`): a quantum round its payloads, a
-    classical round its symbols, read from the
-    :class:`~rfagree.netsim.ClassicalDeliveries` per sender.  Only a quantum
-    round's tallies are per slot.
+    Both kinds of round are read per sender from their
+    :class:`~rfagree.netsim.PerSender` payloads, and write what a sender
+    sent once when all of its slots carry the same thing, as a correct
+    sender's always do, and per slot otherwise (:func:`_per_sender`): a
+    quantum round its payloads, a classical round its symbols.  Only a
+    quantum round's tallies are per slot.
     """
     records = []
     for index, rnd in enumerate(transcript):
@@ -433,24 +441,10 @@ def transcript_records(trial: int, transcript) -> list:
             "senders": list(step.senders),
         }
         if step.kind in QUANTUM_STEPS:
-            sent = list(rnd.payloads.values())
-            width = len(sent) // len(step.senders)
-            wires = []
-            for i in range(len(step.senders)):
-                msgs = sent[i * width:(i + 1) * width]
-                if all(p is msgs[0] for p in msgs):  # a correct sender's one message
-                    msgs = msgs[:1]
-                wires.append([None if p is None else _segments(p) for p in msgs])
-            rec["payloads"], rec["slot_payloads"] = _per_sender(step.senders, wires)
-            rec["tallies"] = [
-                None if t is None else [t.k_x, t.k_y, t.k_z, t.n] for t in rnd.deliveries.values()
-            ]
+            rec["payloads"], rec["slot_payloads"] = _per_sender(rnd.payloads, _segments)
+            rec["tallies"] = rnd.deliveries.values()  # a tally encodes as [k_x, k_y, k_z, n]
         else:
-            broadcast, per_slot = rnd.deliveries.broadcast, rnd.deliveries.per_slot
-            rec["symbols"], rec["slot_symbols"] = _per_sender(
-                step.senders,
-                [[broadcast[s]] if s in broadcast else per_slot[s] for s in step.senders],
-            )
+            rec["symbols"], rec["slot_symbols"] = _per_sender(rnd.payloads)
         records.append(rec)
     return records
 
@@ -458,15 +452,17 @@ def transcript_records(trial: int, transcript) -> list:
 def _worker(args):
     """One trial of a validated config, serially or in a pool worker; times its own run_trial.
 
-    Returns the trial's metrics, its trials.jsonl line, its transcript.jsonl
-    text (None without export) and its run_trial seconds.  Both texts are
-    encoded where the trial ran: they are all the run writes of the trial,
-    and all a pool worker sends back besides its metrics.
+    Returns the trial's metrics, its trials.jsonl line and transcript.jsonl
+    text (each None where the run writes no such file) and its run_trial
+    seconds.  Both texts are encoded where the trial ran: they are all the
+    run writes of the trial, and all a pool worker sends back besides.
     """
     config, trial = args
     t0 = time.monotonic()
     result, metrics, record = run_trial(config, trial)
     seconds = time.monotonic() - t0
+    if not config.out_dir:
+        return metrics, None, None, seconds
     # transcript_records by its module name: tracing replaces it there.
     transcript = (
         "".join(_jsonl_lines(transcript_records(trial, result.transcript)))
@@ -757,24 +753,25 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     cannot be read (not UTF-8, not JSON), or whose shape is wrong, is itself
     a mismatch.
 
-    The two files are read in step.  A trial's transcript block ends where
-    a line of another trial follows it, or at the end of the file.  Its
-    record is checked once the block is read, and both are then dropped,
-    so files in trial order are verified in memory that does not grow with
-    the trial count; where one file runs ahead, the links read ahead wait
-    for their records.  Transcript lines of a trial whose record was
-    already checked (a repeated or split block) feed no metric and fail the
-    structure check, and a repeated trials.jsonl record is checked without
-    the link fields.  A trial's transcript-line mismatches come before its
-    metric mismatches.
+    The two files are read in step, the transcript one block (a run of
+    readable lines of one trial) at a time.  A record is checked once its
+    block is read, and both are then dropped, so files in trial order are
+    verified in memory that does not grow with the trial count.  A record
+    whose block has not come reads blocks until it does, checking the
+    records waiting for those on the way, and waits itself at a block whose
+    record has not come, which is held for it.  A record whose block never
+    comes, and a repeated record, are checked without the link fields.
+    Lines of a trial whose record was already checked (a repeated or split
+    block) feed no metric and fail the structure check.  A trial's
+    transcript-line mismatches come before its metric mismatches.
     """
     mismatches = []
     n = config.resolved_n()
     delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
     counts = collections.Counter()  # trials.jsonl records per trial number
     rounds = {}  # trial -> (its transcript lines read, whether they ran 0, 1, 2, ...)
-    links = {}  # trial -> LinkColumns read for a trial whose record is not checked yet
-    current = None  # the trial of the last transcript line read
+    waiting = {}  # trial -> (lineno, record) of a record read before its block
+    held = {}  # trial -> LinkColumns of a block read before its record
 
     def check(trial, lineno, record, trial_links):
         try:
@@ -800,29 +797,26 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
         except LINE_ERRORS as exc:
             mismatches.append(_line_mismatch(trial, "trials", lineno, exc))
 
-    def read_rounds(waiting):
-        """Read transcript lines until the block of trial ``waiting`` is complete.
-
-        That is up to the first line of another trial after the block, or
-        the end of the file; ``waiting`` is the trial whose record waits,
-        and None, once trials.jsonl is read through, reads to the end.  A
-        line's links are kept for that trial and for one whose record has
-        not come yet.  A line of a trial already checked feeds no metric,
-        so it fails the structure check.
-        """
-        nonlocal current
-        for _, trial, (trial_links, number) in round_lines:
-            current = trial
-            checked = trial != waiting and trial in counts
+    def read_blocks(current):
+        """Read blocks until the record of ``current`` is checked or must wait; None reads all."""
+        for trial, lines in blocks:
+            checked = trial in counts and trial not in waiting
             seen, in_order = rounds.get(trial, (0, True))
-            rounds[trial] = (seen + 1, in_order and number == seen and not checked)
-            if waiting is not None and not checked:
-                if trial in links:
-                    links[trial].extend(trial_links)
-                else:
-                    links[trial] = trial_links
-            if trial != waiting and waiting in rounds:
+            block_links = held.pop(trial) if trial in held else LinkColumns()
+            for _, _, (line_links, number) in lines:
+                in_order = in_order and number == seen and not checked
+                seen += 1
+                block_links.extend(line_links)
+            rounds[trial] = (seen, in_order)
+            if trial in waiting:
+                check(trial, *waiting.pop(trial), block_links)
+            elif not checked and current is not None:
+                held[trial] = block_links
                 return
+            if trial == current:
+                return
+        if current in waiting:  # the end of the transcript: no links will come
+            check(current, *waiting.pop(current), None)
 
     with open(trials_path, "rb") as records_fh, (
         nullcontext(()) if transcript_path is None else open(transcript_path, "rb")
@@ -833,15 +827,19 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
             lambda trial, rec: (round_links(rec, config.m, n), rec["round"]),
             mismatches,
         )
+        blocks = itertools.groupby(round_lines, key=operator.itemgetter(1))
         for lineno, trial, record in _read_jsonl(
             records_fh, "trials", lambda trial, rec: rec, mismatches
         ):
             counts[trial] += 1
-            # A repeated record does not wait: it is checked without links.
-            if counts[trial] == 1 and (trial not in rounds or current == trial):
-                read_rounds(trial)
-            check(trial, lineno, record, links.pop(trial, None))
-        read_rounds(None)
+            if counts[trial] == 1 and trial not in held:
+                waiting[trial] = (lineno, record)
+                read_blocks(trial)
+            else:  # a repeated record is checked without links
+                check(trial, lineno, record, held.pop(trial, None))
+        read_blocks(None)
+        for trial, (lineno, record) in waiting.items():
+            check(trial, lineno, record, None)
 
     expected = range(config.trials)
     beyond = f"not one of the config's {config.trials} trials"

@@ -29,13 +29,14 @@ independent of how the hidden global frame is oriented.
 The engine writes each resolved round down once, as a :class:`Round` of its
 step, deliveries and wire payloads; the adversary's view of the previous
 round is the last of them, and the estimation oracle and the transcript
-export read them all.  A quantum round keeps one tally per link.  A
-classical round is kept per sender (:class:`ClassicalDeliveries`): a
-broadcaster's symbol once, checked once, whether the sender is correct or
-faulty, and per slot only the symbols of faulty senders that equivocate;
-phase king counts it that way (``rf_protocols.absorb_round``), and the
-transcript export writes it that way.  Its per-slot view is derived from it
-in one place.
+export read them all.  Both kinds of round are kept per sender
+(:class:`PerSender`): a broadcaster's payload once, checked once, whether
+the sender is correct or faulty, and per slot only what faulty senders
+that equivocate sent, and a quantum round's tallies, one per link.  Phase
+king counts a classical round that way (``rf_protocols.absorb_round``),
+the estimation oracle reads the links that way, and the transcript export
+writes both kinds that way.  The per-slot view is derived from it in one
+place.
 
 Randomness is derived per (trial, round, sender, receiver) from counter-based
 Philox streams, so replays are stable: adding adversary draws or reordering
@@ -80,23 +81,26 @@ class RoundStep(NamedTuple):
     senders: tuple
 
 
-class ClassicalDeliveries(Mapping):
-    """A classical round's deliveries, held per sender; read as {slot: symbol}.
+class PerSender(Mapping):
+    """A round's wire payloads or deliveries, held per sender; read as {slot: entry}.
 
-    ``broadcast`` maps each sender whose one symbol all its receivers got to
-    that symbol: every correct sender of the round, and every faulty sender
-    that the adversary gave no slot key (see :meth:`RoundEngine.run_round`).
-    ``per_slot`` maps each other faulty sender to the list of what its
-    slots delivered, in ``slots[sender]`` order (every other node,
-    ascending).  A symbol is None where it was absent or malformed.
-    Phase king (``rf_protocols.absorb_round``) and the transcript export
+    ``broadcast`` maps each sender whose one entry all its receivers got to
+    that entry, None where nothing was delivered: in a round's payloads,
+    every correct sender, and every faulty sender that the adversary gave
+    no slot key (see :meth:`RoundEngine.run_round`).  ``per_slot`` maps
+    each other sender to the list of its slots' entries, in
+    ``slots[sender]`` order (every other node, ascending); an entry is None
+    where the slot was absent or malformed.  A quantum round's deliveries
+    are tallies, one per link, so every sender is in their ``per_slot``.
+    Phase king (``rf_protocols.absorb_round``), the estimation oracle
+    (``harness.quantum_links``) and the transcript export
     (``harness.transcript_records``) read these two dicts.
 
     As a mapping it is the per-slot view, the one derivation of it: slots
-    run sender-major over ``senders``, as in a quantum round's dict.  Its
-    readers are the flag exchange's inboxes (:meth:`inbox`), the
-    benchmark's tracing, which counts the slots and absent symbols through
-    ``len`` and :meth:`values`, and the tests.
+    run sender-major over ``senders``.  Its readers are the inboxes
+    (:meth:`inbox`), the king broadcast's receivers, the adversaries, the
+    benchmark's tracing, which counts the slots and absent deliveries
+    through ``len`` and :meth:`values`, and the tests.
     """
 
     __slots__ = ("senders", "slots", "broadcast", "per_slot")
@@ -125,7 +129,7 @@ class ClassicalDeliveries(Mapping):
         return len(self.senders) * (len(self.slots) - 1)
 
     def values(self) -> list:
-        """Every slot's symbol in slot order, as a new list."""
+        """Every slot's entry in slot order, as a new list."""
         broadcast, per_slot = self.broadcast, self.per_slot
         width = len(self.slots) - 1
         out = []
@@ -134,7 +138,7 @@ class ClassicalDeliveries(Mapping):
         return out
 
     def inbox(self, receiver: int) -> dict:
-        """{sender: symbol} of every slot to ``receiver``."""
+        """{sender: entry} of every slot to ``receiver``."""
         broadcast, per_slot = self.broadcast, self.per_slot
         return {
             s: broadcast[s] if s in broadcast else per_slot[s][receiver - (receiver > s)]
@@ -146,18 +150,19 @@ class ClassicalDeliveries(Mapping):
 class Round(NamedTuple):
     """One resolved round: what every slot of ``step`` carried and delivered.
 
-    ``payloads[slot]`` is the wire payload (a message in sender-local
-    coordinates, or a symbol) and ``deliveries[slot]`` what the receiver got
-    (a tally, or the symbol); both are None exactly where the slot was absent
-    or malformed.  A quantum round keeps both as dicts, one entry per slot.
-    A classical round keeps one :class:`ClassicalDeliveries` as both, since
-    a delivered symbol is its own wire payload: it holds a broadcaster's
-    symbol once, and per slot only what equivocating faulty senders sent.
+    ``payloads`` holds the wire payloads (messages in sender-local
+    coordinates, or symbols) and ``deliveries`` what the receivers got
+    (tallies, or the symbols), both as a :class:`PerSender`; an entry is
+    None exactly where its slot was absent or malformed.  A classical round
+    keeps one object as both, since a delivered symbol is its own wire
+    payload.  A quantum round's payloads hold a broadcaster's message once,
+    and per slot only what equivocating faulty senders sent; its
+    deliveries hold every link's tally.
     """
 
     step: RoundStep
-    deliveries: Mapping
-    payloads: Mapping
+    deliveries: PerSender
+    payloads: PerSender
 
 
 @dataclass
@@ -227,13 +232,15 @@ def rewindable_philox(key0: int, key1: int) -> tuple:
 _MALFORMED = (ValueError, TypeError, OverflowError)
 
 
-def prepare_message(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelParams):
+def prepare_message(msg, sender_frame: np.ndarray, params: ChannelParams):
     """The :func:`link_cells` of ``msg`` sent from ``sender_frame``, or None.
 
     Everything a delivery does that depends on the message alone: rotation
-    to global coordinates, the format check and channel noise.  A malformed
-    payload gives None.
+    to global coordinates, the format check and channel noise.  A payload
+    that is not a well-formed :class:`QuantumMessage` gives None.
     """
+    if not isinstance(msg, QuantumMessage):
+        return None
     try:
         return link_cells(msg, sender_frame, params)
     except _MALFORMED:
@@ -295,8 +302,8 @@ class RoundEngine:
         bits.state = state
         return gen
 
-    def run_round(self, step: RoundStep, honest_payloads: dict, faulty_set, adversary) -> Mapping:
-        """Resolve every slot of ``step``; returns {(sender, receiver): delivery}.
+    def run_round(self, step: RoundStep, honest_payloads: dict, faulty_set, adversary) -> PerSender:
+        """Resolve every slot of ``step``; returns its deliveries as a :class:`PerSender`.
 
         Slots run sender-major over ``step.senders``, each to every other
         node in ascending order.  ``honest_payloads`` maps every honest
@@ -312,8 +319,7 @@ class RoundEngine:
         ``int`` (not ``bool``); anything else, numpy integers included, is
         delivered as absent.  The resolved round is appended to
         ``transcript`` as one :class:`Round`, whose ``deliveries`` this
-        returns: a dict for a quantum round, a :class:`ClassicalDeliveries`
-        for a classical one.
+        returns, for either kind of round.
 
         Work that depends on the payload alone runs once per sender and
         payload, whether the sender is correct or faulty: a broadcaster's
@@ -361,12 +367,13 @@ class RoundEngine:
                     )
 
         slots = self._slots
+        sent = {}  # broadcaster -> its one payload, None where nothing was delivered
+        slot_sent = {}  # sender given slot keys -> its payload per slot
         if step.kind in QUANTUM_STEPS:
             # Looked up here, not at import: tracing replaces the module's name.
             measure = measure_batch
             frames, axes, channel, link_rng = self.frames, self._axes, self.channel, self._fast_link_rng
-            deliveries = {}
-            payloads = {}
+            tallies = {}  # sender -> its tally per slot
             for sender in step.senders:
                 if sender in equivocators:
                     default = broadcast.get(sender)
@@ -375,53 +382,44 @@ class RoundEngine:
                     # it.  Nothing is kept on the message: its state arrays
                     # may change between rounds.
                     prepared = {}
+                    tallies[sender] = slot_tallies = []
+                    slot_sent[sender] = slot_payloads = []
                     for slot in slots[sender]:
                         payload = per_slot.get(slot, default)
+                        key = id(payload)
+                        if key not in prepared:
+                            prepared[key] = prepare_message(payload, frames[sender], channel)
+                        cells, r = prepared[key], slot[1]
                         delivery = None
-                        if isinstance(payload, QuantumMessage):
-                            key = id(payload)
-                            if key not in prepared:
-                                prepared[key] = prepare_message(payload, frames[sender], channel)
-                            cells = prepared[key]
-                            if cells is not None:
-                                receiver = slot[1]
-                                delivery = measure(
-                                    cells, axes[receiver], channel, link_rng(sender, receiver)
-                                )
-                        deliveries[slot] = delivery
-                        payloads[slot] = None if delivery is None else payload
+                        if cells is not None:
+                            delivery = measure(cells, axes[r], channel, link_rng(sender, r))
+                        slot_tallies.append(delivery)
+                        slot_payloads.append(None if delivery is None else payload)
                     continue
                 payload = broadcast.get(sender) if sender in faulty_set else honest_payloads[sender]
-                cells = None
-                if isinstance(payload, QuantumMessage):
-                    cells = prepare_message(payload, frames[sender], channel)
-                if cells is None:
-                    for slot in slots[sender]:
-                        deliveries[slot] = payloads[slot] = None
-                else:
-                    for slot in slots[sender]:
-                        receiver = slot[1]
-                        deliveries[slot] = measure(
-                            cells, axes[receiver], channel, link_rng(sender, receiver)
-                        )
-                        payloads[slot] = payload
+                cells = prepare_message(payload, frames[sender], channel)
+                sent[sender] = None if cells is None else payload
+                tallies[sender] = [
+                    None if cells is None else measure(cells, axes[r], channel, link_rng(sender, r))
+                    for _, r in slots[sender]
+                ]
+            payloads = PerSender(step.senders, slots, sent, slot_sent)
+            deliveries = PerSender(step.senders, slots, {}, tallies)
         else:
-            symbols = {}
-            slot_symbols = {}
             for sender in step.senders:
                 if sender in equivocators:
                     default = broadcast.get(sender)
-                    slot_symbols[sender] = [
+                    slot_sent[sender] = [
                         _symbol(per_slot.get(slot, default)) for slot in slots[sender]
                     ]
                 elif sender in faulty_set:
-                    symbols[sender] = _symbol(broadcast.get(sender))
+                    sent[sender] = _symbol(broadcast.get(sender))
                 else:
-                    symbols[sender] = _symbol(honest_payloads[sender])
+                    sent[sender] = _symbol(honest_payloads[sender])
             # A delivered symbol is its own wire payload.  Not copied:
             # correct nodes absorb these deliveries before the next round
             # shows them to the adversary.
-            deliveries = payloads = ClassicalDeliveries(step.senders, slots, symbols, slot_symbols)
+            deliveries = payloads = PerSender(step.senders, slots, sent, slot_sent)
         self.round_index += 1
         self.transcript.append(Round(step, deliveries, payloads))
         return deliveries

@@ -234,7 +234,8 @@ def node_payloads(step: RoundStep, nodes: dict) -> dict:
 def absorb_round(step: RoundStep, nodes: dict, deliveries, m: int) -> None:
     """Hand each of ``nodes`` its inbox from the deliveries of ``step``.
 
-    ``deliveries`` is what ``RoundEngine.run_round`` returned for the step.
+    ``deliveries`` is the :class:`~rfagree.netsim.PerSender` that
+    ``RoundEngine.run_round`` returned for the step.
     """
     if step.kind == KING_BROADCAST:
         king = step.king_id
@@ -265,7 +266,7 @@ def absorb_round(step: RoundStep, nodes: dict, deliveries, m: int) -> None:
             node.cc_absorb(step.cc_round, zeros[i] - (own == 0), ones[i] - (own == 1))
     elif step.kind == DIRECTION_EXCHANGE:
         for i, node in nodes.items():
-            node.receive_directions({j: deliveries[(j, i)] for j in range(m) if j != i})
+            node.receive_directions(deliveries.inbox(i))
     else:
         for i, node in nodes.items():
             node.receive_flags(deliveries.inbox(i))

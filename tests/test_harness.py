@@ -81,6 +81,17 @@ def test_config_validation_errors():
     small_config().validate()
 
 
+def test_config_rejects_n_beyond_int64():
+    # Generator.binomial takes n as an int64: 2**63 - 1 runs, a larger n,
+    # given or sized from q_target at a tiny delta, is a config error.
+    small_config(n=2**63 - 1).validate()
+    with pytest.raises(ConfigError, match="at most 2"):
+        small_config(n=2**63).validate()
+    for delta in (1e-9, 1e-160, 1e-200):  # the last two leave the float range
+        with pytest.raises(ConfigError, match="at most 2"):
+            small_config(n=None, q_target=0.9, delta=delta).validate()
+
+
 def test_config_round_trip(tmp_path):
     cfg = small_config(adversary="equivocator", adversary_params={"separation": 1.0}, faulty_ids=(0,))
     path = tmp_path / "cfg.json"
@@ -230,6 +241,47 @@ def test_memory_flat_in_trial_count(tmp_path):
     (run_10, verify_10), (run_40, verify_40) = peaks(10), peaks(40)
     assert run_40 - run_10 < 100_000
     assert verify_40 - verify_10 < 50_000
+
+
+def test_verify_memory_flat_when_a_trial_has_no_readable_line(tmp_path):
+    # Every transcript line of trial 0 is cut short, so its record waits for
+    # a block that never comes.  verify holds that record and one block at
+    # a time; waiting for trial 0's block through the end of the file, it
+    # once held the links of every later trial.
+    def verify_peak(trials):
+        out = tmp_path / str(trials)
+        cfg = small_config(out_dir=str(out), trials=trials, write_transcript=True)
+        run_experiment(cfg)
+        path = out / "transcript.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(
+            "".join(line[:-4] + "\n" if json.loads(line)["trial"] == 0 else line for line in lines)
+        )
+        tracemalloc.start()
+        try:
+            mismatches = verify_records(out / "trials.jsonl", path, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two king phases of 9 rounds make 18 lines per trial.
+        assert len(mismatches) == 19
+        assert all(" JSONDecodeError: " in line for line in mismatches[:18])
+        assert mismatches[18] == "trial 0: no transcript lines"
+        return peak
+
+    verify_peak(1)  # lazy set-up out of the way
+    assert verify_peak(40) - verify_peak(10) < 50_000
+
+
+def test_run_without_out_dir_encodes_nothing(monkeypatch):
+    # Nothing is written, so neither a trial's line nor its transcript is encoded.
+    def unexpected(*args):
+        raise AssertionError("encoded without out_dir")
+
+    monkeypatch.setattr(harness, "transcript_records", unexpected)
+    monkeypatch.setattr(harness._ENCODER, "encode", unexpected)
+    summary, _, metrics = run_experiment(small_config(write_transcript=True))
+    assert len(metrics) == 3 and summary["violations"] == 0
 
 
 def test_trials_jsonl_byte_identical_across_runs(tmp_path):
@@ -799,6 +851,14 @@ def test_cli_calc_rejects_out_of_range_input(capsys, argv):
     assert captured.out == ""
 
 
+def test_cli_calc_rejects_n_beyond_int64(capsys):
+    code = cli_main(["calc", "--m", "4", "--q-target", "0.9", "--delta", "1e-9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: n must be at most 2**63 - 1" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg = small_config(trials=2)
     path = tmp_path / "cfg.json"
@@ -853,6 +913,20 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys, change):
     assert code == 2
     assert "config error:" in err
     assert "Traceback" not in err
+
+
+HONEST_SMALL = os.path.join(os.path.dirname(__file__), "..", "configs", "honest_small.json")
+
+
+def test_cli_run_rejects_n_beyond_int64(tmp_path, capsys):
+    # Not an OverflowError from Generator.binomial in the first trial.
+    argv = ["run", "--config", HONEST_SMALL, "--n", str(10**20), "--out", str(tmp_path / "out")]
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: n must be at most 2**63 - 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify(tmp_path, capsys):

@@ -12,14 +12,16 @@ from rfagree.netsim import (
     DIRECTION_EXCHANGE,
     FLAG_EXCHANGE,
     KING_BROADCAST,
+    QUANTUM_STEPS,
     AuthenticationError,
+    PerSender,
     RoundEngine,
     RoundStep,
     substream,
 )
 from rfagree.quantum_link import ChannelParams, QuantumMessage, ted_receive
 from rfagree.rf_protocols import ProtocolParams, run_rf_consensus
-from rfagree.adversaries import Rusher, make_adversary
+from rfagree.adversaries import Rusher, make_adversary, strategy_catalog
 
 from helpers import (
     adversary_rng,
@@ -782,3 +784,66 @@ def test_prepare_message_equals_reference_on_odd_segments(segments, delivered):
     params = ChannelParams(epsilon=0.1, n=FUZZ_N)
     assert_prepared_like_reference(lambda: QuantumMessage(segments()), frame, params)
     assert (netsim.prepare_message(QuantumMessage(segments()), frame, params) is not None) == delivered
+
+
+def test_both_kinds_of_round_are_held_per_sender():
+    # A correct sender's message is held once, not once per slot; only the
+    # senders given slot keys are held per slot, and a quantum round's
+    # tallies, one per link, for every sender.
+    m, n = 7, 1000
+    engine, _ = make_engine(m=m, n=n)
+    rng = np.random.default_rng(4)
+    honest = {i: QuantumMessage.uniform(random_direction(rng), n) for i in range(5)}
+    a, b = (QuantumMessage.uniform(random_direction(rng), n) for _ in range(2))
+    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(m)))
+    quantum = engine.run_round(step, honest, frozenset({5, 6}), Emitting({5: a, (5, 2): b, 6: a}))
+    payloads = engine.transcript[0].payloads
+    assert all(payloads.broadcast[s] is honest[s] for s in honest)
+    assert payloads.broadcast[6] is a and list(payloads.per_slot) == [5]
+    assert [p is b for p in payloads.per_slot[5]] == [False, False, True, False, False, False]
+    assert quantum is engine.transcript[0].deliveries
+    assert quantum.broadcast == {} and list(quantum.per_slot) == list(range(m))
+    assert all(len(tallies) == m - 1 for tallies in quantum.per_slot.values())
+
+    step = RoundStep(CLASSICAL_ROUND, 0, 0, 0, tuple(range(m)))
+    emitted = {5: 0, (5, 1): 1, 6: 0}
+    honest = {i: 1 for i in range(5)}
+    classical = engine.run_round(step, honest, frozenset({5, 6}), Emitting(emitted))
+    assert list(classical.per_slot) == [5]
+    assert classical is engine.transcript[1].payloads is engine.transcript[1].deliveries
+    assert type(quantum) is type(payloads) is type(classical) is PerSender
+
+
+def _wire(payload):
+    """A quantum payload as the export writes it."""
+    return None if payload is None else [[list(map(float, s)), int(c)] for s, c in payload.segments]
+
+
+@pytest.mark.parametrize("name", strategy_catalog())
+def test_per_slot_view_equals_the_expanded_export(name):
+    # Every round of a trial under each strategy: the slots, payloads and
+    # deliveries read through the mapping view equal those of the exported
+    # record, expanded slot by slot.
+    m = 7
+    params = ProtocolParams(m, 2, 0.05, ChannelParams(epsilon=0.1, n=1000))
+    faulty = (0, 1)
+    result = run_rf_consensus(
+        params,
+        trial_frames(13, 0, m),
+        faulty,
+        make_adversary(name, faulty, params),
+        master_seed=13,
+    )
+    records = transcript_records(0, result.transcript)
+    assert len(records) == len(result.transcript)
+    for rnd, record in zip(result.transcript, records):
+        expanded = expand_round_record(record, m)
+        slots = [(slot["sender"], slot["receiver"]) for slot in expanded]
+        assert slots == list(rnd.payloads) == list(rnd.deliveries)
+        if rnd.step.kind in QUANTUM_STEPS:
+            assert [slot["payload"] for slot in expanded] == list(map(_wire, rnd.payloads.values()))
+            assert [slot["tally"] for slot in expanded] == [
+                None if t is None else t._asdict() for t in rnd.deliveries.values()
+            ]
+        else:
+            assert [slot["payload"] for slot in expanded] == rnd.deliveries.values()
