@@ -756,14 +756,12 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     The two files are read in step, the transcript one block (a run of
     readable lines of one trial) at a time.  A record is checked once its
     block is read, and both are then dropped, so files in trial order are
-    verified in memory that does not grow with the trial count.  A record
-    whose block has not come reads blocks until it does, checking the
-    records waiting for those on the way, and waits itself at a block whose
-    record has not come, which is held for it.  A record whose block never
-    comes, and a repeated record, are checked without the link fields.
-    Lines of a trial whose record was already checked (a repeated or split
-    block) feed no metric and fail the structure check.  A trial's
-    transcript-line mismatches come before its metric mismatches.
+    verified in memory that does not grow with the trial count.  Where one
+    file runs ahead, a block waits for its record or a record for its
+    block; a record whose block never comes, and a repeated record, are
+    checked without the link fields.  Lines of a trial already checked (a
+    repeated or split block) feed no metric and fail the structure check.
+    A trial's transcript-line mismatches come before its metric mismatches.
     """
     mismatches = []
     n = config.resolved_n()
@@ -798,7 +796,10 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
             mismatches.append(_line_mismatch(trial, "trials", lineno, exc))
 
     def read_blocks(current):
-        """Read blocks until the record of ``current`` is checked or must wait; None reads all."""
+        """Read blocks up to trial ``current``'s, held; False if one of a trial with no record is.
+
+        A waiting record's block is checked with it; ``current`` None reads to the end.
+        """
         for trial, lines in blocks:
             checked = trial in counts and trial not in waiting
             seen, in_order = rounds.get(trial, (0, True))
@@ -812,11 +813,8 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
                 check(trial, *waiting.pop(trial), block_links)
             elif not checked and current is not None:
                 held[trial] = block_links
-                return
-            if trial == current:
-                return
-        if current in waiting:  # the end of the transcript: no links will come
-            check(current, *waiting.pop(current), None)
+                return trial == current
+        return True
 
     with open(trials_path, "rb") as records_fh, (
         nullcontext(()) if transcript_path is None else open(transcript_path, "rb")
@@ -831,12 +829,13 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
         for lineno, trial, record in _read_jsonl(
             records_fh, "trials", lambda trial, rec: rec, mismatches
         ):
-            counts[trial] += 1
-            if counts[trial] == 1 and trial not in held:
-                waiting[trial] = (lineno, record)
-                read_blocks(trial)
-            else:  # a repeated record is checked without links
+            if trial in counts:  # a repeated record is checked without links
+                check(trial, lineno, record, None)
+            elif trial in held or read_blocks(trial):
                 check(trial, lineno, record, held.pop(trial, None))
+            else:
+                waiting[trial] = (lineno, record)
+            counts[trial] += 1
         read_blocks(None)
         for trial, (lineno, record) in waiting.items():
             check(trial, lineno, record, None)
