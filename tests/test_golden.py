@@ -158,3 +158,42 @@ def test_degenerate_tallies_golden_digests(tmp_path):
     assert output_digests(config, tmp_path)[:2] == DEGENERATE_GOLDEN
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["degenerate_tallies"] > 0
+
+
+# The two workloads BENCHMARK.json gates, with perfbench/run.py's parameters
+# written out here (not imported, so editing the benchmark cannot move these
+# pins), 2 trials at seed 7, transcript export on.  Every change to the hot
+# path is checked for bytes on the benchmark's own configurations.
+WORKLOAD_CONFIGS = {
+    "m7-noisy-poisoner": {
+        "m": 7, "t": 2, "delta": 0.05, "epsilon": 0.1, "n": 50000,
+        "adversary": "grade-poisoner",
+    },
+    "m10-equivocator-transcript": {
+        "m": 10, "t": 3, "delta": 0.05, "epsilon": 0.0,
+        "q_target": 0.999, "q_target_scope": "overall_strict",
+        "adversary": "equivocator", "adversary_params": {"separation": 2.0},
+    },
+}
+
+# trials.jsonl, transcript.jsonl and the per-slot expansion of the latter.
+WORKLOAD_GOLDEN = {
+    "m7-noisy-poisoner": (
+        "8b822e35ac0378732f0ce87f72d76aaa8e946a4cecb8bf0225686060c24ec9cb",
+        "c7a621ca80bc0ea325fbdd66e609d27c2e419ca775578d25912e34c3d2e77702",
+        "7c60e05119ef8b953af0f7a64f1c37f9be2759933a23fb767220b4d9f06b97a3",
+    ),
+    "m10-equivocator-transcript": (
+        "ffb58775ac0c7ce1165ed4636ebc4b5f995b80d43582b63c45e337c2c300a1c5",
+        "699bf33a64fa32d959f0aaef5aee77bd610e6cca54bab0c43a21791515f92b85",
+        "1d4324db60955cdf2c22281036345d227a2a32d72c2e4e4b4dfe97334736cc8e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_GOLDEN))
+def test_workload_golden_digests(name, tmp_path):
+    config = ExperimentConfig.from_dict(
+        dict(WORKLOAD_CONFIGS[name], trials=GOLDEN_TRIALS, master_seed=7)
+    )
+    assert output_digests(config, tmp_path) == WORKLOAD_GOLDEN[name]
