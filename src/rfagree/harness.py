@@ -358,7 +358,13 @@ def run_trial(config: ExperimentConfig, trial: int, frames=None):
 
 
 def _floats(v):
-    """``v`` (a vector or matrix, or None) as nested lists of Python floats."""
+    """``v`` (a vector or matrix, or None) as nested lists of Python floats, in a new list.
+
+    A node's direction is already a list of three Python floats, which is
+    copied as it is: the float64 round trip would give the same floats.
+    """
+    if type(v) is list and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float:
+        return v[:]
     return None if v is None else np.asarray(v, dtype=np.float64).tolist()
 
 

@@ -211,8 +211,9 @@ def substream(key0: int, key1: int, c1: int, c2: int, c3: int) -> np.random.Gene
 def rewindable_philox(key0: int, key1: int) -> tuple:
     """(bits, generator, state) of one Philox keyed as :func:`substream` keys it.
 
-    Setting ``state["state"]["counter"] = [0, c1, c2, c3]`` and then
-    ``bits.state = state`` rewinds ``generator`` to the start of
+    Setting ``state["state"]["counter"]`` to ``[0, c1, c2, c3]`` (a new
+    list, or the one there written in place) and then ``bits.state =
+    state`` rewinds ``generator`` to the start of
     ``substream(key0, key1, c1, c2, c3)``, an order of magnitude cheaper
     than building that stream; only for draws that are fully consumed
     before the next rewind.  The state dict holds plain lists, which the
@@ -275,7 +276,11 @@ class RoundEngine:
         # Per receiver: its axes for measure_batch; per sender: its slots.
         self._axes = [frame_axes(frame) for frame in self.frames]
         self._slots = [tuple((s, r) for r in range(self.m) if r != s) for s in range(self.m)]
-        self._link_philox = rewindable_philox(self.master_seed, self.trial)
+        bits, gen, state = rewindable_philox(self.master_seed, self.trial)
+        # The counter list inside ``state``, rewritten in place per link.
+        self._link_philox = (bits, gen, state, state["state"]["counter"])
+        # (senders, faulty set) -> the faulty senders' slots, in slot order.
+        self._faulty_slots = {}
 
     # Counter word c1 tags the purpose: 0 for setup draws (the frames, see
     # harness.trial_frames), 1 + round for per-round streams.  c2/c3 carry
@@ -297,8 +302,8 @@ class RoundEngine:
         :func:`rewindable_philox`); only for engine-internal draws that are
         fully consumed before the next rewind.
         """
-        bits, gen, state = self._link_philox
-        state["state"]["counter"] = [0, 1 + self.round_index, sender, receiver]
+        bits, gen, state, counter = self._link_philox
+        counter[1:] = 1 + self.round_index, sender, receiver
         bits.state = state
         return gen
 
@@ -325,8 +330,14 @@ class RoundEngine:
         payload, whether the sender is correct or faulty: a broadcaster's
         symbol is checked and stored once, and its quantum message taken
         through ``link_cells`` once.  Each link then gets only its stream
-        rewind and ``measure_batch``.  Only the senders given slot keys are
-        resolved slot by slot.
+        rewind (:meth:`_fast_link_rng`, which writes the counter into one
+        Philox state in place) and ``measure_batch``; a one-segment message
+        takes the fast paths of both, anything else their loops.  Only the
+        senders given slot keys are resolved slot by slot.  The faulty
+        senders' slots that ``emit`` is offered are built once per
+        ``(step.senders, faulty_set)`` and kept, so ``faulty_set`` must be
+        hashable (a frozenset); the keys ``emit`` returns are checked
+        against the round's own ``faulty_set`` every round.
         """
         broadcast = {}  # faulty sender -> the payload on all of its slots
         per_slot = {}  # slot -> payload
@@ -348,11 +359,14 @@ class RoundEngine:
                 stream=self.adversary_stream(),
                 node_rng=faulty_node_rng,
             )
-            faulty_slots = tuple(
-                itertools.chain.from_iterable(
-                    self._slots[s] for s in step.senders if s in faulty_set
+            cache_key = (step.senders, faulty_set)
+            faulty_slots = self._faulty_slots.get(cache_key)
+            if faulty_slots is None:
+                faulty_slots = self._faulty_slots[cache_key] = tuple(
+                    itertools.chain.from_iterable(
+                        self._slots[s] for s in step.senders if s in faulty_set
+                    )
                 )
-            )
             for key, payload in adversary.emit(view, faulty_slots).items():
                 if isinstance(key, int) and not isinstance(key, bool):
                     sender = key

@@ -90,6 +90,11 @@ class MeasurementTally(NamedTuple):
     n: int
 
 
+#: ``_tally(MeasurementTally, (k_x, k_y, k_z, n))`` builds a tally in one C
+#: call, skipping the Python-level ``__new__`` of the NamedTuple.
+_tally = tuple.__new__
+
+
 def link_cells(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelParams) -> list:
     """Rotate, check and add channel noise to ``msg``: its measurement cells, in one pass.
 
@@ -105,15 +110,39 @@ def link_cells(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelPar
     message and its sender alone, so every receiver of one message can
     share its cells; nothing is cached on the message, whose state arrays
     may change between deliveries.
+
+    The common message, every honest payload and every
+    :meth:`QuantumMessage.uniform`, takes a fast path: ``segments`` a
+    tuple of one segment whose state is a float64 ``np.ndarray`` of shape
+    (3,) and whose count is a Python ``int`` equal to 3n.  Its three cells
+    come out directly, with the same rotation, norm check and shrink.  Any
+    other message, whatever its segments' types, goes through the loop.
     """
     n = params.n
     # The depolarizing channel, a shrink by (1 - epsilon), on Python floats:
     # the same IEEE products as on float64 arrays (tests/helpers.depolarize),
     # so the same bits, without numpy scalar overhead.
     shrink = 1.0 - params.epsilon
+    segments = msg.segments
+    if type(segments) is tuple and len(segments) == 1:
+        segment = segments[0]
+        if type(segment) is tuple and len(segment) == 2:
+            state, count = segment
+            if (
+                type(state) is np.ndarray
+                and type(count) is int
+                and count == 3 * n
+                and state.dtype == np.float64
+                and state.shape == (3,)
+            ):
+                x, y, z = (sender_frame @ state).tolist()
+                if not math.sqrt(math.fsum((x * x, y * y, z * z))) <= 1.0 + BLOCH_TOL:
+                    raise ValueError("segment Bloch vector non-finite or longer than 1")
+                x, y, z = shrink * x, shrink * y, shrink * z
+                return [(0, n, x, y, z), (1, n, x, y, z), (2, n, x, y, z)]
     cells = []
     start = 0
-    for state, count in msg.segments:
+    for state, count in segments:
         arr = sender_frame @ np.asarray(state, dtype=np.float64)
         if arr.shape != (3,):
             raise ValueError("segment state must be a 3-vector")
@@ -150,14 +179,36 @@ def measure_batch(
     """Measure a message's :func:`link_cells` along a receiver's axes.
 
     ``receiver_axes`` is :func:`frame_axes` of the receiver's frame.  Each
-    cell contributes one binomial draw, which matches the per-qubit
-    Bernoulli law exactly.
+    cell contributes one binomial draw, in cell order, which matches the
+    per-qubit Bernoulli law exactly.
+
+    Cells with one cell per axis in axis order, as every one-segment
+    message has, take a fast path: the three outcome probabilities and
+    draws written out, with no loop, and the tally built directly.  Cells
+    in any other shape take the loop, which draws the same way.
     """
     # P(+1) = (1 + r.axis)/2 on Python floats, clamped to [0, 1], as
     # tests/helpers.outcome_probability computes it on arrays; by
     # comparisons, since link_cells lets no NaN through.  (A batched einsum
     # rounds differently: it changes about one outcome probability in ten
     # in its last bit.)  ``binomial`` of scalars returns a Python int.
+    if len(cells) == 3:
+        (a0, c0, x0, y0, z0), (a1, c1, x1, y1, z1), (a2, c2, x2, y2, z2) = cells
+        if a0 == 0 and a1 == 1 and a2 == 2:
+            (ax, ay, az), (bx, by, bz), (cx, cy, cz) = receiver_axes
+            p0 = 0.5 * (1.0 + math.fsum((x0 * ax, y0 * ay, z0 * az)))
+            p1 = 0.5 * (1.0 + math.fsum((x1 * bx, y1 * by, z1 * bz)))
+            p2 = 0.5 * (1.0 + math.fsum((x2 * cx, y2 * cy, z2 * cz)))
+            binomial = rng.binomial
+            return _tally(
+                MeasurementTally,
+                (
+                    binomial(c0, 1.0 if p0 > 1.0 else 0.0 if p0 < 0.0 else p0),
+                    binomial(c1, 1.0 if p1 > 1.0 else 0.0 if p1 < 0.0 else p1),
+                    binomial(c2, 1.0 if p2 > 1.0 else 0.0 if p2 < 0.0 else p2),
+                    params.n,
+                ),
+            )
     counts = [0, 0, 0]
     for a, count, x, y, z in cells:
         ax, ay, az = receiver_axes[a]

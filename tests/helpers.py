@@ -3,8 +3,9 @@
 The reference paths and checkers that no run needs live here too: one-link
 delivery, the per-link and adversary streams built from scratch, an all-honest
 phase-king run over inbox lists, the array forms of the channel and the
-outcome probability, the chord distance written out in full, the estimation
-oracle one link at a time, and validating direction and frame constructors.
+outcome probability, the per-cell measurement loop, the chord distance
+written out in full, the estimation oracle one link at a time, and
+validating direction and frame constructors.
 """
 
 import itertools
@@ -302,6 +303,24 @@ def exhaustive_consensus_check(m, t):
 def measure(msg, frame, params, rng):
     """``measure_batch`` of a global-frame message at a receiver with ``frame``."""
     return measure_batch(link_cells(msg, np.eye(3), params), frame_axes(frame), params, rng)
+
+
+def reference_measure_batch(cells, receiver_axes, params, rng):
+    """``measure_batch`` as one loop over its cells: the oracle for its fast path.
+
+    One binomial draw per cell, in cell order, at the clamped outcome
+    probability of that cell's state along its axis.
+    """
+    counts = [0, 0, 0]
+    for a, count, x, y, z in cells:
+        ax, ay, az = receiver_axes[a]
+        p = 0.5 * (1.0 + math.fsum((x * ax, y * ay, z * az)))
+        if p > 1.0:
+            p = 1.0
+        elif p < 0.0:
+            p = 0.0
+        counts[a] += rng.binomial(count, p)
+    return MeasurementTally(counts[0], counts[1], counts[2], params.n)
 
 
 def reference_link_cells(msg, sender_frame, params):

@@ -19,7 +19,7 @@ from rfagree.netsim import (
     RoundStep,
     substream,
 )
-from rfagree.quantum_link import ChannelParams, QuantumMessage, ted_receive
+from rfagree.quantum_link import BLOCH_TOL, ChannelParams, QuantumMessage, ted_receive
 from rfagree.rf_protocols import ProtocolParams, run_rf_consensus
 from rfagree.adversaries import Rusher, make_adversary, strategy_catalog
 
@@ -28,6 +28,7 @@ from helpers import (
     deliver_quantum,
     expand_round_record,
     link_rng,
+    octahedral_rotations,
     random_frame,
     reference_link_cells,
     transcript_signature,
@@ -133,6 +134,44 @@ class Emitting:
 
     def emit(self, view, slots):
         return dict(self.emitted)
+
+
+def test_faulty_slots_follow_each_rounds_faulty_set():
+    # One engine, one step, two faulty sets in turn: each round offers the
+    # adversary the slots of its own faulty set and is authenticated by it,
+    # however the engine keeps the slots from round to round.
+    m = 4
+    engine, _ = make_engine(m=m)
+    step = RoundStep(FLAG_EXCHANGE, 0, 0, None, tuple(range(m)))
+
+    class Offered:
+        def __init__(self, emitted):
+            self.emitted, self.slots = emitted, []
+
+        def emit(self, view, slots):
+            self.slots.append(slots)
+            return dict(self.emitted)
+
+    def run(faulty, emitted):
+        adversary = Offered(emitted)
+        honest = {i: 0 for i in range(m) if i not in faulty}
+        deliveries = engine.run_round(step, honest, frozenset(faulty), adversary)
+        return deliveries, adversary.slots
+
+    for faulty in [{3}, {1, 2}, {3}, {1, 2}]:
+        (sender, *_) = sorted(faulty)
+        deliveries, offered = run(faulty, {sender: 1})
+        assert offered == [tuple((s, r) for s in sorted(faulty) for r in range(m) if r != s)]
+        assert deliveries == {
+            (s, r): 1 if s == sender else (None if s in faulty else 0)
+            for s in range(m)
+            for r in range(m)
+            if r != s
+        }
+    # What is valid under one faulty set stays forged under the other.
+    for faulty, forged in [({3}, {1: 1}), ({1, 2}, {3: 1}), ({3}, {(2, 0): 1}), ({1, 2}, {(3, 0): 1})]:
+        with pytest.raises(AuthenticationError):
+            run(faulty, forged)
 
 
 @pytest.mark.parametrize("quantum", [False, True], ids=["classical", "quantum"])
@@ -784,6 +823,68 @@ def test_prepare_message_equals_reference_on_odd_segments(segments, delivered):
     params = ChannelParams(epsilon=0.1, n=FUZZ_N)
     assert_prepared_like_reference(lambda: QuantumMessage(segments()), frame, params)
     assert (netsim.prepare_message(QuantumMessage(segments()), frame, params) is not None) == delivered
+
+
+class _SubArray(np.ndarray):
+    pass
+
+
+_FAST_N = 3 * FUZZ_N
+
+
+def _one_segment(state, count=_FAST_N):
+    return lambda: ((state, count),)
+
+
+# One-segment messages at the edges of link_cells' fast path (a tuple of one
+# segment: a float64 ndarray of shape (3,) and a Python int count of 3n), and
+# just outside it: each gives the two-step oracle's cells bit for bit, or
+# None on both sides.
+@pytest.mark.parametrize(
+    "segments, delivered",
+    [
+        pytest.param(_one_segment(np.array(UP)), True, id="int-count"),
+        pytest.param(_one_segment(np.array(UP), np.int64(_FAST_N)), True, id="int64-count"),
+        pytest.param(_one_segment(np.array(UP), float(_FAST_N)), True, id="float-count"),
+        pytest.param(_one_segment(np.array(UP), _FAST_N + 1), False, id="count-3n+1"),
+        pytest.param(_one_segment(UP), True, id="list-state"),
+        pytest.param(_one_segment(np.array([0.0, 0.5, -0.5], dtype=np.float32)), True, id="float32"),
+        pytest.param(_one_segment(np.array([[0.0], [0.6], [0.8]])), False, id="shape-3x1"),
+        pytest.param(
+            _one_segment(np.array([0.0, 9.0, 0.6, 9.0, 0.8, 9.0])[::2]), True, id="non-contiguous"
+        ),
+        pytest.param(
+            _one_segment(np.array([0.0, 0.6, 0.8]).view(_SubArray)), True, id="ndarray-subclass"
+        ),
+        pytest.param(_one_segment(np.array([1.0 + BLOCH_TOL, 0.0, 0.0])), True, id="norm-1+tol"),
+        pytest.param(
+            _one_segment(np.array([np.nextafter(1.0 + BLOCH_TOL, 2.0), 0.0, 0.0])), False,
+            id="norm-above-1+tol",
+        ),
+        pytest.param(_one_segment(np.array([math.nan, 0.0, 0.0])), False, id="nan"),
+        pytest.param(_one_segment(np.array([0.0, math.inf, 0.0])), False, id="inf"),
+        pytest.param(_one_segment(np.array([0.0, -math.inf, math.nan])), False, id="inf-nan"),
+        pytest.param(lambda: [(np.array(UP), _FAST_N)], True, id="segments-list"),
+        pytest.param(
+            lambda: ((s, c) for s, c in [(np.array(UP), _FAST_N)]), True, id="segments-generator"
+        ),
+        pytest.param(lambda: ([np.array(UP), _FAST_N],), True, id="segment-list"),
+    ],
+)
+@pytest.mark.parametrize("frame", ["octahedral", "random"])
+def test_link_cells_fast_path_edges_equal_reference(segments, delivered, frame):
+    if frame == "octahedral":
+        # Exact: the rotated state keeps its length to the last bit.
+        sender_frame = octahedral_rotations()[7]
+    else:
+        sender_frame = random_frame(np.random.default_rng(31))
+    params = ChannelParams(epsilon=0.1, n=FUZZ_N)
+    # The frame's zeros times an infinite component make NaN, on both sides.
+    with np.errstate(invalid="ignore"):
+        assert_prepared_like_reference(lambda: QuantumMessage(segments()), sender_frame, params)
+        cells = netsim.prepare_message(QuantumMessage(segments()), sender_frame, params)
+    if frame == "octahedral":
+        assert (cells is not None) == delivered
 
 
 def test_both_kinds_of_round_are_held_per_sender():

@@ -2,23 +2,33 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rfagree.geometry import distance, random_direction, to_global
 from rfagree.netsim import substream
 from rfagree.quantum_link import (
+    BLOCH_TOL,
     SENTINEL,
     ChannelParams,
     MeasurementTally,
     QuantumMessage,
+    frame_axes,
     link_cells,
+    measure_batch,
     required_qubits,
     ted_accuracy_bound,
     ted_receive,
     ted_success_bound,
 )
 
-from helpers import depolarize, measure, octahedral_rotations, outcome_probability, random_frame
+from helpers import (
+    depolarize,
+    measure,
+    octahedral_rotations,
+    outcome_probability,
+    random_frame,
+    reference_measure_batch,
+)
 
 
 def test_depolarize_noiseless_identity():
@@ -108,6 +118,79 @@ def test_measure_batch_clamps_outcome_probability(sign):
         assert list(tally[:3]) == expected
         assert tally[a] == (n if sign > 0 else 0)
         assert all(type(k) is int for k in tally)
+
+
+def assert_measured_like_reference(cells, axes, params, seed):
+    """``measure_batch`` draws the reference loop's tally bit for bit, every k a Python int."""
+    tally = measure_batch(cells, axes, params, np.random.default_rng(seed))
+    expected = reference_measure_batch(cells, axes, params, np.random.default_rng(seed))
+    assert tally == expected
+    assert [type(k) for k in tally] == [int] * 4
+    assert type(tally) is MeasurementTally
+
+
+# The fast path (one cell per axis, in axis order) against the per-cell loop.
+# "random": a state of any length up to 1, any epsilon.
+# "aligned" and "anti-aligned": |r| = 1 + BLOCH_TOL along a receiver axis,
+# which at epsilon = 0 puts P(+1) just above 1 or just below 0, so the clamp
+# decides the draw; the octahedral frames keep the axes exact.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["random", "aligned", "anti-aligned"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10**6),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.floats(0.0, 1.0),
+)
+@example("aligned", 5, 1000, 0.0, 1.0)
+@example("anti-aligned", 5, 1000, 0.0, 1.0)
+def test_measure_batch_fast_path_equals_loop(kind, seed, n, epsilon, length):
+    params = ChannelParams(epsilon=epsilon, n=n)
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        frame = random_frame(rng)
+        state = length * random_direction(rng)
+    else:
+        frame = octahedral_rotations()[seed % 24]
+        state = (1.0 if kind == "aligned" else -1.0) * (1.0 + BLOCH_TOL) * frame.T[seed % 3]
+    cells = link_cells(QuantumMessage.uniform(state, n), np.eye(3), params)
+    assert [cell[0] for cell in cells] == [0, 1, 2]  # the fast path's shape
+    axes = frame_axes(frame)
+    if kind != "random" and epsilon == 0.0:
+        raw = 0.5 * (1.0 + float(np.dot(state, frame.T[seed % 3])))
+        assert raw > 1.0 if kind == "aligned" else raw < 0.0
+    assert_measured_like_reference(cells, axes, params, seed)
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        # Three segments, one per axis: the fast path, each cell its own state.
+        pytest.param([([0.0, 0.0, 1.0], 40), ([0.6, 0.0, -0.8], 40), ([0.0, -0.3, 0.0], 40)],
+                     id="one-segment-per-axis"),
+        # The rest have other shapes, so they take the loop.
+        pytest.param([([0.0, 0.0, 1.0], 60), ([0.0, 0.0, -1.0], 60)], id="two-segments"),
+        pytest.param([([0.6, 0.8, 0.0], 1), ([0.0, 0.0, 1.0], 118), ([1.0, 0.0, 0.0], 1)],
+                     id="three-segments-five-cells"),
+        pytest.param([([0.0, 0.6, 0.8], 20)] * 6, id="six-segments"),
+    ],
+)
+def test_measure_batch_multi_cell_messages_equal_loop(segments):
+    n = 40
+    params = ChannelParams(epsilon=0.05, n=n)
+    msg = QuantumMessage(tuple((np.array(state), count) for state, count in segments))
+    cells = link_cells(msg, np.eye(3), params)
+    axes = frame_axes(random_frame(np.random.default_rng(8)))
+    assert_measured_like_reference(cells, axes, params, 8)
+
+
+def test_measure_batch_cells_out_of_axis_order_take_the_loop():
+    # One cell per axis, but not in axis order, which link_cells never
+    # builds: the fast path would draw axis 0 from the first cell.
+    params = ChannelParams(epsilon=0.0, n=40)
+    cells = [(1, 40, 0.6, 0.0, -0.8), (0, 40, 0.0, 0.0, 1.0), (2, 40, 0.0, -0.3, 0.0)]
+    axes = frame_axes(random_frame(np.random.default_rng(8)))
+    assert_measured_like_reference(cells, axes, params, 8)
 
 
 def test_measure_batch_rejects_count_mismatch():
