@@ -169,7 +169,8 @@ def test_faulty_slots_follow_each_rounds_faulty_set():
             if r != s
         }
     # What is valid under one faulty set stays forged under the other.
-    for faulty, forged in [({3}, {1: 1}), ({1, 2}, {3: 1}), ({3}, {(2, 0): 1}), ({1, 2}, {(3, 0): 1})]:
+    forgeries = [({3}, {1: 1}), ({1, 2}, {3: 1}), ({3}, {(2, 0): 1}), ({1, 2}, {(3, 0): 1})]
+    for faulty, forged in forgeries:
         with pytest.raises(AuthenticationError):
             run(faulty, forged)
 
@@ -848,7 +849,9 @@ def _one_segment(state, count=_FAST_N):
         pytest.param(_one_segment(np.array(UP), float(_FAST_N)), True, id="float-count"),
         pytest.param(_one_segment(np.array(UP), _FAST_N + 1), False, id="count-3n+1"),
         pytest.param(_one_segment(UP), True, id="list-state"),
-        pytest.param(_one_segment(np.array([0.0, 0.5, -0.5], dtype=np.float32)), True, id="float32"),
+        pytest.param(
+            _one_segment(np.array([0.0, 0.5, -0.5], dtype=np.float32)), True, id="float32"
+        ),
         pytest.param(_one_segment(np.array([[0.0], [0.6], [0.8]])), False, id="shape-3x1"),
         pytest.param(
             _one_segment(np.array([0.0, 9.0, 0.6, 9.0, 0.8, 9.0])[::2]), True, id="non-contiguous"

@@ -166,12 +166,16 @@ def test_measure_batch_fast_path_equals_loop(kind, seed, n, epsilon, length):
     "segments",
     [
         # Three segments, one per axis: the fast path, each cell its own state.
-        pytest.param([([0.0, 0.0, 1.0], 40), ([0.6, 0.0, -0.8], 40), ([0.0, -0.3, 0.0], 40)],
-                     id="one-segment-per-axis"),
+        pytest.param(
+            [([0.0, 0.0, 1.0], 40), ([0.6, 0.0, -0.8], 40), ([0.0, -0.3, 0.0], 40)],
+            id="one-segment-per-axis",
+        ),
         # The rest have other shapes, so they take the loop.
         pytest.param([([0.0, 0.0, 1.0], 60), ([0.0, 0.0, -1.0], 60)], id="two-segments"),
-        pytest.param([([0.6, 0.8, 0.0], 1), ([0.0, 0.0, 1.0], 118), ([1.0, 0.0, 0.0], 1)],
-                     id="three-segments-five-cells"),
+        pytest.param(
+            [([0.6, 0.8, 0.0], 1), ([0.0, 0.0, 1.0], 118), ([1.0, 0.0, 0.0], 1)],
+            id="three-segments-five-cells",
+        ),
         pytest.param([([0.0, 0.6, 0.8], 20)] * 6, id="six-segments"),
     ],
 )
