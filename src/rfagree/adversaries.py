@@ -52,7 +52,8 @@ def _king_estimates(previous, receivers) -> dict:
     the direction exchange is being emitted.
     """
     king = previous.step.king_id
-    return {r: received_direction(previous.deliveries[(king, r)]) for r in receivers if r != king}
+    inbox = previous.deliveries.inbox
+    return {r: received_direction(inbox(r)[king]) for r in receivers if r != king}
 
 
 class HonestShadow(Adversary):

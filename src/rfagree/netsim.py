@@ -32,11 +32,9 @@ round is the last of them, and the estimation oracle and the transcript
 export read them all.  Both kinds of round are kept per sender
 (:class:`PerSender`): a broadcaster's payload once, checked once, whether
 the sender is correct or faulty, and per slot only what faulty senders
-that equivocate sent, and a quantum round's tallies, one per link.  Phase
-king counts a classical round that way (``rf_protocols.absorb_round``),
-the estimation oracle reads the links that way, and the transcript export
-writes both kinds that way.  The per-slot view is derived from it in one
-place.
+that equivocate sent, and a quantum round's tallies, one per link.  They
+are read per sender (phase king's symbol counts, the estimation oracle and
+the transcript export) or per receiver (each node's inbox).
 
 Randomness is derived per (trial, round, sender, receiver) from counter-based
 Philox streams, so replays are stable: adding adversary draws or reordering
@@ -47,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -81,8 +78,8 @@ class RoundStep(NamedTuple):
     senders: tuple
 
 
-class PerSender(Mapping):
-    """A round's wire payloads or deliveries, held per sender; read as {slot: entry}.
+class PerSender:
+    """A round's wire payloads or deliveries, held per sender; read per sender or per receiver.
 
     ``broadcast`` maps each sender whose one entry all its receivers got to
     that entry, None where nothing was delivered: in a round's payloads,
@@ -92,15 +89,10 @@ class PerSender(Mapping):
     ``slots[sender]`` order (every other node, ascending); an entry is None
     where the slot was absent or malformed.  A quantum round's deliveries
     are tallies, one per link, so every sender is in their ``per_slot``.
-    Phase king (``rf_protocols.absorb_round``), the estimation oracle
-    (``harness.quantum_links``) and the transcript export
-    (``harness.transcript_records``) read these two dicts.
-
-    As a mapping it is the per-slot view, the one derivation of it: slots
-    run sender-major over ``senders``.  Its readers are the inboxes
-    (:meth:`inbox`), the king broadcast's receivers, the adversaries, the
-    benchmark's tracing, which counts the slots and absent deliveries
-    through ``len`` and :meth:`values`, and the tests.
+    Phase king (``rf_protocols.absorb_round``), the adversaries, the
+    estimation oracle (``harness.quantum_links``) and the transcript export
+    (``harness.transcript_records``) read these two dicts; a receiver reads
+    its slots through :meth:`inbox`.
     """
 
     __slots__ = ("senders", "slots", "broadcast", "per_slot")
@@ -111,25 +103,17 @@ class PerSender(Mapping):
         self.broadcast = broadcast
         self.per_slot = per_slot
 
-    def __getitem__(self, slot):
-        sender, receiver = slot
-        if receiver != sender and receiver in range(len(self.slots)):
-            if sender in self.broadcast:
-                return self.broadcast[sender]
-            if sender in self.per_slot:
-                # Slot k of a sender goes to node k, or k + 1 past the sender.
-                return self.per_slot[sender][receiver - (receiver > sender)]
-        raise KeyError(slot)
-
-    def __iter__(self):
-        for sender in self.senders:
-            yield from self.slots[sender]
-
     def __len__(self):
+        """The number of slots; tracing's count, kept until the engine counts (ROADMAP item 6)."""
         return len(self.senders) * (len(self.slots) - 1)
 
     def values(self) -> list:
-        """Every slot's entry in slot order, as a new list."""
+        """Every slot's entry in slot order, as a new list.
+
+        The transcript export writes a quantum round's tallies with it, and
+        tracing counts absent deliveries with it until the engine keeps its
+        own counters (ROADMAP item 6).
+        """
         broadcast, per_slot = self.broadcast, self.per_slot
         width = len(self.slots) - 1
         out = []
@@ -140,6 +124,7 @@ class PerSender(Mapping):
     def inbox(self, receiver: int) -> dict:
         """{sender: entry} of every slot to ``receiver``."""
         broadcast, per_slot = self.broadcast, self.per_slot
+        # Slot k of a sender goes to node k, or k + 1 past the sender.
         return {
             s: broadcast[s] if s in broadcast else per_slot[s][receiver - (receiver > s)]
             for s in self.senders
@@ -152,12 +137,12 @@ class Round(NamedTuple):
 
     ``payloads`` holds the wire payloads (messages in sender-local
     coordinates, or symbols) and ``deliveries`` what the receivers got
-    (tallies, or the symbols), both as a :class:`PerSender`; an entry is
-    None exactly where its slot was absent or malformed.  A classical round
-    keeps one object as both, since a delivered symbol is its own wire
-    payload.  A quantum round's payloads hold a broadcaster's message once,
-    and per slot only what equivocating faulty senders sent; its
-    deliveries hold every link's tally.
+    (tallies, or the symbols), both per sender as a :class:`PerSender`; an
+    entry is None exactly where its slot was absent or malformed.  A
+    classical round keeps one object as both, since a delivered symbol is
+    its own wire payload.  A quantum round's payloads hold a broadcaster's
+    message once, and per slot only what equivocating faulty senders sent;
+    its deliveries hold every link's tally.
     """
 
     step: RoundStep

@@ -234,14 +234,14 @@ def node_payloads(step: RoundStep, nodes: dict) -> dict:
 def absorb_round(step: RoundStep, nodes: dict, deliveries, m: int) -> None:
     """Hand each of ``nodes`` its inbox from the deliveries of ``step``.
 
-    ``deliveries`` is the :class:`~rfagree.netsim.PerSender` that
-    ``RoundEngine.run_round`` returned for the step.
+    ``deliveries``, the step's :class:`~rfagree.netsim.PerSender`, is counted
+    per sender in a classical round and read per receiver (inbox) in any other.
     """
     if step.kind == KING_BROADCAST:
         king = step.king_id
         for i, node in nodes.items():
             if i != king:
-                node.receive_king(deliveries[(king, i)])
+                node.receive_king(deliveries.inbox(i)[king])
     elif step.kind == CLASSICAL_ROUND:
         # Phase king decides by symbol counts: per receiver, the 0s and 1s
         # delivered to it (absent and malformed symbols count as neither).

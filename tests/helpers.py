@@ -4,8 +4,8 @@ The reference paths and checkers that no run needs live here too: one-link
 delivery, the per-link and adversary streams built from scratch, an all-honest
 phase-king run over inbox lists, the array forms of the channel and the
 outcome probability, the per-cell measurement loop, the chord distance
-written out in full, the estimation oracle one link at a time, and
-validating direction and frame constructors.
+written out in full, the estimation oracle one link at a time, a round's
+slots as a dict, and validating direction and frame constructors.
 """
 
 import itertools
@@ -426,6 +426,23 @@ def transcript_signature(transcript):
     signatures mean every slot carried and delivered the same thing.
     """
     return json.dumps(transcript_records(0, transcript), sort_keys=True)
+
+
+def slot_view(entries) -> dict:
+    """{(sender, receiver): entry} of every slot of a :class:`~rfagree.netsim.PerSender`.
+
+    Slots run sender-major over ``entries.senders``, in ``slots`` order.
+    Built from ``broadcast``, ``per_slot`` and ``slots`` alone, so it does
+    not share the index arithmetic of ``inbox`` or the order of ``values``.
+    """
+    view = {}
+    for sender in entries.senders:
+        slots = entries.slots[sender]
+        if sender in entries.broadcast:
+            view.update(dict.fromkeys(slots, entries.broadcast[sender]))
+        else:
+            view.update(zip(slots, entries.per_slot[sender], strict=True))
+    return view
 
 
 def expand_round_record(rec, m):

@@ -31,6 +31,7 @@ from helpers import (
     octahedral_rotations,
     random_frame,
     reference_link_cells,
+    slot_view,
     transcript_signature,
 )
 
@@ -72,7 +73,7 @@ def test_slot_completeness_and_counts():
     rnd = engine.transcript[0]
     assert rnd.deliveries is deliveries
     # Sender-major, receivers ascending, no self slots.
-    assert list(rnd.payloads) == [(s, r) for s in range(4) for r in range(4) if r != s]
+    assert list(slot_view(rnd.payloads)) == [(s, r) for s in range(4) for r in range(4) if r != s]
     assert all(tally is not None for tally in rnd.deliveries.values())
     assert all(payload is not None for payload in rnd.payloads.values())
 
@@ -162,7 +163,7 @@ def test_faulty_slots_follow_each_rounds_faulty_set():
         (sender, *_) = sorted(faulty)
         deliveries, offered = run(faulty, {sender: 1})
         assert offered == [tuple((s, r) for s in sorted(faulty) for r in range(m) if r != s)]
-        assert deliveries == {
+        assert slot_view(deliveries) == {
             (s, r): 1 if s == sender else (None if s in faulty else 0)
             for s in range(m)
             for r in range(m)
@@ -204,15 +205,16 @@ def test_slot_keys_override_a_classical_broadcast():
     deliveries = engine.run_round(step, honest, frozenset({5, 6}), Emitting(emitted))
     assert deliveries.broadcast == {**honest, 6: 0}
     assert deliveries.per_slot == {5: [1, 0, None, 1, 1, 1]}
-    assert [deliveries[(5, r)] for r in range(m) if r != 5] == [1, 0, None, 1, 1, 1]
-    assert [deliveries[(6, r)] for r in range(m) if r != 6] == [0] * 6
+    slots = slot_view(deliveries)
+    assert [slots[(5, r)] for r in range(m) if r != 5] == [1, 0, None, 1, 1, 1]
+    assert [slots[(6, r)] for r in range(m) if r != 6] == [0] * 6
     assert deliveries.inbox(2) == {0: 0, 1: 1, 3: 1, 4: 0, 5: None, 6: 0}
     (record,) = transcript_records(0, engine.transcript)
     # One symbol per sender; 5's slots differ, so they are exported per slot.
     assert record["symbols"] == [0, 1, 0, 1, 0, None, 0]
     assert record["slot_symbols"] == {"5": [1, 0, None, 1, 1, 1]}
     exported = [slot["payload"] for slot in expand_round_record(record, m)]
-    assert exported == deliveries.values() == [deliveries[slot] for slot in deliveries]
+    assert exported == deliveries.values() == list(slots.values())
 
 
 def test_classical_slots_that_agree_are_exported_once():
@@ -252,9 +254,9 @@ def test_slot_keys_override_a_quantum_broadcast(monkeypatch):
     rotations.clear()
     measurements.clear()
     deliveries = engine.run_round(step, honest, frozenset({5, 6}), Emitting(emitted))
-    assert deliveries == expected
-    assert list(deliveries) == list(sent)
-    assert engine.transcript[0].payloads == sent
+    assert slot_view(deliveries) == expected
+    assert list(slot_view(deliveries)) == list(sent)
+    assert slot_view(engine.transcript[0].payloads) == sent
     # One link_cells per sender and message; one measure_batch per delivered link.
     assert [msg for msg, _, _ in rotations] == [*honest.values(), a, b, c]
     assert len(measurements) == len(sent) - 1
@@ -274,7 +276,7 @@ def test_rushing_adversary_sees_current_round():
     step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(4)))
     payloads = {i: QuantumMessage.uniform(directions[i], engine.channel.n) for i in range(3)}
     engine.run_round(step, payloads, rusher.faulty_set, rusher)
-    echoes = [p for (s, _), p in engine.transcript[0].payloads.items() if s == 3]
+    echoes = [p for (s, _), p in slot_view(engine.transcript[0].payloads).items() if s == 3]
     assert len(echoes) == 3
     for payload in echoes:
         assert np.array_equal(payload.segments[0][0], directions[1])
@@ -333,7 +335,7 @@ def test_absent_payload_recorded_and_none_delivered():
     engine, _ = make_engine(m=4)
     step = RoundStep(FLAG_EXCHANGE, 0, 0, None, (0,))
     deliveries = engine.run_round(step, {0: None}, frozenset(), NullAdversary())
-    assert list(deliveries) == [(0, 1), (0, 2), (0, 3)]
+    assert list(slot_view(deliveries)) == [(0, 1), (0, 2), (0, 3)]
     assert set(deliveries.values()) == {None}
     assert set(engine.transcript[0].payloads.values()) == {None}
     (record,) = transcript_records(0, engine.transcript)
@@ -392,16 +394,17 @@ def test_non_finite_faulty_state_becomes_absent(state):
     # Sent on each slot, or once as sender 3's broadcast: absent on every slot.
     for strategy in (NonFinite, NonFiniteBroadcast):
         deliveries, transcript = direction_round_with(strategy([3], params), {3})
-        faulty_slots = [slot for slot in deliveries if slot[0] == 3]
+        slots = slot_view(deliveries)
+        faulty_slots = [slot for slot in slots if slot[0] == 3]
         assert len(faulty_slots) == 3
-        assert all(deliveries[slot] is None for slot in faulty_slots)
-        assert all(p is None for (s, _), p in transcript[0].payloads.items() if s == 3)
+        assert all(slots[slot] is None for slot in faulty_slots)
+        assert all(p is None for (s, _), p in slot_view(transcript[0].payloads).items() if s == 3)
         # Sender 3's three slots are exported with no payload and no tally.
         (record,) = transcript_records(0, transcript)
         assert record["senders"] == [0, 1, 2, 3]
         assert record["payloads"][3] is None and record["slot_payloads"] == {}
         assert record["tallies"][9:] == [None, None, None]
-        assert deliveries == crashed
+        assert slots == slot_view(crashed)
 
 
 @pytest.mark.parametrize(
@@ -449,8 +452,9 @@ def test_numpy_integer_classical_symbol_is_absent():
     step = RoundStep(FLAG_EXCHANGE, 0, 0, None, tuple(range(4)))
     payloads = {i: 1 for i in range(3)}
     deliveries = engine.run_round(step, payloads, frozenset({3}), NumpyBits())
-    assert [deliveries[(3, r)] for r in range(3)] == [None, None, None]
-    assert [engine.transcript[0].payloads[(3, r)] for r in range(3)] == [None, None, None]
+    assert [slot_view(deliveries)[(3, r)] for r in range(3)] == [None, None, None]
+    payloads = slot_view(engine.transcript[0].payloads)
+    assert [payloads[(3, r)] for r in range(3)] == [None, None, None]
     (record,) = transcript_records(0, engine.transcript)
     assert record["senders"] == [0, 1, 2, 3]
     assert record["symbols"] == [1, 1, 1, None] and record["slot_symbols"] == {}
@@ -489,8 +493,9 @@ def test_honest_senders_broadcast_and_faulty_senders_equivocate():
     honest = {0: 1, 1: 0, 2: 1}
     deliveries = engine.run_round(step, honest, frozenset({3}), Splitter())
     assert set(views[0].honest_payloads) == {0, 1, 2}
-    assert [deliveries[(3, r)] for r in range(3)] == [0, 1, 0]
-    for (sender, _), bit in deliveries.items():
+    slots = slot_view(deliveries)
+    assert [slots[(3, r)] for r in range(3)] == [0, 1, 0]
+    for (sender, _), bit in slots.items():
         if sender != 3:
             assert bit == honest[sender]
 
@@ -614,7 +619,7 @@ def test_engine_tallies_equal_per_link_reference(seed):
                         else None
                     )
         deliveries = engine.run_round(step, honest, faulty, Emitting(emitted))
-        assert deliveries == expected
+        assert slot_view(deliveries) == expected
         assert sum(d is not None for d in deliveries.values()) > len(honest) * (m - 1)
 
 
@@ -673,7 +678,7 @@ def test_classical_deliveries_equal_per_slot_reference(seed):
                 return {slot: emitted[slot] for slot in slots if slot in emitted}
 
         deliveries = engine.run_round(step, honest, faulty, Emitter())
-        assert list(deliveries.items()) == list(expected.items())
+        assert list(slot_view(deliveries).items()) == list(expected.items())
         assert all(type(d) is int for d in deliveries.values() if d is not None)
         assert engine.transcript[-1].payloads is deliveries
 
@@ -751,7 +756,7 @@ def fuzz_rounds(adversary):
     for step, payload_of in rounds:
         payloads = {i: payload_of(i) for i in range(3)}
         deliveries = engine.run_round(step, payloads, frozenset({3}), adversary)
-        honest.append({slot: d for slot, d in deliveries.items() if 3 not in slot})
+        honest.append({slot: d for slot, d in slot_view(deliveries).items() if 3 not in slot})
     return honest
 
 
@@ -926,8 +931,8 @@ def _wire(payload):
 @pytest.mark.parametrize("name", strategy_catalog())
 def test_per_slot_view_equals_the_expanded_export(name):
     # Every round of a trial under each strategy: the slots, payloads and
-    # deliveries read through the mapping view equal those of the exported
-    # record, expanded slot by slot.
+    # deliveries read per sender equal those of the exported record,
+    # expanded slot by slot, and so does each receiver's inbox.
     m = 7
     params = ProtocolParams(m, 2, 0.05, ChannelParams(epsilon=0.1, n=1000))
     faulty = (0, 1)
@@ -943,7 +948,7 @@ def test_per_slot_view_equals_the_expanded_export(name):
     for rnd, record in zip(result.transcript, records):
         expanded = expand_round_record(record, m)
         slots = [(slot["sender"], slot["receiver"]) for slot in expanded]
-        assert slots == list(rnd.payloads) == list(rnd.deliveries)
+        assert slots == list(slot_view(rnd.payloads)) == list(slot_view(rnd.deliveries))
         if rnd.step.kind in QUANTUM_STEPS:
             assert [slot["payload"] for slot in expanded] == list(map(_wire, rnd.payloads.values()))
             assert [slot["tally"] for slot in expanded] == [
@@ -951,3 +956,13 @@ def test_per_slot_view_equals_the_expanded_export(name):
             ]
         else:
             assert [slot["payload"] for slot in expanded] == rnd.deliveries.values()
+        # Per receiver: each node's inbox holds the exported slots to it.
+        for i in range(m):
+            to_i = [slot for slot in expanded if slot["receiver"] == i]
+            inbox = list(rnd.deliveries.inbox(i).items())
+            if rnd.step.kind in QUANTUM_STEPS:
+                expected = [(slot["sender"], slot["tally"]) for slot in to_i]
+                inbox = [(s, None if t is None else t._asdict()) for s, t in inbox]
+            else:
+                expected = [(slot["sender"], slot["payload"]) for slot in to_i]
+            assert inbox == expected
