@@ -95,6 +95,16 @@ class MeasurementTally(NamedTuple):
 _tally = tuple.__new__
 
 
+def _check_bounded(state: np.ndarray) -> None:
+    """Raise ValueError unless each component of ``state`` is in [-2, 2], as |r| <= 1 implies.
+
+    Run before the rotation, where inf would make NaN and a huge value overflow, with a warning.
+    """
+    a, b, c = state.tolist()
+    if not (-2.0 <= a <= 2.0 and -2.0 <= b <= 2.0 and -2.0 <= c <= 2.0):
+        raise ValueError("segment Bloch vector non-finite or longer than 1")
+
+
 def link_cells(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelParams) -> list:
     """Rotate, check and add channel noise to ``msg``: its measurement cells, in one pass.
 
@@ -135,6 +145,7 @@ def link_cells(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelPar
                 and state.dtype == np.float64
                 and state.shape == (3,)
             ):
+                _check_bounded(state)
                 x, y, z = (sender_frame @ state).tolist()
                 if not math.sqrt(math.fsum((x * x, y * y, z * z))) <= 1.0 + BLOCH_TOL:
                     raise ValueError("segment Bloch vector non-finite or longer than 1")
@@ -143,13 +154,13 @@ def link_cells(msg: QuantumMessage, sender_frame: np.ndarray, params: ChannelPar
     cells = []
     start = 0
     for state, count in segments:
-        arr = sender_frame @ np.asarray(state, dtype=np.float64)
-        if arr.shape != (3,):
+        state = np.asarray(state, dtype=np.float64)
+        if state.shape != (3,):
             raise ValueError("segment state must be a 3-vector")
+        _check_bounded(state)
         if not _is_count(count):
             raise ValueError(f"segment count must be a positive integer, got {count!r}")
-        x, y, z = arr.tolist()
-        # Negated so that NaN and inf lengths fail the check too.
+        x, y, z = (sender_frame @ state).tolist()
         if not math.sqrt(math.fsum((x * x, y * y, z * z))) <= 1.0 + BLOCH_TOL:
             raise ValueError("segment Bloch vector non-finite or longer than 1")
         x, y, z = shrink * x, shrink * y, shrink * z

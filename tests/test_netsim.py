@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -791,7 +792,10 @@ def assert_prepared_like_reference(make_message, frame, params):
     segments (a generator) reach both whole.
     """
     try:
-        expected = reference_link_cells(make_message(), frame, params)
+        # The oracle rotates first, where a frame's zeros times inf make NaN
+        # and a huge component overflows.  ``prepare_message`` must not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = reference_link_cells(make_message(), frame, params)
     except (ValueError, TypeError, OverflowError):
         expected = None
     cells = netsim.prepare_message(make_message(), frame, params)
@@ -872,6 +876,7 @@ def _one_segment(state, count=_FAST_N):
         pytest.param(_one_segment(np.array([math.nan, 0.0, 0.0])), False, id="nan"),
         pytest.param(_one_segment(np.array([0.0, math.inf, 0.0])), False, id="inf"),
         pytest.param(_one_segment(np.array([0.0, -math.inf, math.nan])), False, id="inf-nan"),
+        pytest.param(_one_segment(np.array([1.7e308] * 3)), False, id="huge"),
         pytest.param(lambda: [(np.array(UP), _FAST_N)], True, id="segments-list"),
         pytest.param(
             lambda: ((s, c) for s, c in [(np.array(UP), _FAST_N)]), True, id="segments-generator"
@@ -887,12 +892,35 @@ def test_link_cells_fast_path_edges_equal_reference(segments, delivered, frame):
     else:
         sender_frame = random_frame(np.random.default_rng(31))
     params = ChannelParams(epsilon=0.1, n=FUZZ_N)
-    # The frame's zeros times an infinite component make NaN, on both sides.
-    with np.errstate(invalid="ignore"):
-        assert_prepared_like_reference(lambda: QuantumMessage(segments()), sender_frame, params)
-        cells = netsim.prepare_message(QuantumMessage(segments()), sender_frame, params)
+    assert_prepared_like_reference(lambda: QuantumMessage(segments()), sender_frame, params)
+    cells = netsim.prepare_message(QuantumMessage(segments()), sender_frame, params)
     if frame == "octahedral":
         assert (cells is not None) == delivered
+
+
+@pytest.mark.parametrize("frame", ["octahedral", "random"])
+@pytest.mark.parametrize("state", [[0.0, math.inf, 0.0], [1.7e308] * 3], ids=["inf", "huge"])
+def test_unphysical_faulty_state_is_absent_without_warning(state, frame):
+    # In the rotation, an octahedral frame's zeros times inf would make NaN,
+    # and a random frame would overflow on the huge state; faulty 3's state
+    # is rejected before it, in one segment or in the second of two.
+    m, n = 4, 1000
+    frames = [random_frame(np.random.default_rng(s)) for s in range(m)]
+    if frame == "octahedral":
+        frames[3] = octahedral_rotations()[7]
+    engine = RoundEngine(m, ChannelParams(epsilon=0.1, n=n), frames, master_seed=5, trial=0)
+    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(m)))
+    honest = {i: QuantumMessage.uniform(UP, n) for i in range(m - 1)}
+    bad = np.array(state)
+    one_segment = QuantumMessage(((bad, 3 * n),))
+    two_segments = QuantumMessage(((np.array(UP), n), (bad, 2 * n)))
+    for msg in (one_segment, two_segments):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            deliveries = engine.run_round(step, honest, frozenset({3}), Emitting({3: msg}))
+        assert deliveries.per_slot[3] == [None, None, None]
+        assert engine.transcript[-1].payloads.broadcast[3] is None
+        assert all(None not in deliveries.per_slot[s] for s in honest)
 
 
 def test_both_kinds_of_round_are_held_per_sender():
