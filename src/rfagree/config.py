@@ -63,7 +63,7 @@ _FIELD_TYPES = {
         "a list of integers or null",
     ),
     "trials": (_is_int, "an integer"),
-    "master_seed": (_is_int, "an integer"),
+    "master_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
     "out_dir": (_or_none(lambda v: isinstance(v, str)), "a string or null"),
     "write_transcript": (lambda v: isinstance(v, bool), "true or false"),
     "jobs": (_is_int, "an integer"),

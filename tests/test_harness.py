@@ -92,6 +92,15 @@ def test_config_rejects_n_beyond_int64():
             small_config(n=None, q_target=0.9, delta=delta).validate()
 
 
+def test_config_rejects_a_seed_that_aliases_another():
+    # Philox keys are 64-bit words, so -1 would replay seed 2**64 - 1, and
+    # 2**64 seed 0.
+    small_config(master_seed=2**64 - 1).validate()
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="master_seed must be an integer in"):
+            small_config(master_seed=seed).validate()
+
+
 def test_config_round_trip(tmp_path):
     cfg = small_config(adversary="equivocator", adversary_params={"separation": 1.0}, faulty_ids=(0,))
     path = tmp_path / "cfg.json"
@@ -925,6 +934,16 @@ def test_cli_run_rejects_n_beyond_int64(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error: n must be at most 2**63 - 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_a_negative_seed(tmp_path, capsys):
+    argv = ["run", "--config", HONEST_SMALL, "--seed", "-1", "--out", str(tmp_path / "out")]
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: master_seed must be an integer in [0, 2**64)" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
