@@ -876,6 +876,9 @@ def _one_segment(state, count=_FAST_N):
         pytest.param(_one_segment(np.array([math.nan, 0.0, 0.0])), False, id="nan"),
         pytest.param(_one_segment(np.array([0.0, math.inf, 0.0])), False, id="inf"),
         pytest.param(_one_segment(np.array([0.0, -math.inf, math.nan])), False, id="inf-nan"),
+        pytest.param(
+            _one_segment(np.array([math.inf, -math.inf, 0.0])), False, id="inf-minus-inf"
+        ),
         pytest.param(_one_segment(np.array([1.7e308] * 3)), False, id="huge"),
         pytest.param(lambda: [(np.array(UP), _FAST_N)], True, id="segments-list"),
         pytest.param(
