@@ -42,7 +42,7 @@ import operator
 import os
 import time
 from contextlib import ExitStack, nullcontext, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,34 +92,16 @@ class TrialMetrics:
         return dict(vars(self))
 
 
-@dataclass
-class LinkColumns:
-    """A trial's delivered quantum links, one list per column: the estimation oracle's input.
+def quantum_links(transcript) -> list:
+    """A transcript's delivered quantum links, read per sender: the estimation oracle's input.
 
-    Entry i of every list is link i: its sender and receiver ids, the first
-    state it carried (``sent``, in sender-local coordinates: the sent
-    direction, for a correct sender) and its tally, a
-    :class:`~rfagree.quantum_link.MeasurementTally` or the exported
-    ``[k_x, k_y, k_z, n]``.
+    One ``(sender, receiver, sent, tally)`` tuple per delivered slot:
+    the two node ids, the first state the slot carried (in sender-local
+    coordinates: the sent direction, for a correct sender) and its tally, a
+    :class:`~rfagree.quantum_link.MeasurementTally` or, read back by
+    :func:`round_links`, the exported ``[k_x, k_y, k_z, n]``.
     """
-
-    senders: list = field(default_factory=list)
-    receivers: list = field(default_factory=list)
-    sent: list = field(default_factory=list)
-    tallies: list = field(default_factory=list)
-
-    def extend(self, other: "LinkColumns") -> None:
-        """Append ``other``'s links after these."""
-        self.senders += other.senders
-        self.receivers += other.receivers
-        self.sent += other.sent
-        self.tallies += other.tallies
-
-
-def quantum_links(transcript) -> LinkColumns:
-    """The :class:`LinkColumns` of a transcript's delivered quantum links, read per sender."""
-    links = LinkColumns()
-    senders, receivers, sent, tallies = links.senders, links.receivers, links.sent, links.tallies
+    links = []
     for rnd in transcript:
         if rnd.step.kind in QUANTUM_STEPS:
             payloads = rnd.payloads
@@ -127,10 +109,7 @@ def quantum_links(transcript) -> LinkColumns:
                 msgs = payloads.per_slot.get(sender) or itertools.repeat(payloads.broadcast[sender])
                 for (_, receiver), msg, tally in zip(payloads.slots[sender], msgs, sender_tallies):
                     if tally is not None:
-                        senders.append(sender)
-                        receivers.append(receiver)
-                        sent.append(msg.segments[0][0])
-                        tallies.append(tally)
+                        links.append((sender, receiver, msg.segments[0][0], tally))
     return links
 
 
@@ -153,10 +132,11 @@ def _link_fails(sent_local, sender_frame, tally, receiver_frame, delta_eff: floa
     return distance(sent, to_global(estimate, receiver_frame).tolist()) > delta_eff
 
 
-def link_metrics(links: LinkColumns, frames, faulty, delta_eff: float):
+def link_metrics(links: list, frames, faulty, delta_eff: float):
     """(estimation_failures, degenerate) over the delivered quantum ``links``.
 
-    One array pass over the columns.  Every tally a correct node received
+    ``links`` are :func:`quantum_links` tuples, transposed once into
+    columns for one array pass.  Every tally a correct node received
     is decoded again, as the node did; ``degenerate`` counts those that
     fell back to the sentinel, which ``ted_receive`` does exactly when
     ``2 k == n`` on all three axes.  A correct-to-correct link fails when
@@ -168,13 +148,16 @@ def link_metrics(links: LinkColumns, frames, faulty, delta_eff: float):
     delta_eff is decided by the scalar formula, and the counts equal those
     of one ``ted_receive`` and ``distance`` call per link.
     """
+    if not links:
+        return 0, 0
+    senders, receivers, sent_states, tallies = zip(*links)
     tallies = np.fromiter(
-        itertools.chain.from_iterable(links.tallies), dtype=np.int64, count=4 * len(links.tallies)
+        itertools.chain.from_iterable(tallies), dtype=np.int64, count=4 * len(tallies)
     ).reshape(-1, 4)
     counts, n = tallies[:, :3], tallies[:, 3:]
     is_faulty = np.array([i in faulty for i in range(len(frames))], dtype=bool)
-    senders = np.array(links.senders, dtype=np.intp)
-    receivers = np.array(links.receivers, dtype=np.intp)
+    senders = np.array(senders, dtype=np.intp)
+    receivers = np.array(receivers, dtype=np.intp)
     to_correct = ~is_faulty[receivers]
     flagged = (2 * counts == n).all(axis=1)
     degenerate = int(np.count_nonzero(flagged & to_correct))
@@ -185,7 +168,7 @@ def link_metrics(links: LinkColumns, frames, faulty, delta_eff: float):
     length = np.sqrt((raw * raw).sum(axis=1))
     estimate = raw / np.where(flagged, 1.0, length)[:, np.newaxis]
     estimate[flagged] = SENTINEL
-    sent = np.array([links.sent[i] for i in idx.tolist()], dtype=np.float64).reshape(-1, 3)
+    sent = np.array([sent_states[i] for i in idx.tolist()], dtype=np.float64).reshape(-1, 3)
     sender_frames, receiver_frames = frames[senders[idx]], frames[receivers[idx]]
     diff = (
         np.matmul(sender_frames, sent[:, :, np.newaxis])
@@ -194,10 +177,8 @@ def link_metrics(links: LinkColumns, frames, faulty, delta_eff: float):
     dist = np.sqrt((diff * diff).sum(axis=1))
     fails = dist > delta_eff
     for i in np.flatnonzero(np.abs(dist - delta_eff) <= NEAR_THRESHOLD).tolist():
-        link = idx[i]
-        fails[i] = _link_fails(
-            links.sent[link], sender_frames[i], links.tallies[link], receiver_frames[i], delta_eff
-        )
+        _, _, sent_local, tally = links[idx[i]]
+        fails[i] = _link_fails(sent_local, sender_frames[i], tally, receiver_frames[i], delta_eff)
     return int(np.count_nonzero(fails)), degenerate
 
 
@@ -255,8 +236,8 @@ def compute_metrics(record: dict, links, delta_eff: float) -> TrialMetrics:
     ``outputs_global`` must be what :func:`outputs_global` derives from
     ``outputs_local``: :func:`trial_record` writes it so, and ``verify``
     puts the derived one in before calling this.  ``links`` are the
-    trial's quantum links as :class:`LinkColumns` (:func:`quantum_links` at
-    run time, :func:`round_links` in ``verify``), or None when unknown,
+    trial's quantum links, a list of :func:`quantum_links` tuples (read
+    back by :func:`round_links` in ``verify``), or None when unknown,
     which leaves the three fields read from them None.  The run and
     ``verify`` both call this, so a stored metric and its check share every
     formula.
@@ -649,8 +630,8 @@ def _slot_lists(rec: dict, key: str, senders: list, m: int) -> dict:
     return lists
 
 
-def round_links(rec: dict, m: int, n: int) -> LinkColumns:
-    """The :class:`LinkColumns` of every delivered slot of one exported round.
+def round_links(rec: dict, m: int, n: int) -> list:
+    """The :func:`quantum_links` tuples of every delivered slot of one exported round.
 
     The inverse of :func:`transcript_records` for what the estimation oracle
     reads; a classical round has no links.  The record's shape is checked
@@ -661,9 +642,8 @@ def round_links(rec: dict, m: int, n: int) -> LinkColumns:
     and holds m - 1 entries.  A sender's shared payload is checked once,
     with its first delivered slot.  Each tally must be four ints ``[k_x,
     k_y, k_z, n]`` with every k in [0, n] and ``n`` the run's per-axis
-    qubit count; it goes into the columns as read.
+    qubit count; it goes into its link as read.
     """
-    links = LinkColumns()
     senders = rec["senders"]
     if not all(type(s) is int and 0 <= s < m for s in senders):
         raise ValueError(f"senders {senders!r} are not all nodes in range({m})")
@@ -672,14 +652,13 @@ def round_links(rec: dict, m: int, n: int) -> LinkColumns:
         if len(symbols) != len(senders):
             raise ValueError(f"{len(symbols)} symbols for {len(senders)} senders")
         _slot_lists(rec, "slot_symbols", senders, m)
-        return links
+        return []
     tallies = rec["tallies"]
     if len(tallies) != len(senders) * (m - 1):
         raise ValueError(f"{len(tallies)} tallies for {len(senders)} senders at m={m}")
     slot_payloads = _slot_lists(rec, "slot_payloads", senders, m)
+    links = []
     tallies = iter(tallies)
-    add_sender, add_receiver = links.senders.append, links.receivers.append
-    add_sent, add_tally = links.sent.append, links.tallies.append
     for sender, shared in zip(senders, rec["payloads"], strict=True):
         per_slot = slot_payloads.get(str(sender))
         sent = None  # a shared payload is checked on the sender's first delivered slot
@@ -698,10 +677,7 @@ def round_links(rec: dict, m: int, n: int) -> LinkColumns:
                 sent = _sent_state(per_slot[j])
             elif sent is None:
                 sent = _sent_state(shared)
-            add_sender(sender)
-            add_receiver(receiver)
-            add_sent(sent)
-            add_tally(t)
+            links.append((sender, receiver, sent, t))
     return links
 
 
@@ -775,7 +751,7 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     counts = collections.Counter()  # trials.jsonl records per trial number
     rounds = {}  # trial -> (its transcript lines read, whether they ran 0, 1, 2, ...)
     waiting = {}  # trial -> (lineno, record) of a record read before its block
-    held = {}  # trial -> LinkColumns of a block read before its record
+    held = {}  # trial -> links of a block read before its record
 
     def check(trial, lineno, record, trial_links):
         try:
@@ -809,11 +785,11 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
         for trial, lines in blocks:
             checked = trial in counts and trial not in waiting
             seen, in_order = rounds.get(trial, (0, True))
-            block_links = held.pop(trial) if trial in held else LinkColumns()
+            block_links = held.pop(trial, [])
             for _, _, (line_links, number) in lines:
                 in_order = in_order and number == seen and not checked
                 seen += 1
-                block_links.extend(line_links)
+                block_links += line_links
             rounds[trial] = (seen, in_order)
             if trial in waiting:
                 check(trial, *waiting.pop(trial), block_links)

@@ -387,16 +387,14 @@ def octahedral_rotations():
 def reference_link_metrics(links, frames, faulty, delta_eff: float):
     """``harness.link_metrics`` one link at a time: the oracle for its array pass.
 
-    Walks the :class:`~rfagree.harness.LinkColumns` link by link, decodes
+    Walks the ``(sender, receiver, sent, tally)`` links one by one, decodes
     each tally a correct node received with ``ted_receive`` and compares a
     correct-to-correct link's estimate with the sent direction by
     ``distance`` in the global frame.
     """
     failures = degenerate = 0
     last = (None, None, None)  # (sender, sent_local, sent direction in the global frame)
-    for sender, receiver, sent_local, tally in zip(
-        links.senders, links.receivers, links.sent, links.tallies
-    ):
+    for sender, receiver, sent_local, tally in links:
         if receiver in faulty:
             continue
         estimate_local, flagged = ted_receive(MeasurementTally(*tally))

@@ -17,7 +17,6 @@ from rfagree.cli import main as cli_main
 from rfagree.geometry import distance, to_global
 from rfagree.harness import (
     LINK_FIELDS,
-    LinkColumns,
     TrialMetrics,
     allowed_violation_rate,
     compute_metrics,
@@ -651,12 +650,11 @@ def test_exported_links_equal_engine_links(tmp_path, monkeypatch, adversary):
     result, _, _ = run_trial(cfg, 0)
 
     def canonical(links):
-        states = [[float(c) for c in state] for state in links.sent]
-        return links.senders, links.receivers, states, [list(t) for t in links.tallies]
+        return [(s, r, [float(c) for c in state], list(t)) for s, r, state, t in links]
 
-    exported = LinkColumns()
+    exported = []
     for rec in records:
-        exported.extend(round_links(rec, cfg.m, cfg.n))
+        exported += round_links(rec, cfg.m, cfg.n)
     assert canonical(exported) == canonical(quantum_links(result.transcript))
     quantum = [rec for rec in records if is_quantum(rec)]
     absent = any(t is None for rec in quantum for t in rec["tallies"])
@@ -703,7 +701,7 @@ def test_metrics_on_synthetic_outputs():
     # Degenerate tallies count wherever a correct node receives them;
     # failures only on correct-to-correct links.
     half, up, east = MeasurementTally(1, 1, 1, 2), MeasurementTally(1, 1, 2, 2), MeasurementTally(2, 1, 1, 2)
-    links = LinkColumns([3, 0, 0, 1], [0, 3, 1, 2], [z] * 4, [half, half, up, east])
+    links = [(3, 0, z, half), (0, 3, z, half), (0, 1, z, up), (1, 2, z, east)]
     metrics = compute_metrics(record, links, 0.05)
     assert (metrics.estimation_failures, metrics.degenerate, metrics.fully_successful) == (
         1, 1, False
@@ -735,9 +733,9 @@ def test_link_metrics_equal_reference(adversary, n, epsilon, seed):
         frames = record_frames(record)
         faulty = frozenset(record["faulty_ids"])
         run_links = quantum_links(result.transcript)
-        exported = LinkColumns()
+        exported = []
         for rec in transcript_records(trial, result.transcript):
-            exported.extend(round_links(json.loads(json.dumps(rec)), cfg.m, n))
+            exported += round_links(json.loads(json.dumps(rec)), cfg.m, n)
         want = reference_link_metrics(run_links, frames, faulty, delta_eff)
         assert link_metrics(run_links, frames, faulty, delta_eff) == want
         assert link_metrics(exported, frames, faulty, delta_eff) == want
@@ -758,7 +756,7 @@ def test_link_metrics_near_threshold(monkeypatch):
     sent = rng.standard_normal(3)
     sent = (sent / np.linalg.norm(sent)).tolist()
     tally = MeasurementTally(700, 310, 905, 1000)
-    links = LinkColumns([0], [1], [sent], [tally])
+    links = [(0, 1, sent, tally)]
     d = distance(
         to_global(sent, frames[0]).tolist(), to_global(ted_receive(tally)[0], frames[1]).tolist()
     )
