@@ -215,11 +215,19 @@ class Rusher(Adversary):
 
     def __init__(self, faulty_ids, params, shift=math.pi / 4, target=None):
         super().__init__(faulty_ids, params)
+        if (
+            isinstance(shift, bool) or not isinstance(shift, (int, float))
+            or not math.isfinite(shift)
+        ):
+            raise ValueError(f"rusher shift must be a finite number of radians, got {shift!r}")
         self.shift = shift
         if target is None:
             target = min(i for i in range(params.m) if i not in self.faulty_set)
-        if target in self.faulty_set:
-            raise ValueError(f"rusher target {target} must be an honest node")
+        if (
+            isinstance(target, bool) or not isinstance(target, int)
+            or not 0 <= target < params.m or target in self.faulty_set
+        ):
+            raise ValueError(f"rusher target {target!r} is not an honest node in range({params.m})")
         self.target = target
 
     def emit(self, view, slots):

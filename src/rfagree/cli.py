@@ -97,20 +97,16 @@ def cmd_calc(args) -> int:
                 f"accuracy {args.accuracy} is unreachable at epsilon={args.epsilon}: "
                 "the noise floor alone exceeds the per-link budget"
             )
-    elif args.delta is not None:
-        delta = args.delta
     else:
-        raise ConfigError("one of --accuracy / --delta is required")
+        delta = args.delta
 
     # Per-run success is per-link success to the m^2 power (every node
     # estimates every other node once per phase, and the deciding phase
     # includes the king's broadcast links).
     if args.overall_success is not None:
         scope, target = "overall", args.overall_success
-    elif args.q_target is not None:
-        scope, target = "per_link", args.q_target
     else:
-        raise ConfigError("one of --overall-success / --q-target is required")
+        scope, target = "per_link", args.q_target
     # Validated as a config sized by this target is: m >= 2, delta > 0, the
     # target in (0, 1) and its per-link root below 1.0.
     config = ExperimentConfig.from_dict(
@@ -198,10 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_calc = sub.add_parser("calc", help="qubit budgets and success bounds")
     p_calc.add_argument("--m", type=int, required=True, help="network size")
-    p_calc.add_argument("--overall-success", type=float, help="target for the whole run")
-    p_calc.add_argument("--q-target", type=float, help="per-link target (alternative)")
-    p_calc.add_argument("--accuracy", type=float, help="consensus diameter target (30 delta)")
-    p_calc.add_argument("--delta", type=float, help="per-link accuracy (alternative)")
+    success = p_calc.add_mutually_exclusive_group(required=True)
+    success.add_argument("--overall-success", type=float, help="target for the whole run")
+    success.add_argument("--q-target", type=float, help="per-link target (alternative)")
+    accuracy = p_calc.add_mutually_exclusive_group(required=True)
+    accuracy.add_argument("--accuracy", type=float, help="consensus diameter target (30 delta)")
+    accuracy.add_argument("--delta", type=float, help="per-link accuracy (alternative)")
     p_calc.add_argument("--epsilon", type=float, default=0.0, help="depolarizing noise")
     p_calc.set_defaults(func=cmd_calc)
 

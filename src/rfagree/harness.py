@@ -17,7 +17,8 @@ calls it again on the exported files:
   accept and land within delta_eff of the king's direction;
 * estimation-failure oracle: every correct-to-correct quantum transmission
   is decoded again from its tally and compared against the sent direction
-  at the delta_eff accuracy, in one array pass over the trial's links.
+  at the delta_eff accuracy, in one array pass over the trial's links, a
+  list of ``(sender, receiver, sent, tally)`` tuples.
   Trials where every such link succeeded are marked fully successful; on
   those, consistency and persistency are deterministic consequences of the
   thresholds and must never fail;
@@ -726,14 +727,19 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     back from it by :func:`round_links`; without a transcript the three
     fields read from the links (:data:`LINK_FIELDS`) are not checked.  A
     record's ``outputs_global`` is derived again from its ``outputs_local``
-    and ``frames``, and its ``n`` and ``master_seed`` are compared with the
-    config's; the phases' ``inputs`` and ``grades`` are not checked, as that
-    would mean running the protocol again.  The export's structure is
-    checked too: trials.jsonl holds trials 0..trials-1 once each, and the
-    transcript holds, for each of them, rounds 0..R-1 once each and in
-    order, R being the rounds of the trial's t+1 king phases.  A line that
-    cannot be read (not UTF-8, not JSON), or whose shape is wrong, is itself
-    a mismatch.
+    and ``frames``.  The fields the config fixes are compared with it:
+    ``n``, ``master_seed``, ``faulty_ids`` and each phase's ``(phase, king,
+    king_honest)``, which is ``(k, k, k not in faulty)`` for k in 0..t.  The
+    ``frames`` are not drawn again, and the phases' ``inputs`` and
+    ``grades`` are not checked, as that would mean running the protocol
+    again.  The export's structure is checked too: trials.jsonl holds trials
+    0..trials-1 once each, and the transcript holds, for each of them,
+    rounds 0..R-1 once each and in order, R being the rounds of the trial's
+    t+1 king phases.  Each transcript line's ``(phase, step, cc_round,
+    senders)`` must be its round's in that schedule (:func:`phase_steps`,
+    king k leading phase k).  A line that cannot be read (not UTF-8, not
+    JSON), whose shape is wrong or that is not its round, is itself a
+    mismatch.
 
     The two files are read in step, the transcript one block (a run of
     readable lines of one trial) at a time.  A record is checked once its
@@ -748,6 +754,13 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     mismatches = []
     n = config.resolved_n()
     delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
+    faulty = sorted(config.resolved_faulty_ids())
+    kings = [[k, k, k not in faulty] for k in range(config.t + 1)]
+    schedule = [  # round -> its (phase, step, cc_round, senders)
+        (step.phase, step.kind, step.cc_round, list(step.senders))
+        for k in range(config.t + 1)
+        for step in phase_steps(config.m, config.t, k, k)
+    ]
     counts = collections.Counter()  # trials.jsonl records per trial number
     rounds = {}  # trial -> (its transcript lines read, whether they ran 0, 1, 2, ...)
     waiting = {}  # trial -> (lineno, record) of a record read before its block
@@ -756,17 +769,24 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     def check(trial, lineno, record, trial_links):
         try:
             derived = {
-                "n": n,
-                "master_seed": config.master_seed,
-                "outputs_global": outputs_global(record, record_frames(record)),
+                "n": (record["n"], n),
+                "master_seed": (record["master_seed"], config.master_seed),
+                "faulty_ids": (record["faulty_ids"], faulty),
+                "kings": (
+                    [[pr["phase"], pr["king"], pr["king_honest"]] for pr in record["phases"]],
+                    kings,
+                ),
+                "outputs_global": (
+                    record["outputs_global"], outputs_global(record, record_frames(record))
+                ),
             }
-            for key, value in derived.items():
-                if record[key] != value:
+            for key, (stored, value) in derived.items():
+                if stored != value:
                     mismatches.append(
-                        f"trial {trial}: {key} stored={record[key]!r} recomputed={value!r}"
+                        f"trial {trial}: {key} stored={stored!r} recomputed={value!r}"
                     )
             # The metrics are computed from the derived outputs, not the stored.
-            record["outputs_global"] = derived["outputs_global"]
+            record["outputs_global"] = derived["outputs_global"][1]
             stored = record["metrics"]
             metrics = compute_metrics(record, trial_links, delta_eff).to_dict()
             for key, value in metrics.items():
@@ -776,6 +796,19 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
                     )
         except LINE_ERRORS as exc:
             mismatches.append(_line_mismatch(trial, "trials", lineno, exc))
+
+    def read_round(trial, rec):
+        """(links, round number) of a transcript line that matches the schedule."""
+        number = rec["round"]
+        if type(number) is not int or not 0 <= number < len(schedule):
+            raise ValueError(f"round {number!r} is not one of 0..{len(schedule) - 1}")
+        fields = (rec["phase"], rec["step"], rec["cc_round"], rec["senders"])
+        if fields != schedule[number]:
+            raise ValueError(
+                f"round {number} is (phase, step, cc_round, senders) {fields!r}, "
+                f"not {schedule[number]!r}"
+            )
+        return round_links(rec, config.m, n), number
 
     def read_blocks(current):
         """Read blocks up to trial ``current``'s, held; False if one of a trial with no record is.
@@ -801,12 +834,7 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     with open(trials_path, "rb") as records_fh, (
         nullcontext(()) if transcript_path is None else open(transcript_path, "rb")
     ) as rounds_fh:
-        round_lines = _read_jsonl(
-            rounds_fh,
-            "transcript",
-            lambda trial, rec: (round_links(rec, config.m, n), rec["round"]),
-            mismatches,
-        )
+        round_lines = _read_jsonl(rounds_fh, "transcript", read_round, mismatches)
         blocks = itertools.groupby(round_lines, key=operator.itemgetter(1))
         for lineno, trial, record in _read_jsonl(
             records_fh, "trials", lambda trial, rec: rec, mismatches
@@ -830,8 +858,7 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
         elif counts[trial] != 1:
             mismatches.append(f"trial {trial}: {counts[trial]} trials.jsonl records, not 1")
     if transcript_path is not None:
-        per_phase = sum(1 for _ in phase_steps(config.m, config.t, 0, 0))
-        total = (config.t + 1) * per_phase
+        total = len(schedule)
         for trial in sorted(rounds.keys() | set(expected)):
             if trial not in rounds:
                 mismatches.append(f"trial {trial}: no transcript lines")

@@ -405,6 +405,18 @@ def repeat_lines(path, predicate):
     path.write_text("".join(lines + [line for line in lines if predicate(json.loads(line))]))
 
 
+def classical_in_place_of_quantum(rec):
+    # A well-formed flag exchange line in place of the direction exchange.
+    for key in ("payloads", "slot_payloads", "tallies"):
+        del rec[key]
+    rec.update(step="flag_exchange", symbols=[1, 1, 1, 1], slot_symbols={})
+
+
+def without_last_sender(rec):
+    # Node 3 no longer sends: its 3 tallies and its payload are cut.
+    rec.update(senders=[0, 1, 2], tallies=rec["tallies"][:9], payloads=rec["payloads"][:3])
+
+
 @pytest.mark.parametrize(
     "name, damage, expected",
     [
@@ -428,11 +440,52 @@ def repeat_lines(path, predicate):
             ["trial 1: 0 trials.jsonl records, not 1"],
             id="dropped-trial",
         ),
+        pytest.param(
+            "transcript.jsonl",
+            lambda path: rewrite_line(
+                path, lambda rec: rec["trial"] == 0 and rec["round"] == 1,
+                classical_in_place_of_quantum,
+            ),
+            [
+                "trial 0: transcript line 2: ValueError: round 1 is (phase, step, cc_round, "
+                "senders) (0, 'flag_exchange', None, [0, 1, 2, 3]), not "
+                "(0, 'direction_exchange', None, [0, 1, 2, 3])",
+                "trial 0: transcript rounds are not 0..17 once each, in order",
+            ],
+            id="classical-in-place-of-quantum",
+        ),
+        pytest.param(
+            "transcript.jsonl",
+            lambda path: rewrite_line(
+                path, lambda rec: rec["trial"] == 1 and rec["round"] == 1, without_last_sender
+            ),
+            [
+                "trial 1: transcript line 20: ValueError: round 1 is (phase, step, cc_round, "
+                "senders) (0, 'direction_exchange', None, [0, 1, 2]), not "
+                "(0, 'direction_exchange', None, [0, 1, 2, 3])",
+                "trial 1: transcript rounds are not 0..17 once each, in order",
+            ],
+            id="sender-removed",
+        ),
+        pytest.param(
+            "transcript.jsonl",
+            lambda path: rewrite_line(
+                path, lambda rec: rec["trial"] == 0 and rec["round"] == 17,
+                lambda rec: rec.update(round=18),
+            ),
+            [
+                "trial 0: transcript line 18: ValueError: round 18 is not one of 0..17",
+                "trial 0: transcript rounds are not 0..17 once each, in order",
+            ],
+            id="round-out-of-range",
+        ),
     ],
 )
 def test_verify_checks_export_structure(tmp_path, name, damage, expected):
     # Links that all succeeded can go missing without moving a metric; the
     # structure check notices.  Two king phases of 9 rounds make 18 per trial.
+    # A well-formed transcript line that is not the round its number names
+    # in that schedule is a line mismatch and feeds no link.
     out = tmp_path / "out"
     cfg = small_config(out_dir=str(out), write_transcript=True)
     run_experiment(cfg)
@@ -532,6 +585,50 @@ def test_verify_checks_derived_record_fields(tmp_path, field):
     rewrite_line(out / "trials.jsonl", lambda rec: rec["trial"] == 1, edit)
     mismatches = verify_records(out / "trials.jsonl", None, cfg)
     assert len(mismatches) == 1 and mismatches[0].startswith(f"trial 1: {field} stored=")
+
+
+def set_faulty_ids(rec):
+    rec["faulty_ids"] = [3]
+
+
+def no_king_honest(rec):
+    for pr in rec["phases"]:
+        pr["king_honest"] = False
+
+
+@pytest.mark.parametrize(
+    "overrides, edit, key",
+    [
+        pytest.param({}, set_faulty_ids, "faulty_ids", id="faulty-ids"),
+        pytest.param(
+            dict(adversary="crash", faulty_ids=None, n=300, master_seed=5),
+            no_king_honest,
+            "kings",
+            id="king-honest",
+        ),
+    ],
+)
+def test_verify_checks_fields_the_config_fixes(tmp_path, overrides, edit, key):
+    # faulty_ids and each phase's (phase, king, king_honest) follow from the
+    # config.  A record that changes them, with every metric recomputed to
+    # match, is one mismatch.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=1, write_transcript=True, **overrides)
+    run_experiment(cfg)
+    result, metrics, _ = run_trial(cfg, 0)
+    links = quantum_links(result.transcript)
+    delta_eff = ted_accuracy_bound(cfg.delta, cfg.epsilon)
+
+    def edit_and_recompute(rec):
+        edit(rec)
+        rec["metrics"] = compute_metrics(rec, links, delta_eff).to_dict()
+
+    rewrite_line(out / "trials.jsonl", lambda rec: True, edit_and_recompute)
+    if key == "kings":  # the tamper turns persistency_ok from false to true
+        stored = json.loads((out / "trials.jsonl").read_text())["metrics"]
+        assert (metrics.persistency_ok, stored["persistency_ok"]) == (False, True)
+    mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
+    assert len(mismatches) == 1 and mismatches[0].startswith(f"trial 0: {key} stored=")
 
 
 def test_verify_checks_metrics_that_recompute_to_none(tmp_path):
@@ -866,6 +963,24 @@ def test_cli_calc_rejects_n_beyond_int64(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--accuracy", "0.02", "--delta", "0.5", "--overall-success", "0.99"],
+        ["--accuracy", "0.02", "--overall-success", "0.99", "--q-target", "0.5"],
+    ],
+    ids=["accuracy-and-delta", "overall-success-and-q-target"],
+)
+def test_cli_calc_rejects_both_alternatives(capsys, argv):
+    # Each pair is one choice: giving both is a usage error, not first-one-wins.
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["calc", "--m", "10", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "not allowed with argument" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg = small_config(trials=2)
     path = tmp_path / "cfg.json"
@@ -883,8 +998,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 NOISY_CHANNEL = os.path.join(os.path.dirname(__file__), "..", "configs", "noisy_channel.json")
 
 #: One field of configs/noisy_channel.json changed to a value of the wrong
-#: type or a non-finite number.  The equivocator case changes two fields, and
-#: the q-target case three: to a q_target whose per-link root rounds to 1.0.
+#: type or a non-finite number.  The equivocator and rusher cases change two
+#: fields, and the q-target case three: to a q_target whose per-link root
+#: rounds to 1.0.
 MALFORMED_CONFIGS = {
     "delta-nan": {"delta": float("nan")},
     "delta-inf": {"delta": float("inf")},
@@ -899,6 +1015,9 @@ MALFORMED_CONFIGS = {
     "adversary-params-list": {"adversary_params": [1]},
     "adversary-params-unknown": {"adversary_params": {"bogus": 1}},
     "equivocator-separation": {"adversary": "equivocator", "adversary_params": {"separation": 3}},
+    "rusher-shift-inf": {"adversary": "rusher", "adversary_params": {"shift": float("inf")}},
+    "rusher-shift-str": {"adversary": "rusher", "adversary_params": {"shift": "x"}},
+    "rusher-target-out-of-range": {"adversary": "rusher", "adversary_params": {"target": 99}},
     "removed-max-violation-rate": {"max_violation_rate": 0.5},
     "q-target-one-per-link": {
         "n": None, "q_target": 0.9999999999999999, "q_target_scope": "overall_strict",
