@@ -756,7 +756,8 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     delta_eff = ted_accuracy_bound(config.delta, config.epsilon)
     faulty = sorted(config.resolved_faulty_ids())
     kings = [[k, k, k not in faulty] for k in range(config.t + 1)]
-    schedule = [  # round -> its (phase, step, cc_round, senders)
+    # round -> its (phase, step, cc_round, senders); only transcript lines read it.
+    schedule = None if transcript_path is None else [
         (step.phase, step.kind, step.cc_round, list(step.senders))
         for k in range(config.t + 1)
         for step in phase_steps(config.m, config.t, k, k)
