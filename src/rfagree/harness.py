@@ -719,6 +719,19 @@ def _read_jsonl(fh, name: str, read, mismatches: list):
             yield lineno, trial, value
 
 
+def _same(stored, value) -> bool:
+    """``stored == value``, with the same type at every level of nested lists.
+
+    Where ``==`` alone would let a JSON ``true`` pass for ``1``, or ``1`` or
+    ``1.0`` for ``true``.
+    """
+    if type(stored) is not type(value):
+        return False
+    if type(value) is list:
+        return len(stored) == len(value) and all(map(_same, stored, value))
+    return stored == value
+
+
 def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> list:
     """Cross-check exported records; returns a list of mismatch strings.
 
@@ -729,7 +742,9 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     record's ``outputs_global`` is derived again from its ``outputs_local``
     and ``frames``.  The fields the config fixes are compared with it:
     ``n``, ``master_seed``, ``faulty_ids`` and each phase's ``(phase, king,
-    king_honest)``, which is ``(k, k, k not in faulty)`` for k in 0..t.  The
+    king_honest)``, which is ``(k, k, k not in faulty)`` for k in 0..t;
+    each must also have the type a run writes (an int, ``king_honest`` a
+    bool), so ``true`` does not pass for ``1``, nor ``1`` for ``true``.  The
     ``frames`` are not drawn again, and the phases' ``inputs`` and
     ``grades`` are not checked, as that would mean running the protocol
     again.  The export's structure is checked too: trials.jsonl holds trials
@@ -737,7 +752,8 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     rounds 0..R-1 once each and in order, R being the rounds of the trial's
     t+1 king phases.  Each transcript line's ``(phase, step, cc_round,
     senders)`` must be its round's in that schedule (:func:`phase_steps`,
-    king k leading phase k).  A line that cannot be read (not UTF-8, not
+    king k leading phase k), with ``phase`` an int and ``cc_round`` None or
+    an int.  A line that cannot be read (not UTF-8, not
     JSON), whose shape is wrong or that is not its round, is itself a
     mismatch.
 
@@ -782,7 +798,7 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
                 ),
             }
             for key, (stored, value) in derived.items():
-                if stored != value:
+                if not _same(stored, value):
                     mismatches.append(
                         f"trial {trial}: {key} stored={stored!r} recomputed={value!r}"
                     )
@@ -803,8 +819,14 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
         number = rec["round"]
         if type(number) is not int or not 0 <= number < len(schedule):
             raise ValueError(f"round {number!r} is not one of 0..{len(schedule) - 1}")
-        fields = (rec["phase"], rec["step"], rec["cc_round"], rec["senders"])
-        if fields != schedule[number]:
+        phase, cc_round = rec["phase"], rec["cc_round"]
+        fields = (phase, rec["step"], cc_round, rec["senders"])
+        # == lets true stand for 1 and 1.0 for 1; the types are checked too.
+        if (
+            fields != schedule[number]
+            or type(phase) is not int
+            or not (cc_round is None or type(cc_round) is int)
+        ):
             raise ValueError(
                 f"round {number} is (phase, step, cc_round, senders) {fields!r}, "
                 f"not {schedule[number]!r}"

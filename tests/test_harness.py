@@ -479,6 +479,35 @@ def without_last_sender(rec):
             ],
             id="round-out-of-range",
         ),
+        # Fields equal under == to the schedule's, but not what a run writes.
+        pytest.param(
+            "transcript.jsonl",
+            lambda path: rewrite_line(
+                path, lambda rec: rec["trial"] == 0 and rec["round"] == 9,
+                lambda rec: rec.update(phase=True),
+            ),
+            [
+                "trial 0: transcript line 10: ValueError: round 9 is (phase, step, cc_round, "
+                "senders) (True, 'king_broadcast', None, [1]), not "
+                "(1, 'king_broadcast', None, [1])",
+                "trial 0: transcript rounds are not 0..17 once each, in order",
+            ],
+            id="phase-as-bool",
+        ),
+        pytest.param(
+            "transcript.jsonl",
+            lambda path: rewrite_line(
+                path, lambda rec: rec["trial"] == 2 and rec["round"] == 4,
+                lambda rec: rec.update(cc_round=True),
+            ),
+            [
+                "trial 2: transcript line 41: ValueError: round 4 is (phase, step, cc_round, "
+                "senders) (0, 'classical_round', True, [0, 1, 2, 3]), not "
+                "(0, 'classical_round', 1, [0, 1, 2, 3])",
+                "trial 2: transcript rounds are not 0..17 once each, in order",
+            ],
+            id="cc-round-as-bool",
+        ),
     ],
 )
 def test_verify_checks_export_structure(tmp_path, name, damage, expected):
@@ -596,22 +625,48 @@ def no_king_honest(rec):
         pr["king_honest"] = False
 
 
+def king_honest_as_int(rec):
+    for pr in rec["phases"]:
+        pr["king_honest"] = int(pr["king_honest"])
+
+
+def phase_as_bool(rec):
+    rec["phases"][1]["phase"] = True
+
+
+def faulty_id_as_bool(rec):
+    rec["faulty_ids"] = [False]
+
+
+def n_as_float(rec):
+    rec["n"] = float(rec["n"])
+
+
+def master_seed_as_float(rec):
+    rec["master_seed"] = float(rec["master_seed"])
+
+
+CRASH = dict(adversary="crash", faulty_ids=None, n=300, master_seed=5)
+
+
 @pytest.mark.parametrize(
     "overrides, edit, key",
     [
         pytest.param({}, set_faulty_ids, "faulty_ids", id="faulty-ids"),
-        pytest.param(
-            dict(adversary="crash", faulty_ids=None, n=300, master_seed=5),
-            no_king_honest,
-            "kings",
-            id="king-honest",
-        ),
+        pytest.param(CRASH, no_king_honest, "kings", id="king-honest"),
+        # Equal under == to what the config fixes, but not what a run writes.
+        pytest.param(CRASH, king_honest_as_int, "kings", id="king-honest-as-int"),
+        pytest.param(CRASH, phase_as_bool, "kings", id="phase-as-bool"),
+        pytest.param(CRASH, faulty_id_as_bool, "faulty_ids", id="faulty-id-as-bool"),
+        pytest.param(CRASH, n_as_float, "n", id="n-as-float"),
+        pytest.param(CRASH, master_seed_as_float, "master_seed", id="master-seed-as-float"),
     ],
 )
 def test_verify_checks_fields_the_config_fixes(tmp_path, overrides, edit, key):
     # faulty_ids and each phase's (phase, king, king_honest) follow from the
-    # config.  A record that changes them, with every metric recomputed to
-    # match, is one mismatch.
+    # config, and so do n and master_seed.  A record that changes them, or
+    # writes them with another type, with every metric recomputed to match,
+    # is one mismatch.
     out = tmp_path / "out"
     cfg = small_config(out_dir=str(out), trials=1, write_transcript=True, **overrides)
     run_experiment(cfg)
@@ -624,7 +679,7 @@ def test_verify_checks_fields_the_config_fixes(tmp_path, overrides, edit, key):
         rec["metrics"] = compute_metrics(rec, links, delta_eff).to_dict()
 
     rewrite_line(out / "trials.jsonl", lambda rec: True, edit_and_recompute)
-    if key == "kings":  # the tamper turns persistency_ok from false to true
+    if edit is no_king_honest:  # the tamper turns persistency_ok from false to true
         stored = json.loads((out / "trials.jsonl").read_text())["metrics"]
         assert (metrics.persistency_ok, stored["persistency_ok"]) == (False, True)
     mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
