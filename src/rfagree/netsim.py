@@ -278,20 +278,6 @@ class RoundEngine:
         """The :func:`substream` arguments of this round's adversary stream."""
         return (self.master_seed, self.trial, 1 + self.round_index, self.m, 0)
 
-    def _fast_link_rng(self, sender: int, receiver: int) -> np.random.Generator:
-        """This round's stream for link (sender, receiver), without per-call construction.
-
-        The same stream as ``substream(master_seed, trial, 1 + round_index,
-        sender, receiver)``: it rewinds the engine's one Philox instance,
-        whose key is the trial's, to the link's counter (see
-        :func:`rewindable_philox`); only for engine-internal draws that are
-        fully consumed before the next rewind.
-        """
-        bits, gen, state, counter = self._link_philox
-        counter[1:] = 1 + self.round_index, sender, receiver
-        bits.state = state
-        return gen
-
     def run_round(self, step: RoundStep, honest_payloads: dict, faulty_set, adversary) -> PerSender:
         """Resolve every slot of ``step``; returns its deliveries as a :class:`PerSender`.
 
@@ -315,9 +301,10 @@ class RoundEngine:
         payload, whether the sender is correct or faulty: a broadcaster's
         symbol is checked and stored once, and its quantum message taken
         through ``link_cells`` once.  Each link then gets only its stream
-        rewind (:meth:`_fast_link_rng`, which writes the counter into one
-        Philox state in place) and ``measure_batch``; a one-segment message
-        takes the fast paths of both, anything else their loops.  Only the
+        rewind, written where the link is measured (its counter set in the
+        engine's one Philox state in place, see :func:`rewindable_philox`),
+        and ``measure_batch``; a one-segment message takes the fast paths of
+        both, anything else their loops.  Only the
         senders given slot keys are resolved slot by slot.  The faulty
         senders' slots that ``emit`` is offered are built once per
         ``(step.senders, faulty_set)`` and kept, so ``faulty_set`` must be
@@ -371,7 +358,12 @@ class RoundEngine:
         if step.kind in QUANTUM_STEPS:
             # Looked up here, not at import: tracing replaces the module's name.
             measure = measure_batch
-            frames, axes, channel, link_rng = self.frames, self._axes, self.channel, self._fast_link_rng
+            frames, axes, channel = self.frames, self._axes, self.channel
+            # Each link's stream is the engine's one Philox, rewound in place
+            # to substream(master_seed, trial, tag, sender, receiver) just
+            # before its measure_batch, which consumes every draw it makes.
+            bits, gen, state, counter = self._link_philox
+            tag = 1 + self.round_index
             tallies = {}  # sender -> its tally per slot
             for sender in step.senders:
                 if sender in equivocators:
@@ -391,17 +383,23 @@ class RoundEngine:
                         cells, r = prepared[key], slot[1]
                         delivery = None
                         if cells is not None:
-                            delivery = measure(cells, axes[r], channel, link_rng(sender, r))
+                            counter[1:] = tag, sender, r
+                            bits.state = state
+                            delivery = measure(cells, axes[r], channel, gen)
                         slot_tallies.append(delivery)
                         slot_payloads.append(None if delivery is None else payload)
                     continue
                 payload = broadcast.get(sender) if sender in faulty_set else honest_payloads[sender]
                 cells = prepare_message(payload, frames[sender], channel)
                 sent[sender] = None if cells is None else payload
-                tallies[sender] = [
-                    None if cells is None else measure(cells, axes[r], channel, link_rng(sender, r))
-                    for _, r in slots[sender]
-                ]
+                if cells is None:
+                    tallies[sender] = [None] * (self.m - 1)
+                    continue
+                tallies[sender] = row = []
+                for _, r in slots[sender]:
+                    counter[1:] = tag, sender, r
+                    bits.state = state
+                    row.append(measure(cells, axes[r], channel, gen))
             payloads = PerSender(step.senders, slots, sent, slot_sent)
             deliveries = PerSender(step.senders, slots, {}, tallies)
         else:

@@ -29,6 +29,7 @@ returns a delta-approximation".
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -71,12 +72,24 @@ class ProtocolParams:
 
 
 def weak_consensus(w, estimates, m: int, t: int, delta: float) -> Optional[Sequence[float]]:
-    """Keep w if at least m - t estimates (self included) are 3*delta-close."""
+    """Keep w if at least m - t estimates (self included) are 3*delta-close.
+
+    Counts estimates 0..m-1 in order and stops as soon as the count has
+    decided: w once m - t are close, None once the estimates left could no
+    longer reach m - t.  The result is the full count's, since the
+    distances not computed cannot change which side of m - t it lands on.
+    """
+    need = m - t
+    radius = 3.0 * delta
     close = 0
     for j in range(m):
-        if distance(w, estimates[j]) <= 3.0 * delta:
+        if distance(w, estimates[j]) <= radius:
             close += 1
-    return w if close >= m - t else None
+            if close >= need:
+                return w
+        elif close + (m - 1 - j) < need:
+            return None
+    return None
 
 
 def graded_consensus(
@@ -92,25 +105,35 @@ def graded_consensus(
     because graded consistency only constrains runs where some correct node
     grades 1.
 
-    Each unordered pair's distance is computed once and every count starts
-    at 1 for j itself; both are exact, since ``distance`` is symmetric bit
-    for bit and ``distance(x, x) == 0``.
+    Each unordered pair's distance is computed once, row by row, and every
+    count starts at 1 for j itself; both are exact, since ``distance`` is
+    symmetric bit for bit and ``distance(x, x) == 0``.  After row a the
+    counts of 0..a are final, and a later count can still grow by at most
+    its k - 2 - a pairs not yet computed (k flagged); the rows stop once no
+    later count could pass the largest so far, which a tie cannot either,
+    since ties go to the lower id.  So the winner and its size, all that is
+    read, are the full count's.
     """
     flagged = [j for j in range(m) if flags[j] == 1]
     if not flagged:
         return w, 0
     vecs = [estimates[j] for j in flagged]
-    sizes = [1] * len(flagged)
+    k = len(flagged)
+    sizes = [1] * k
     radius = 10.0 * delta
-    for a in range(len(flagged)):
-        for b in range(a + 1, len(flagged)):
-            if distance(vecs[a], vecs[b]) <= radius:
+    best = 0  # the first, so the lowest id, of the largest counts so far
+    for a in range(k):
+        va = vecs[a]
+        for b in range(a + 1, k):
+            if distance(va, vecs[b]) <= radius:
                 sizes[a] += 1
                 sizes[b] += 1
-    best = sizes.index(max(sizes))  # the first, so the lowest id, on ties
-    best_size = sizes[best]
+        if sizes[a] > sizes[best]:
+            best = a
+        if max(sizes[a + 1 :], default=0) + (k - 2 - a) <= sizes[best]:
+            break
     v = w if own_flag == 1 else vecs[best]
-    g = 1 if best_size >= m - t else 0
+    g = 1 if sizes[best] >= m - t else 0
     return v, g
 
 
@@ -208,16 +231,20 @@ class TrialResult:
     transcript: list = field(default_factory=list)  # netsim.Round per round
 
 
-def phase_steps(m: int, t: int, phase: int, king_id: int):
-    """The rounds of one king phase, in order."""
+@functools.lru_cache
+def phase_steps(m: int, t: int, phase: int, king_id: int) -> tuple:
+    """The rounds of one king phase, in order; built once per argument tuple and kept."""
     everyone = tuple(range(m))
-    yield RoundStep(KING_BROADCAST, phase, king_id, None, (king_id,))
-    yield RoundStep(DIRECTION_EXCHANGE, phase, king_id, None, everyone)
-    yield RoundStep(FLAG_EXCHANGE, phase, king_id, None, everyone)
+    steps = [
+        RoundStep(KING_BROADCAST, phase, king_id, None, (king_id,)),
+        RoundStep(DIRECTION_EXCHANGE, phase, king_id, None, everyone),
+        RoundStep(FLAG_EXCHANGE, phase, king_id, None, everyone),
+    ]
     for r in range(rounds_for(t)):
         # In a king round only the classical king (node r // 3) speaks.
         senders = (r // 3,) if r % 3 == KING_ROUND else everyone
-        yield RoundStep(CLASSICAL_ROUND, phase, king_id, r, senders)
+        steps.append(RoundStep(CLASSICAL_ROUND, phase, king_id, r, senders))
+    return tuple(steps)
 
 
 def start_phase(nodes: dict, king_id: int, node_rng) -> None:

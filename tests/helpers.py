@@ -5,7 +5,8 @@ delivery, the per-link and adversary streams built from scratch, an all-honest
 phase-king run over inbox lists, the array forms of the channel and the
 outcome probability, the per-cell measurement loop, the chord distance
 written out in full, the estimation oracle one link at a time, a round's
-slots as a dict, and validating direction and frame constructors.
+slots as a dict, weak and graded consensus by their full counts, and
+validating direction and frame constructors.
 """
 
 import itertools
@@ -486,6 +487,16 @@ def expand_round_record(rec, m):
             )
         )
     return expanded
+
+
+def reference_weak_consensus(w, estimates, m, t, delta):
+    """``rf_protocols.weak_consensus`` by the paper's full count.
+
+    Counts every one of the m estimates within 3*delta of w, with no early
+    decision; the oracle for the count that stops once it has decided.
+    """
+    close = sum(1 for j in range(m) if distance(w, estimates[j]) <= 3.0 * delta)
+    return w if close >= m - t else None
 
 
 def reference_graded_consensus(w, estimates, flags, own_flag, m, t, delta):

@@ -424,22 +424,32 @@ def test_non_finite_faulty_state_becomes_absent(state):
     ],
 )
 def test_fast_link_rng_matches_link_rng(seed, trial, round_index):
-    # The fast path writes into Philox's internal state dict; this pins it
-    # to the documented per-link stream so a numpy change cannot drift it.
-    engine, _ = make_engine(m=5, seed=seed, trial=trial)
+    # run_round rewinds one Philox per link by writing the link's counter
+    # into Philox's internal state dict; this pins every tally of a round,
+    # a broadcaster's links and an equivocating sender's, to the documented
+    # per-link stream, so a numpy change cannot drift it.
+    m = 5
+    engine, frames = make_engine(m=m, seed=seed, trial=trial)
     engine.round_index = round_index
-
-    def draws(gen):
-        return (
-            [int(gen.binomial(10**8, p)) for p in (0.5, 0.03, 0.999)]
-            + gen.random(3).tolist()
-            + gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
-            + [int(gen.binomial(7, 0.3))]
+    rng = np.random.default_rng(0)
+    n = engine.channel.n
+    honest = {i: QuantumMessage.uniform(random_direction(rng), n) for i in range(m - 1)}
+    emitted = {(m - 1, r): QuantumMessage.uniform(random_direction(rng), n) for r in range(m - 1)}
+    expected = {
+        (s, r): deliver_quantum(
+            honest[s] if s in honest else emitted[(s, r)],
+            frames[s],
+            frames[r],
+            engine.channel,
+            link_rng(engine, s, r),
         )
-
-    for sender, receiver in [(0, 1), (4, 2), (1, 0), (3, 4)]:
-        fast = draws(engine._fast_link_rng(sender, receiver))
-        assert fast == draws(link_rng(engine, sender, receiver))
+        for s in range(m)
+        for r in range(m)
+        if r != s
+    }
+    step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(m)))
+    deliveries = engine.run_round(step, honest, frozenset({m - 1}), Emitting(emitted))
+    assert slot_view(deliveries) == expected
 
 
 def test_numpy_integer_classical_symbol_is_absent():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rfagree import rf_protocols
 from rfagree.geometry import distance, random_direction, to_global
 from rfagree.quantum_link import ChannelParams
 from rfagree.rf_protocols import (
@@ -11,7 +12,12 @@ from rfagree.rf_protocols import (
 )
 from rfagree.adversaries import make_adversary
 
-from helpers import random_frame, reference_graded_consensus, result_metrics
+from helpers import (
+    random_frame,
+    reference_graded_consensus,
+    reference_weak_consensus,
+    result_metrics,
+)
 
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -119,14 +125,43 @@ def test_graded_consensus_tie_breaks_to_lowest_id():
     assert g == 0  # 2 < m - t
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_graded_consensus_matches_all_pairs_reference(seed):
+SIZES = (4, 7, 10, 31)
+
+
+@pytest.mark.parametrize("m", SIZES)
+@pytest.mark.parametrize("seed", range(12))
+def test_weak_consensus_matches_full_count_reference(m, seed):
+    # 3*delta is 0.125 exactly: points on a line 0.125 from w are exactly on
+    # the radius and 0.25 from it outside; the rest are random unit vectors
+    # within the radius, or anywhere.  The share drawn close varies with the
+    # seed, so both outcomes and early stops on either side occur.
+    rng = np.random.default_rng(seed)
+    t, delta = (m - 1) // 3, 0.125 / 3
+    w = np.array([0.0, 0.0, 1.0])
+    share = rng.uniform(0.4, 1.0)
+    estimates = {}
+    for j in range(m):
+        close, on_line = rng.random() < share, rng.random() < 0.5
+        if on_line:
+            estimates[j] = np.array([0.125 * int(rng.integers(0, 2)) if close else 0.25, 0.0, 1.0])
+        else:
+            estimates[j] = _perturbed_estimate(w, 0.125, rng) if close else random_direction(rng)
+    out = weak_consensus(w, estimates, m, t, delta)
+    assert out is reference_weak_consensus(w, estimates, m, t, delta)
+
+
+@pytest.mark.parametrize(
+    "m, seed",
+    [pytest.param(7, seed, id=str(seed)) for seed in range(40)]
+    + [pytest.param(m, seed, id=f"m{m}-{seed}") for m in (4, 10, 31) for seed in range(12)],
+)
+def test_graded_consensus_matches_all_pairs_reference(m, seed):
     # Estimates on a line 10*delta apart are exactly on the cluster radius
     # (0.125 and its square are exact); the rest are random unit vectors
     # near a second centre, so cluster sizes, ties and grades vary with the
     # seed.
     rng = np.random.default_rng(seed)
-    m, t, delta = 7, 2, 0.0125
+    t, delta = (m - 1) // 3, 0.0125
     centre = random_direction(rng)
     estimates = {}
     for j in range(m):
@@ -140,6 +175,69 @@ def test_graded_consensus_matches_all_pairs_reference(seed):
     v, g = graded_consensus(w, estimates, flags, own_flag, m, t, delta)
     ref_v, ref_g = reference_graded_consensus(w, estimates, flags, own_flag, m, t, delta)
     assert g == ref_g and v.tobytes() == ref_v.tobytes()
+
+
+def _line(x):
+    return np.array([x, 0.0, 1.0])
+
+
+def _graded_case(case, m):
+    """Estimates (0.125 is the cluster radius) for which the rows stop early, late or never."""
+    if case == "identical":  # decided after row 0
+        return {j: Z for j in range(m)}
+    if case == "late-cluster":  # a pair first, singletons, the largest cluster last in id order
+        big = m // 2 + 1
+        return {
+            j: _line(5.0) if j < 2 else _line(10.0) if j >= m - big else _line(0.25 * j)
+            for j in range(m)
+        }
+    if case == "singletons":  # every pair computed
+        return {j: _line(0.25 * j) for j in range(m)}
+    # "ties-across-rows": two clusters of equal size, ids interleaved, and a
+    # singleton when m is odd; the tie goes to node 0's cluster.
+    return {j: _line(5.0) if j == m - 1 and m % 2 else _line(2.0 * (j % 2)) for j in range(m)}
+
+
+@pytest.mark.parametrize("m", SIZES)
+@pytest.mark.parametrize("case", ["identical", "late-cluster", "singletons", "ties-across-rows"])
+def test_graded_consensus_stopping_rows_match_reference(m, case):
+    estimates = _graded_case(case, m)
+    t, delta = (m - 1) // 3, 0.0125
+    for flags in ({j: 1 for j in range(m)}, {j: int(j % 3 != 1) for j in range(m)}):
+        v, g = graded_consensus(FAR, estimates, flags, 0, m, t, delta)
+        ref_v, ref_g = reference_graded_consensus(FAR, estimates, flags, 0, m, t, delta)
+        assert g == ref_g and np.asarray(v).tobytes() == ref_v.tobytes()
+
+
+def counting_distance(monkeypatch) -> list:
+    """Route ``rf_protocols.distance`` through a counter; returns the list it appends to."""
+    calls = []
+
+    def counted(u, v):
+        calls.append(None)
+        return distance(u, v)
+
+    monkeypatch.setattr(rf_protocols, "distance", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_consensus_stops_once_decided(monkeypatch, m):
+    # The counts decide early: weak consensus keeps w at the (m - t)-th
+    # close estimate and gives bottom at the (t + 1)-th far one; k identical
+    # flagged estimates fill every cluster count in row 0's k - 1 distances.
+    calls = counting_distance(monkeypatch)
+    t, delta = (m - 1) // 3, 0.05
+    assert weak_consensus(Z, {j: Z for j in range(m)}, m, t, delta) is Z
+    assert len(calls) == m - t
+    calls.clear()
+    assert weak_consensus(Z, {j: FAR for j in range(m)}, m, t, delta) is None
+    assert len(calls) == t + 1
+    for flags in ({j: 1 for j in range(m)}, {j: int(j >= t) for j in range(m)}):
+        calls.clear()
+        v, g = graded_consensus(FAR, {j: Z for j in range(m)}, flags, 0, m, t, delta)
+        assert (v is Z, g) == (True, 1)
+        assert len(calls) == sum(flags.values()) - 1
 
 
 def test_graded_consensus_radius_is_inclusive():
