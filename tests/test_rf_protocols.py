@@ -209,24 +209,13 @@ def test_graded_consensus_stopping_rows_match_reference(m, case):
         assert g == ref_g and np.asarray(v).tobytes() == ref_v.tobytes()
 
 
-def counting_distance(monkeypatch) -> list:
-    """Route ``rf_protocols.distance`` through a counter; returns the list it appends to."""
-    calls = []
-
-    def counted(u, v):
-        calls.append(None)
-        return distance(u, v)
-
-    monkeypatch.setattr(rf_protocols, "distance", counted)
-    return calls
-
-
 @pytest.mark.parametrize("m", SIZES)
 def test_consensus_stops_once_decided(monkeypatch, m):
     # The counts decide early: weak consensus keeps w at the (m - t)-th
     # close estimate and gives bottom at the (t + 1)-th far one; k identical
     # flagged estimates fill every cluster count in row 0's k - 1 distances.
-    calls = counting_distance(monkeypatch)
+    calls = []
+    monkeypatch.setattr(rf_protocols, "distance", lambda u, v: calls.append(None) or distance(u, v))
     t, delta = (m - 1) // 3, 0.05
     assert weak_consensus(Z, {j: Z for j in range(m)}, m, t, delta) is Z
     assert len(calls) == m - t
