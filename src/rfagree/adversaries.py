@@ -238,16 +238,11 @@ class Rusher(Adversary):
             # improvise a direction of our own.
             payload = QuantumMessage.uniform(random_direction(view.rng), n)
         elif step.kind == DIRECTION_EXCHANGE:
-            payload = view.honest_payloads.get(self.target)
-            if payload is None:
-                payload = QuantumMessage.uniform(random_direction(view.rng), n)
-            else:
-                state = payload.segments[0][0]
-                shifted = rotate_about(state, any_orthogonal(state), self.shift)
-                shifted = shifted / math.sqrt(
-                    shifted[0] ** 2 + shifted[1] ** 2 + shifted[2] ** 2
-                )
-                payload = QuantumMessage.uniform(shifted, n)
+            # Every node sends here, so the honest target's payload is there.
+            state = view.honest_payloads[self.target].segments[0][0]
+            shifted = rotate_about(state, any_orthogonal(state), self.shift)
+            shifted = shifted / math.sqrt(shifted[0] ** 2 + shifted[1] ** 2 + shifted[2] ** 2)
+            payload = QuantumMessage.uniform(shifted, n)
         else:
             payload = view.honest_payloads.get(self.target)
             if payload is None:

@@ -526,8 +526,6 @@ def run_experiment(config: ExperimentConfig):
     trial_times.sort()
 
     def percentile(q):
-        if not trial_times:
-            return None
         idx = min(len(trial_times) - 1, int(math.ceil(q * len(trial_times))) - 1)
         return trial_times[max(0, idx)]
 
@@ -709,9 +707,9 @@ def _read_jsonl(fh, name: str, read, mismatches: list):
         trial = None
         try:
             rec = json.loads(line.decode("utf-8"))
+            if type(rec["trial"]) is not int:  # so no message is prefixed with it
+                raise ValueError(f"trial number {rec['trial']!r} is not an int")
             trial = rec["trial"]
-            if type(trial) is not int:
-                raise ValueError(f"trial number {trial!r} is not an int")
             value = read(trial, rec)
         except LINE_ERRORS as exc:
             mismatches.append(_line_mismatch(trial, name, lineno, exc))
@@ -720,7 +718,7 @@ def _read_jsonl(fh, name: str, read, mismatches: list):
 
 
 def _same(stored, value) -> bool:
-    """``stored == value``, with the same type at every level of nested lists.
+    """``stored == value``, with the same type at every level of nested lists and dicts.
 
     Where ``==`` alone would let a JSON ``true`` pass for ``1``, or ``1`` or
     ``1.0`` for ``true``.
@@ -729,6 +727,8 @@ def _same(stored, value) -> bool:
         return False
     if type(value) is list:
         return len(stored) == len(value) and all(map(_same, stored, value))
+    if type(value) is dict:
+        return stored.keys() == value.keys() and all(_same(stored[k], v) for k, v in value.items())
     return stored == value
 
 
@@ -738,7 +738,9 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     Every stored metric is computed again by :func:`compute_metrics` from
     its record and, when a transcript is given, from the quantum links read
     back from it by :func:`round_links`; without a transcript the three
-    fields read from the links (:data:`LINK_FIELDS`) are not checked.  A
+    fields read from the links (:data:`LINK_FIELDS`) are not checked.  The
+    ``metrics`` keys must be exactly :class:`TrialMetrics`' fields, and each
+    value checked is compared by :func:`_same`, so with its type.  A
     record's ``outputs_global`` is derived again from its ``outputs_local``
     and ``frames``.  The fields the config fixes are compared with it:
     ``n``, ``master_seed``, ``faulty_ids`` and each phase's ``(phase, king,
@@ -806,8 +808,15 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
             record["outputs_global"] = derived["outputs_global"][1]
             stored = record["metrics"]
             metrics = compute_metrics(record, trial_links, delta_eff).to_dict()
+            if stored.keys() != metrics.keys():
+                mismatches.append(
+                    f"trial {trial}: metrics keys {sorted(stored)!r}, not {sorted(metrics)!r}"
+                )
             for key, value in metrics.items():
-                if (trial_links is not None or key not in LINK_FIELDS) and stored.get(key) != value:
+                if (
+                    (trial_links is not None or key not in LINK_FIELDS)
+                    and not _same(stored.get(key), value)
+                ):
                     mismatches.append(
                         f"trial {trial}: {key} stored={stored.get(key)!r} recomputed={value!r}"
                     )

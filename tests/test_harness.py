@@ -207,11 +207,9 @@ def test_failed_run_leaves_no_partial_export(tmp_path, monkeypatch):
     assert not (out / "transcript.jsonl").exists()
 
 
-def test_import_leaves_out_the_process_pool():
-    # Only a run with jobs > 1 imports the pool, and multiprocessing,
-    # socket and logging with it.
+def run_python(code: str) -> str:
+    """The stripped stdout of ``python -c code``, run on this checkout's package."""
     src = str(Path(harness.__file__).resolve().parent.parent)
-    code = "import sys, rfagree; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -220,15 +218,33 @@ def test_import_leaves_out_the_process_pool():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_out_the_process_pool():
+    # Only a run with jobs > 1 imports the pool, and multiprocessing,
+    # socket and logging with it.
+    code = "import sys, rfagree.harness; print('concurrent.futures.process' in sys.modules)"
+    assert run_python(code) == "False"
+
+
+def test_package_import_loads_no_module():
+    # The top level holds only __version__: callers import the modules they use.
+    code = (
+        "import sys, rfagree; "
+        "print(sorted(m for m in sys.modules if m.startswith('rfagree')), 'numpy' in sys.modules)"
+    )
+    assert run_python(code) == "['rfagree'] False"
 
 
 def test_memory_flat_in_trial_count(tmp_path):
-    # tracemalloc peaks of a run and of its verify at 10 and at 40 trials.
-    # Each trial adds only its TrialMetrics (under 1 KB here) to the run, and
-    # nothing that stays to verify.  Holding every record and transcript until
-    # the end, the run once grew by 505 KB from 10 to 40 trials, and verify,
-    # holding every trial's links, by 275 KB.
+    # tracemalloc peaks of a run and of its verify, with and without the
+    # transcript, at 10 and at 40 trials.  Each trial adds only its
+    # TrialMetrics (under 1 KB here) to the run, and to verify one small
+    # entry per trial number (a few hundred bytes).  Holding every record and
+    # transcript until the end, the run once grew by 505 KB from 10 to 40
+    # trials, and verify, holding every trial's links, by 275 KB; holding
+    # every record without a transcript costs about 11 KB per trial.
     def peaks(trials):
         out = tmp_path / str(trials)
         cfg = small_config(out_dir=str(out), trials=trials, write_transcript=True)
@@ -236,19 +252,21 @@ def test_memory_flat_in_trial_count(tmp_path):
         try:
             run_experiment(cfg)
             run_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
-            verify_peak = tracemalloc.get_traced_memory()[1] - base
+            verify_peaks = []
+            for transcript in (out / "transcript.jsonl", None):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert verify_records(out / "trials.jsonl", transcript, cfg) == []
+                verify_peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
-        assert mismatches == []
-        return run_peak, verify_peak
+        return run_peak, verify_peaks
 
     peaks(1)  # lazy set-up out of the way
     (run_10, verify_10), (run_40, verify_40) = peaks(10), peaks(40)
     assert run_40 - run_10 < 100_000
-    assert verify_40 - verify_10 < 50_000
+    for at_10, at_40 in zip(verify_10, verify_40):
+        assert at_40 - at_10 < 50_000
 
 
 def test_verify_memory_flat_when_a_trial_has_no_readable_line(tmp_path):
@@ -508,6 +526,35 @@ def without_last_sender(rec):
             ],
             id="cc-round-as-bool",
         ),
+        pytest.param(
+            "trials.jsonl",
+            lambda path: repeat_lines(path, lambda rec: rec["trial"] == 1),
+            ["trial 1: 2 trials.jsonl records, not 1"],
+            id="repeated-record",
+        ),
+        pytest.param(
+            "trials.jsonl",
+            lambda path: rewrite_line(
+                path, lambda rec: rec["trial"] == 1, lambda rec: rec.update(trial=1.0)
+            ),
+            [
+                "trials line 2: ValueError: trial number 1.0 is not an int",
+                "trial 1: 0 trials.jsonl records, not 1",
+            ],
+            id="record-trial-as-float",
+        ),
+        pytest.param(
+            "transcript.jsonl",
+            lambda path: rewrite_line(
+                path, lambda rec: rec["trial"] == 2 and rec["round"] == 0,
+                lambda rec: rec.update(trial="2"),
+            ),
+            [
+                "transcript line 37: ValueError: trial number '2' is not an int",
+                "trial 2: transcript rounds are not 0..17 once each, in order",
+            ],
+            id="line-trial-as-str",
+        ),
     ],
 )
 def test_verify_checks_export_structure(tmp_path, name, damage, expected):
@@ -563,6 +610,18 @@ def test_verify_fails_a_split_transcript_block(tmp_path):
     path.write_text("".join(line for line in lines if line not in late) + "".join(late))
     assert verify_records(out / "trials.jsonl", path, cfg) == [
         "trial 1: transcript rounds are not 0..17 once each, in order"
+    ]
+
+
+def test_verify_reports_trials_beyond_the_config(tmp_path):
+    # A three-trial export checked against a config of two: trial 2's record
+    # and its transcript lines are each one mismatch.
+    out = tmp_path / "out"
+    run_experiment(small_config(out_dir=str(out), write_transcript=True))
+    cfg = small_config(out_dir=str(out), trials=2, write_transcript=True)
+    assert verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg) == [
+        "trial 2: trials.jsonl record, but not one of the config's 2 trials",
+        "trial 2: transcript lines, but not one of the config's 2 trials",
     ]
 
 
@@ -686,6 +745,35 @@ def test_verify_checks_fields_the_config_fixes(tmp_path, overrides, edit, key):
     assert len(mismatches) == 1 and mismatches[0].startswith(f"trial 0: {key} stored=")
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        pytest.param(lambda m: m.update(consistency_ok=1), "consistency_ok", id="bool-as-int"),
+        pytest.param(
+            lambda m: m.update(estimation_failures=False), "estimation_failures", id="int-as-bool"
+        ),
+        pytest.param(lambda m: m.update(phases_used=2.0), "phases_used", id="int-as-float"),
+        pytest.param(
+            lambda m: m["persistency"][0].update(ok=1), "persistency", id="persistency-ok-as-int"
+        ),
+    ],
+)
+def test_verify_compares_metrics_with_their_types(tmp_path, edit, key):
+    # Each edited metric still equals the recomputed one under ==, but is
+    # not what a run writes: one mismatch.
+    out = tmp_path / "out"
+    cfg = small_config(
+        out_dir=str(out), trials=1, write_transcript=True,
+        adversary="crash", faulty_ids=None, n=2000, master_seed=3,
+    )
+    run_experiment(cfg)
+    rewrite_line(out / "trials.jsonl", lambda rec: True, lambda rec: edit(rec["metrics"]))
+    stored = json.loads((out / "trials.jsonl").read_text())["metrics"]
+    assert stored == run_trial(cfg, 0)[1].to_dict()
+    mismatches = verify_records(out / "trials.jsonl", out / "transcript.jsonl", cfg)
+    assert len(mismatches) == 1 and mismatches[0].startswith(f"trial 0: {key} stored=")
+
+
 def test_verify_checks_metrics_that_recompute_to_none(tmp_path):
     # With every output bottom, eta recomputes to None; a stored eta must
     # still be caught, with the other two metrics and the derived
@@ -703,6 +791,49 @@ def test_verify_checks_metrics_that_recompute_to_none(tmp_path):
     for transcript in (None, out / "transcript.jsonl"):
         mismatches = verify_records(out / "trials.jsonl", transcript, cfg)
         assert mismatches == ["trial 0: eta_emp stored=0.5 recomputed=None"]
+
+
+def drop_none_metrics_add_bogus(metrics):
+    for key in ("accept_phase", "eta_emp", "phases_used"):
+        assert metrics.pop(key) is None
+    metrics["bogus"] = 0
+
+
+def drop_link_field(metrics):
+    del metrics["degenerate"]
+
+
+METRIC_KEYS = sorted(f.name for f in fields(TrialMetrics))
+
+
+@pytest.mark.parametrize("transcript", [True, False], ids=["transcript", "records-only"])
+@pytest.mark.parametrize(
+    "edit, keys",
+    [
+        pytest.param(
+            drop_none_metrics_add_bogus,
+            sorted({"bogus", *METRIC_KEYS} - {"accept_phase", "eta_emp", "phases_used"}),
+            id="none-fields-dropped-bogus-added",
+        ),
+        pytest.param(
+            drop_link_field, [k for k in METRIC_KEYS if k != "degenerate"], id="link-field-dropped"
+        ),
+    ],
+)
+def test_verify_checks_the_metrics_key_set(tmp_path, edit, keys, transcript):
+    # Metrics that recompute to None read the same when missing, and a link
+    # field is not compared without the transcript; the key set is checked
+    # either way.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=1, write_transcript=True, **CRASH)
+    run_experiment(cfg)
+    rewrite_line(out / "trials.jsonl", lambda rec: True, lambda rec: edit(rec["metrics"]))
+    mismatches = verify_records(
+        out / "trials.jsonl", out / "transcript.jsonl" if transcript else None, cfg
+    )
+    assert mismatches[0] == f"trial 0: metrics keys {keys!r}, not {METRIC_KEYS!r}"
+    # Only the link field with its transcript is also a value mismatch.
+    assert len(mismatches) == 1 + (transcript and edit is drop_link_field)
 
 
 def test_verify_reports_unreadable_transcript_line(tmp_path):
