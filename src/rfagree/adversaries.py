@@ -130,8 +130,11 @@ class Equivocator(Adversary):
 
     def __init__(self, faulty_ids, params, separation=2.0):
         super().__init__(faulty_ids, params)
-        if not 0.0 <= separation <= 2.0:
-            raise ValueError(f"separation must be a chord in [0, 2], got {separation}")
+        if (
+            isinstance(separation, bool) or not isinstance(separation, (int, float))
+            or not 0.0 <= separation <= 2.0
+        ):
+            raise ValueError(f"separation must be a chord in [0, 2], got {separation!r}")
         self.separation = separation
         self._clusters = {}
         self._base = None
@@ -204,7 +207,7 @@ class GradePoisoner(Adversary):
 
 
 class Rusher(Adversary):
-    """Replays a targeted honest node's current-round traffic, shifted.
+    """Replays the lowest honest node's current-round traffic, shifted.
 
     Directions are re-emitted rotated by ``shift`` radians; classical
     symbols are copied verbatim.  Exercises the strongest consequence of
@@ -213,7 +216,7 @@ class Rusher(Adversary):
 
     name = "rusher"
 
-    def __init__(self, faulty_ids, params, shift=math.pi / 4, target=None):
+    def __init__(self, faulty_ids, params, shift=math.pi / 4):
         super().__init__(faulty_ids, params)
         if (
             isinstance(shift, bool) or not isinstance(shift, (int, float))
@@ -221,14 +224,7 @@ class Rusher(Adversary):
         ):
             raise ValueError(f"rusher shift must be a finite number of radians, got {shift!r}")
         self.shift = shift
-        if target is None:
-            target = min(i for i in range(params.m) if i not in self.faulty_set)
-        if (
-            isinstance(target, bool) or not isinstance(target, int)
-            or not 0 <= target < params.m or target in self.faulty_set
-        ):
-            raise ValueError(f"rusher target {target!r} is not an honest node in range({params.m})")
-        self.target = target
+        self.target = min(i for i in range(params.m) if i not in self.faulty_set)
 
     def emit(self, view, slots):
         step = view.step

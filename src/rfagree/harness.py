@@ -35,7 +35,6 @@ step, so neither holds every trial.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import json
 import math
@@ -732,6 +731,30 @@ def _same(stored, value) -> bool:
     return stored == value
 
 
+def _trial_runs(lines, trials: int, noun: str, missing: str, structure: list):
+    """Yield ``(trial, run)`` for each run of :func:`_read_jsonl` lines of one trial, in order.
+
+    A run is in order if its trial is above every run's before it and in
+    ``range(trials)``.  Any other run is read past and is a mismatch in
+    ``structure`` (``trial N: <noun>, but not one of the config's ...``, or
+    ``<noun> out of order``), and so is each trial of the config with no
+    run in order (``trial N: <missing>``), at its place in trial order.
+    """
+    last = -1  # the highest trial of a run so far
+    for trial, run in itertools.groupby(lines, key=operator.itemgetter(1)):
+        if trial > last:
+            structure.extend(f"trial {k}: {missing}" for k in range(last + 1, min(trial, trials)))
+            last = trial
+            if trial < trials:
+                yield trial, run
+                continue
+        if 0 <= trial < trials:
+            structure.append(f"trial {trial}: {noun} out of order, after trial {last}")
+        else:
+            structure.append(f"trial {trial}: {noun}, but not one of the config's {trials} trials")
+    structure.extend(f"trial {k}: {missing}" for k in range(last + 1, trials))
+
+
 def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> list:
     """Cross-check exported records; returns a list of mismatch strings.
 
@@ -759,15 +782,14 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
     JSON), whose shape is wrong or that is not its round, is itself a
     mismatch.
 
-    The two files are read in step, the transcript one block (a run of
-    readable lines of one trial) at a time.  A record is checked once its
-    block is read, and both are then dropped, so files in trial order are
-    verified in memory that does not grow with the trial count.  Where one
-    file runs ahead, a block waits for its record or a record for its
-    block; a record whose block never comes, and a repeated record, are
-    checked without the link fields.  Lines of a trial already checked (a
-    repeated or split block) feed no metric and fail the structure check.
-    A trial's transcript-line mismatches come before its metric mismatches.
+    Both files are read once, in step, in trial order, the one order a run
+    writes them: a run of lines (:func:`_trial_runs`) whose trial is not
+    above the one before it is out of order and feeds no metric.  A trial's
+    record is checked with its transcript block, and both are then dropped,
+    so memory does not grow with the trial count.  A record with no block,
+    or repeated in its run, is checked without the link fields.  Line and
+    metric mismatches come as they are read, then the structure mismatches
+    of trials.jsonl, then of the transcript.
     """
     mismatches = []
     n = config.resolved_n()
@@ -780,10 +802,7 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
         for k in range(config.t + 1)
         for step in phase_steps(config.m, config.t, k, k)
     ]
-    counts = collections.Counter()  # trials.jsonl records per trial number
-    rounds = {}  # trial -> (its transcript lines read, whether they ran 0, 1, 2, ...)
-    waiting = {}  # trial -> (lineno, record) of a record read before its block
-    held = {}  # trial -> links of a block read before its record
+    record_structure, transcript_structure = [], []
 
     def check(trial, lineno, record, trial_links):
         try:
@@ -842,62 +861,41 @@ def verify_records(trials_path, transcript_path, config: ExperimentConfig) -> li
             )
         return round_links(rec, config.m, n), number
 
-    def read_blocks(current):
-        """Read blocks up to trial ``current``'s, held; False if one of a trial with no record is.
-
-        A waiting record's block is checked with it; ``current`` None reads to the end.
-        """
-        for trial, lines in blocks:
-            checked = trial in counts and trial not in waiting
-            seen, in_order = rounds.get(trial, (0, True))
-            block_links = held.pop(trial, [])
-            for _, _, (line_links, number) in lines:
-                in_order = in_order and number == seen and not checked
-                seen += 1
-                block_links += line_links
-            rounds[trial] = (seen, in_order)
-            if trial in waiting:
-                check(trial, *waiting.pop(trial), block_links)
-            elif not checked and current is not None:
-                held[trial] = block_links
-                return trial == current
-        return True
+    def blocks(fh):
+        """``(trial, links)`` of each transcript block in order, its round numbers checked."""
+        lines = _read_jsonl(fh, "transcript", read_round, mismatches)
+        in_order = list(range(len(schedule)))
+        for trial, block in _trial_runs(
+            lines, config.trials, "transcript lines", "no transcript lines", transcript_structure
+        ):
+            links, numbers = [], []
+            for _, _, (line_links, number) in block:
+                links += line_links
+                numbers.append(number)
+            if numbers != in_order:
+                transcript_structure.append(
+                    f"trial {trial}: transcript rounds are not 0..{len(schedule) - 1} "
+                    "once each, in order"
+                )
+            yield trial, links
 
     with open(trials_path, "rb") as records_fh, (
-        nullcontext(()) if transcript_path is None else open(transcript_path, "rb")
-    ) as rounds_fh:
-        round_lines = _read_jsonl(rounds_fh, "transcript", read_round, mismatches)
-        blocks = itertools.groupby(round_lines, key=operator.itemgetter(1))
-        for lineno, trial, record in _read_jsonl(
-            records_fh, "trials", lambda trial, rec: rec, mismatches
+        nullcontext() if transcript_path is None else open(transcript_path, "rb")
+    ) as transcript_fh:
+        trial_blocks = iter(()) if transcript_path is None else blocks(transcript_fh)
+        block = (-1, None)  # the last block read: (trial, links)
+        records = _read_jsonl(records_fh, "trials", lambda trial, rec: rec, mismatches)
+        for trial, run in _trial_runs(
+            records, config.trials, "trials.jsonl record", "0 trials.jsonl records, not 1",
+            record_structure,
         ):
-            if trial in counts:  # a repeated record is checked without links
-                check(trial, lineno, record, None)
-            elif trial in held or read_blocks(trial):
-                check(trial, lineno, record, held.pop(trial, None))
-            else:
-                waiting[trial] = (lineno, record)
-            counts[trial] += 1
-        read_blocks(None)
-        for trial, (lineno, record) in waiting.items():
-            check(trial, lineno, record, None)
-
-    expected = range(config.trials)
-    beyond = f"not one of the config's {config.trials} trials"
-    for trial in sorted(counts.keys() | set(expected)):
-        if trial not in expected:
-            mismatches.append(f"trial {trial}: trials.jsonl record, but {beyond}")
-        elif counts[trial] != 1:
-            mismatches.append(f"trial {trial}: {counts[trial]} trials.jsonl records, not 1")
-    if transcript_path is not None:
-        total = len(schedule)
-        for trial in sorted(rounds.keys() | set(expected)):
-            if trial not in rounds:
-                mismatches.append(f"trial {trial}: no transcript lines")
-            elif trial not in expected:
-                mismatches.append(f"trial {trial}: transcript lines, but {beyond}")
-            elif rounds[trial] != (total, True):
-                mismatches.append(
-                    f"trial {trial}: transcript rounds are not 0..{total - 1} once each, in order"
-                )
-    return mismatches
+            while block[0] < trial:  # past the blocks of trials with no record
+                block = next(trial_blocks, (config.trials, None))
+            trial_links = block[1] if block[0] == trial else None
+            for count, (lineno, _, record) in enumerate(run, 1):
+                check(trial, lineno, record, trial_links if count == 1 else None)
+            if count != 1:
+                record_structure.append(f"trial {trial}: {count} trials.jsonl records, not 1")
+        for _ in trial_blocks:  # the blocks after the last record, for their mismatches
+            pass
+    return mismatches + record_structure + transcript_structure

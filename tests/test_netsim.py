@@ -267,11 +267,12 @@ def test_slot_keys_override_a_quantum_broadcast(monkeypatch):
 
 
 def test_rushing_adversary_sees_current_round():
-    # A zero-shift rusher echoes the target's current-round direction
-    # exactly; only a rushing adversary can do that.
+    # A zero-shift rusher echoes its target's current-round direction
+    # exactly; only a rushing adversary can do that.  Its target is the
+    # lowest honest node, 0.
     engine, _ = make_engine(m=4)
     params = ProtocolParams(4, 1, 0.05, engine.channel)
-    rusher = make_adversary("rusher", [3], params, shift=0.0, target=1)
+    rusher = make_adversary("rusher", [3], params, shift=0.0)
     rng = np.random.default_rng(21)
     directions = [random_direction(rng) for _ in range(3)]
     step = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(4)))
@@ -280,7 +281,7 @@ def test_rushing_adversary_sees_current_round():
     echoes = [p for (s, _), p in slot_view(engine.transcript[0].payloads).items() if s == 3]
     assert len(echoes) == 3
     for payload in echoes:
-        assert np.array_equal(payload.segments[0][0], directions[1])
+        assert np.array_equal(payload.segments[0][0], directions[0])
 
 
 def test_deliver_quantum_accurate_at_large_n():
