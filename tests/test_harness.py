@@ -247,7 +247,7 @@ def test_memory_flat_in_trial_count(tmp_path):
     # run once grew by 505 KB from 10 to 40 trials, and verify, holding
     # every trial's links, by 275 KB; holding every record without a
     # transcript costs about 11 KB per trial.  Keeping a record count and a
-    # round count per trial number, verify grew by about 2.0 KB with the
+    # round count per trial number, verify grew by about 2.6 KB with the
     # transcript and 1.6 KB without.
     def peaks(trials):
         out = tmp_path / str(trials)
@@ -1274,6 +1274,7 @@ MALFORMED_CONFIGS = {
     },
     "rusher-shift-inf": {"adversary": "rusher", "adversary_params": {"shift": float("inf")}},
     "rusher-shift-str": {"adversary": "rusher", "adversary_params": {"shift": "x"}},
+    # The rusher takes no target: any is an unknown parameter.
     "rusher-target-out-of-range": {"adversary": "rusher", "adversary_params": {"target": 99}},
     "removed-max-violation-rate": {"max_violation_rate": 0.5},
     "q-target-one-per-link": {
