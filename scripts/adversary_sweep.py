@@ -10,9 +10,8 @@ import argparse
 import os
 
 from rfagree.adversaries import standard_battery
-from rfagree.config import ExperimentConfig
+from rfagree.config import ExperimentConfig, ted_accuracy_bound
 from rfagree.harness import emit_report, run_experiment
-from rfagree.quantum_link import ted_accuracy_bound
 
 
 def main():

@@ -10,9 +10,14 @@ per link) scale and prints the observed agreement quality.
 import argparse
 import json
 
-from rfagree.config import ExperimentConfig, success_exponent
-from rfagree.harness import CONSISTENCY_FACTOR, run_experiment
-from rfagree.quantum_link import required_qubits, ted_success_bound
+from rfagree.config import (
+    CONSISTENCY_FACTOR,
+    ExperimentConfig,
+    required_qubits,
+    success_exponent,
+    ted_success_bound,
+)
+from rfagree.harness import run_experiment
 
 
 def main():

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 from .classical_consensus import CLAIM_ROUND
+from .config import check_strategy_params
 from .geometry import any_orthogonal, angle_from_chord, random_direction, rotate_about
 from .netsim import CLASSICAL_ROUND, DIRECTION_EXCHANGE, FLAG_EXCHANGE, KING_BROADCAST
 from .quantum_link import SENTINEL, QuantumMessage, received_direction
@@ -130,11 +131,6 @@ class Equivocator(Adversary):
 
     def __init__(self, faulty_ids, params, separation=2.0):
         super().__init__(faulty_ids, params)
-        if (
-            isinstance(separation, bool) or not isinstance(separation, (int, float))
-            or not 0.0 <= separation <= 2.0
-        ):
-            raise ValueError(f"separation must be a chord in [0, 2], got {separation!r}")
         self.separation = separation
         self._clusters = {}
         self._base = None
@@ -218,11 +214,6 @@ class Rusher(Adversary):
 
     def __init__(self, faulty_ids, params, shift=math.pi / 4):
         super().__init__(faulty_ids, params)
-        if (
-            isinstance(shift, bool) or not isinstance(shift, (int, float))
-            or not math.isfinite(shift)
-        ):
-            raise ValueError(f"rusher shift must be a finite number of radians, got {shift!r}")
         self.shift = shift
         self.target = min(i for i in range(params.m) if i not in self.faulty_set)
 
@@ -280,4 +271,5 @@ def make_adversary(name: str, faulty_ids, params, **kwargs) -> Adversary:
         cls = _CATALOG[name]
     except KeyError:
         raise ValueError(f"unknown adversary {name!r}; known: {strategy_catalog()}") from None
+    check_strategy_params(name, kwargs)
     return cls(faulty_ids, params, **kwargs)

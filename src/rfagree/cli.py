@@ -26,9 +26,14 @@ import json
 import os
 import sys
 
-from .config import ConfigError, ExperimentConfig, success_exponent
-from .harness import CONSISTENCY_FACTOR, emit_report, run_experiment, verify_records
-from .quantum_link import ted_accuracy_bound, ted_success_bound
+from .config import (
+    CONSISTENCY_FACTOR,
+    ConfigError,
+    ExperimentConfig,
+    success_exponent,
+    ted_accuracy_bound,
+    ted_success_bound,
+)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -80,6 +85,8 @@ def _with_changes(config: ExperimentConfig, changes: dict) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _with_changes(ExperimentConfig.load(args.config), _flag_changes(args))
+    from .harness import run_experiment
+
     summary, _, _ = run_experiment(config)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if summary["passed"] else EXIT_FAILED
@@ -134,6 +141,8 @@ def cmd_calc(args) -> int:
 
 def cmd_verify(args) -> int:
     config = ExperimentConfig.load(args.config)
+    from .harness import verify_records
+
     try:
         mismatches = verify_records(args.records, args.transcript, config)
     except OSError as exc:
@@ -168,6 +177,8 @@ def cmd_sweep(args) -> int:
     summaries = []
     failed = False
     flags = _flag_changes(args)
+    from .harness import emit_report, run_experiment
+
     for combo in itertools.product(*(values for _, values in axes)):
         pairs = [(key, value) for (key, _), value in zip(axes, combo)]
         tag = "_".join(f"{key}{value}" for key, value in pairs) or "base"

@@ -6,6 +6,12 @@ means: ``"per_link"`` is the per-link estimation success probability,
 ``"overall"`` converts through the headline exponent m^2 (one full
 exchange generation), and ``"overall_strict"`` through the conservative
 exponent m^2 * (t+1), i.e. every link of every phase must succeed.
+
+The module imports only the standard library, so validating and sizing a
+config loads no numpy.  It holds the estimator's Hoeffding-based
+calculators, and :data:`STRATEGY_PARAMS`, each adversary strategy's
+keyword parameters with their checks, which ``validate`` and
+``adversaries.make_adversary`` both apply.
 """
 
 from __future__ import annotations
@@ -25,10 +31,48 @@ _EXPONENTS = {
 }
 _SCOPES = tuple(_EXPONENTS)
 
+#: Consistency holds when the correct outputs lie within this many delta_eff.
+CONSISTENCY_FACTOR = 30.0
+
 
 def success_exponent(scope: str, m: int, t=None) -> int:
     """1, m^2 or m^2 (t+1) by scope; ``t`` is read only by ``overall_strict``."""
     return _EXPONENTS[scope](m, t)
+
+
+def ted_accuracy_bound(delta: float, epsilon: float) -> float:
+    """Estimation accuracy over a depolarizing channel: (1-eps)*delta + 5 eps/2."""
+    return (1.0 - epsilon) * delta + 2.5 * epsilon
+
+
+def ted_success_bound(n: int, delta: float) -> float:
+    """Lower bound on the estimation success probability.
+
+    Three Hoeffding events (one per axis), each of probability at least
+    1 - 2 exp(-2 n delta^2 / 25); the cube is clamped below at zero where
+    the bound collapses.
+    """
+    base = 1.0 - 2.0 * math.exp(-2.0 * n * delta * delta / 25.0)
+    return max(0.0, base) ** 3
+
+
+def required_qubits(delta: float, q_target: float) -> int:
+    """Smallest per-axis n with ted_success_bound(n, delta) >= q_target.
+
+    Closed form: n = ceil(25 / (2 delta^2) * ln(2 / (1 - q_target^(1/3)))),
+    nudged by +-1 afterwards to absorb floating-point rounding of the ceil.
+    """
+    if not 0.0 < q_target < 1.0:
+        raise ValueError(f"q_target must be in (0, 1), got {q_target}")
+    if delta <= 0.0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    n = math.ceil(25.0 / (2.0 * delta * delta) * math.log(2.0 / (1.0 - q_target ** (1.0 / 3.0))))
+    n = max(1, n)
+    while ted_success_bound(n, delta) < q_target:
+        n += 1
+    while n > 1 and ted_success_bound(n - 1, delta) >= q_target:
+        n -= 1
+    return n
 
 
 class ConfigError(ValueError):
@@ -48,6 +92,35 @@ def _or_none(check):
     return lambda value: value is None or check(value)
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+#: strategy name -> {keyword parameter: (check, what it must be)}; the
+#: defaults live in the strategies' constructors.
+STRATEGY_PARAMS = {
+    "crash": {},
+    "equivocator": {
+        "separation": (lambda v: _is_number(v) and 0.0 <= v <= 2.0, "a chord in [0, 2]"),
+    },
+    "grade-poisoner": {},
+    "honest-shadow": {},
+    "random-noise": {},
+    "rusher": {"shift": (_is_number, "a finite number of radians")},
+}
+
+
+def check_strategy_params(name: str, params: dict) -> None:
+    """Raise ConfigError unless strategy ``name`` takes ``params`` as they are."""
+    checks = STRATEGY_PARAMS[name]
+    for key, value in params.items():
+        if key not in checks:
+            raise ConfigError(f"adversary {name!r} takes no parameter {key!r}")
+        check, what = checks[key]
+        if not check(value):
+            raise ConfigError(f"adversary {name!r}: {key} must be {what}, got {value!r}")
+
+
 #: field -> (type check, what the field must be).  Checked before any value
 #: check, so a JSON document of the wrong types fails as a ConfigError.
 _FIELD_TYPES = {
@@ -57,6 +130,8 @@ _FIELD_TYPES = {
     "epsilon": (_is_number, "a finite number"),
     "n": (_or_none(_is_int), "an integer or null"),
     "q_target": (_or_none(_is_number), "a finite number or null"),
+    "q_target_scope": (_is_str, "a string"),
+    "adversary": (_is_str, "a string"),
     "adversary_params": (lambda v: isinstance(v, dict), "an object"),
     "faulty_ids": (
         _or_none(lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
@@ -64,7 +139,7 @@ _FIELD_TYPES = {
     ),
     "trials": (_is_int, "an integer"),
     "master_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
-    "out_dir": (_or_none(lambda v: isinstance(v, str)), "a string or null"),
+    "out_dir": (_or_none(_is_str), "a string or null"),
     "write_transcript": (lambda v: isinstance(v, bool), "true or false"),
     "jobs": (_is_int, "an integer"),
     "config_version": (_is_int, "an integer"),
@@ -138,26 +213,11 @@ class ExperimentConfig:
                 raise ConfigError(f"faulty_ids outside [0, {self.m})")
             if len(ids) > self.t:
                 raise ConfigError(f"{len(ids)} faulty ids exceeds fault bound t={self.t}")
-        from .adversaries import make_adversary, strategy_catalog
-        from .quantum_link import ChannelParams
-        from .rf_protocols import ProtocolParams
-
-        if self.adversary not in strategy_catalog():
+        if self.adversary not in STRATEGY_PARAMS:
             raise ConfigError(
-                f"unknown adversary {self.adversary!r}; known: {strategy_catalog()}"
+                f"unknown adversary {self.adversary!r}; known: {sorted(STRATEGY_PARAMS)}"
             )
-        # Build the strategy once, so that parameters it rejects fail here
-        # and not in the first trial.
-        params = ProtocolParams(self.m, self.t, self.delta, ChannelParams(self.epsilon, n))
-        try:
-            make_adversary(
-                self.adversary, self.resolved_faulty_ids(), params, **self.adversary_params
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"adversary {self.adversary!r} rejects adversary_params "
-                f"{self.adversary_params!r}: {exc}"
-            ) from exc
+        check_strategy_params(self.adversary, self.adversary_params)
 
     def per_link_target(self) -> Optional[float]:
         if self.q_target is None:
@@ -167,8 +227,6 @@ class ExperimentConfig:
     def resolved_n(self) -> int:
         if self.n is not None:
             return self.n
-        from .quantum_link import required_qubits
-
         return required_qubits(self.delta, self.per_link_target())
 
     def resolved_faulty_ids(self) -> tuple:
@@ -201,7 +259,7 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")

@@ -47,23 +47,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversaries import make_adversary
-from .config import ExperimentConfig, success_exponent
-from .geometry import distance, random_frames, to_global
-from .netsim import QUANTUM_STEPS, rewindable_philox
-from .quantum_link import (
-    SENTINEL,
-    ChannelParams,
-    MeasurementTally,
+from .config import (
+    CONSISTENCY_FACTOR,
+    ExperimentConfig,
+    success_exponent,
     ted_accuracy_bound,
-    ted_receive,
     ted_success_bound,
 )
+from .geometry import distance, random_frames, to_global
+from .netsim import QUANTUM_STEPS, rewindable_philox
+from .quantum_link import SENTINEL, ChannelParams, MeasurementTally, ted_receive
 from .rf_protocols import ProtocolParams, TrialResult, phase_steps, run_rf_consensus
 
-CONSISTENCY_FACTOR = 30.0
-
 #: Encodes every exported JSONL line: the bytes of ``json.dumps(obj, sort_keys=True)``.
-_ENCODER = json.JSONEncoder(sort_keys=True)
+#: Each record is a tree built afresh, with no cycles, so the encoder does
+#: not look for them.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def _jsonl_lines(records):

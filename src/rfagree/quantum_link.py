@@ -14,10 +14,10 @@ deterministically by thirds (first n to x, next n to y, last n to z), so a
 multi-segment message from a dishonest sender lands on axes in a fixed,
 publicly known way.
 
-Accuracy/success calculators implement the Hoeffding-based guarantee for
-this estimator: accuracy (1-eps)*delta + 5*eps/2, success probability at
-least (1 - 2 exp(-2 n delta^2 / 25))^3, and its inversion giving the
-minimal per-axis qubit count for a target success probability.
+The Hoeffding-based calculators for this estimator (its accuracy, its
+success floor and the minimal per-axis qubit count for a target) are plain
+arithmetic and live in :mod:`rfagree.config`, which sizes a config without
+importing numpy.
 """
 
 from __future__ import annotations
@@ -258,38 +258,3 @@ def received_direction(delivery):
     otherwise.
     """
     return SENTINEL if delivery is None else ted_receive(delivery)[0]
-
-
-def ted_accuracy_bound(delta: float, epsilon: float) -> float:
-    """Estimation accuracy over a depolarizing channel: (1-eps)*delta + 5 eps/2."""
-    return (1.0 - epsilon) * delta + 2.5 * epsilon
-
-
-def ted_success_bound(n: int, delta: float) -> float:
-    """Lower bound on the estimation success probability.
-
-    Three Hoeffding events (one per axis), each of probability at least
-    1 - 2 exp(-2 n delta^2 / 25); the cube is clamped below at zero where
-    the bound collapses.
-    """
-    base = 1.0 - 2.0 * math.exp(-2.0 * n * delta * delta / 25.0)
-    return max(0.0, base) ** 3
-
-
-def required_qubits(delta: float, q_target: float) -> int:
-    """Smallest per-axis n with ted_success_bound(n, delta) >= q_target.
-
-    Closed form: n = ceil(25 / (2 delta^2) * ln(2 / (1 - q_target^(1/3)))),
-    nudged by +-1 afterwards to absorb floating-point rounding of the ceil.
-    """
-    if not 0.0 < q_target < 1.0:
-        raise ValueError(f"q_target must be in (0, 1), got {q_target}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    n = math.ceil(25.0 / (2.0 * delta * delta) * math.log(2.0 / (1.0 - q_target ** (1.0 / 3.0))))
-    n = max(1, n)
-    while ted_success_bound(n, delta) < q_target:
-        n += 1
-    while n > 1 and ted_success_bound(n - 1, delta) >= q_target:
-        n -= 1
-    return n

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .classical_consensus import KING_ROUND, PhaseKingNode, coerce_bit, rounds_for
+from .config import ted_accuracy_bound
 from .geometry import distance, random_direction
 from .netsim import (
     CLASSICAL_ROUND,
@@ -45,7 +46,7 @@ from .netsim import (
     RoundEngine,
     RoundStep,
 )
-from .quantum_link import ChannelParams, QuantumMessage, received_direction, ted_accuracy_bound
+from .quantum_link import ChannelParams, QuantumMessage, received_direction
 
 
 @dataclass(frozen=True)

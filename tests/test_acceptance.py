@@ -14,17 +14,11 @@ from scipy.stats import chi2
 
 from rfagree.adversaries import standard_battery
 from rfagree.cli import main as cli_main
-from rfagree.config import ExperimentConfig
+from rfagree.config import ExperimentConfig, ted_accuracy_bound, ted_success_bound
 from rfagree.geometry import distance, random_direction
 from rfagree.harness import run_experiment, run_trial, trial_frames
 from rfagree.netsim import substream
-from rfagree.quantum_link import (
-    ChannelParams,
-    QuantumMessage,
-    ted_accuracy_bound,
-    ted_receive,
-    ted_success_bound,
-)
+from rfagree.quantum_link import ChannelParams, QuantumMessage, ted_receive
 
 from helpers import (
     ACCEPTANCE_LINES,

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 import os
@@ -11,9 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfagree import harness
-from rfagree.adversaries import RandomNoise
-from rfagree.config import ConfigError, ExperimentConfig
+from rfagree import adversaries, harness
+from rfagree.adversaries import RandomNoise, make_adversary, strategy_catalog
+from rfagree.config import (
+    STRATEGY_PARAMS,
+    ConfigError,
+    ExperimentConfig,
+    ted_accuracy_bound,
+    ted_success_bound,
+)
 from rfagree.cli import main as cli_main
 from rfagree.geometry import distance, to_global
 from rfagree.harness import (
@@ -33,13 +40,8 @@ from rfagree.harness import (
     verify_records,
 )
 from rfagree.netsim import QUANTUM_STEPS, substream
-from rfagree.quantum_link import (
-    MeasurementTally,
-    QuantumMessage,
-    ted_accuracy_bound,
-    ted_receive,
-    ted_success_bound,
-)
+from rfagree.quantum_link import ChannelParams, MeasurementTally, QuantumMessage, ted_receive
+from rfagree.rf_protocols import ProtocolParams
 
 from helpers import random_frame, reference_link_metrics
 
@@ -236,6 +238,32 @@ def test_package_import_loads_no_module():
         "print(sorted(m for m in sys.modules if m.startswith('rfagree')), 'numpy' in sys.modules)"
     )
     assert run_python(code) == "['rfagree'] False"
+
+
+def test_config_validates_and_sizes_without_numpy():
+    # The m10 benchmark workload's config: sized from q_target, with an
+    # equivocator parameter to check.
+    data = {
+        "m": 10, "t": 3, "delta": 0.05, "epsilon": 0.0,
+        "q_target": 0.999, "q_target_scope": "overall_strict",
+        "adversary": "equivocator", "adversary_params": {"separation": 2.0},
+        "write_transcript": True, "trials": 50, "master_seed": 7,
+    }
+    code = (
+        "import sys; from rfagree.config import ExperimentConfig; "
+        f"ExperimentConfig.from_dict({data!r}).resolved_n(); "
+        "print(sorted(m for m in sys.modules if m.startswith('rfagree')), 'numpy' in sys.modules)"
+    )
+    assert run_python(code) == "['rfagree', 'rfagree.config'] False"
+
+
+def test_cli_calc_loads_no_numpy():
+    code = (
+        "import sys; from rfagree.cli import main; "
+        "main(['calc', '--m', '7', '--overall-success', '0.99', '--accuracy', '0.3']); "
+        "print('numpy' in sys.modules)"
+    )
+    assert run_python(code).splitlines()[-1] == "False"
 
 
 def test_memory_flat_in_trial_count(tmp_path):
@@ -1253,8 +1281,8 @@ NOISY_CHANNEL = os.path.join(os.path.dirname(__file__), "..", "configs", "noisy_
 
 #: One field of configs/noisy_channel.json changed to a value of the wrong
 #: type or a non-finite number.  The equivocator and rusher cases change two
-#: fields, and the q-target case three: to a q_target whose per-link root
-#: rounds to 1.0.
+#: fields, and the q-target cases three: to a q_target whose per-link root
+#: rounds to 1.0, or to a scope of the wrong type.
 MALFORMED_CONFIGS = {
     "delta-nan": {"delta": float("nan")},
     "delta-inf": {"delta": float("inf")},
@@ -1266,6 +1294,10 @@ MALFORMED_CONFIGS = {
     "trials-float": {"trials": 2.5},
     "jobs-str": {"jobs": "2"},
     "out-dir-int": {"out_dir": 5},
+    "adversary-list": {"adversary": ["rusher"]},
+    "q-target-scope-list": {
+        "n": None, "q_target": 0.9, "q_target_scope": ["overall"],
+    },
     "adversary-params-list": {"adversary_params": [1]},
     "adversary-params-unknown": {"adversary_params": {"bogus": 1}},
     "equivocator-separation": {"adversary": "equivocator", "adversary_params": {"separation": 3}},
@@ -1296,6 +1328,46 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys, change):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error:" in err
+    assert "Traceback" not in err
+
+
+def test_strategy_table_matches_the_catalog():
+    # Every strategy and every keyword parameter it takes has a check in
+    # the table, so none reaches a trial unchecked.
+    assert sorted(STRATEGY_PARAMS) == strategy_catalog()
+    for name, checks in STRATEGY_PARAMS.items():
+        signature = inspect.signature(adversaries._CATALOG[name])
+        assert list(signature.parameters)[:2] == ["faulty_ids", "params"]
+        assert sorted(checks) == sorted(list(signature.parameters)[2:]), name
+
+
+#: The MALFORMED_CONFIGS cases of a bad adversary parameter.
+BAD_ADVERSARY_PARAMS = {
+    case: change
+    for case, change in MALFORMED_CONFIGS.items()
+    if isinstance(change.get("adversary_params"), dict)
+}
+
+
+@pytest.mark.parametrize("change", BAD_ADVERSARY_PARAMS.values(), ids=BAD_ADVERSARY_PARAMS.keys())
+def test_make_adversary_rejects_what_a_config_rejects(change):
+    name = change.get("adversary", "grade-poisoner")  # configs/noisy_channel.json's
+    params = ProtocolParams(7, 2, 0.05, ChannelParams(0.1, 50000))
+    with pytest.raises(ValueError):
+        make_adversary(name, (0, 1), params, **change["adversary_params"])
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    argv = [command, "--config", str(path)]
+    if command == "verify":
+        argv += ["--records", str(tmp_path / "trials.jsonl")]
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: cannot read config {path}" in err
     assert "Traceback" not in err
 
 

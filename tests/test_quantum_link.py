@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rfagree.config import required_qubits, ted_accuracy_bound, ted_success_bound
 from rfagree.geometry import distance, random_direction, to_global
 from rfagree.netsim import substream
 from rfagree.quantum_link import (
@@ -15,10 +16,7 @@ from rfagree.quantum_link import (
     frame_axes,
     link_cells,
     measure_batch,
-    required_qubits,
-    ted_accuracy_bound,
     ted_receive,
-    ted_success_bound,
 )
 
 from helpers import (
