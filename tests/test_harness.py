@@ -1295,9 +1295,7 @@ MALFORMED_CONFIGS = {
     "jobs-str": {"jobs": "2"},
     "out-dir-int": {"out_dir": 5},
     "adversary-list": {"adversary": ["rusher"]},
-    "q-target-scope-list": {
-        "n": None, "q_target": 0.9, "q_target_scope": ["overall"],
-    },
+    "q-target-scope-list": {"n": None, "q_target": 0.9, "q_target_scope": ["overall"]},
     "adversary-params-list": {"adversary_params": [1]},
     "adversary-params-unknown": {"adversary_params": {"bogus": 1}},
     "equivocator-separation": {"adversary": "equivocator", "adversary_params": {"separation": 3}},
