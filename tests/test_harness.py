@@ -83,6 +83,47 @@ def test_config_validation_errors():
     small_config().validate()
 
 
+#: One field of small_config() at the edge of its range, on the side accepted.
+CONFIG_EDGES_ACCEPTED = {
+    "m-2": {"m": 2, "t": 0},
+    "t-0": {"t": 0},
+    "delta-1e-9": {"delta": 1e-9},
+    "epsilon-0": {"epsilon": 0.0},
+    "epsilon-1": {"epsilon": 1.0},
+    "n-1": {"n": 1},
+}
+
+#: The same fields just past that edge, and values outside a field's set.
+CONFIG_EDGES_REJECTED = {
+    "m-1": {"m": 1, "t": 0},
+    "t-negative": {"t": -1},
+    "delta-0": {"delta": 0.0},
+    "epsilon-negative": {"epsilon": -0.1},
+    "epsilon-above-1": {"epsilon": 1.1},
+    "n-0": {"n": 0},
+    "q-target-0": {"n": None, "q_target": 0.0},
+    "q-target-1": {"n": None, "q_target": 1.0},
+    "q-target-scope-unknown": {"n": None, "q_target": 0.9, "q_target_scope": "per_run"},
+    "jobs-0": {"jobs": 0},
+    "config-version-2": {"config_version": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "change", CONFIG_EDGES_ACCEPTED.values(), ids=CONFIG_EDGES_ACCEPTED.keys()
+)
+def test_config_accepts_each_range_edge(change):
+    small_config(**change).validate()
+
+
+@pytest.mark.parametrize(
+    "change", CONFIG_EDGES_REJECTED.values(), ids=CONFIG_EDGES_REJECTED.keys()
+)
+def test_config_rejects_just_past_each_range_edge(change):
+    with pytest.raises(ConfigError):
+        small_config(**change).validate()
+
+
 def test_config_rejects_n_beyond_int64():
     # Generator.binomial takes n as an int64: 2**63 - 1 runs, a larger n,
     # given or sized from q_target at a tiny delta, is a config error.
