@@ -164,7 +164,7 @@ def _parse_set(expr: str):
     for raw in values.split(","):
         try:
             parsed.append(json.loads(raw))
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON, or JSON too long or deep to read
             parsed.append(raw)
     return key, parsed
 
@@ -172,23 +172,25 @@ def _parse_set(expr: str):
 def cmd_sweep(args) -> int:
     base = ExperimentConfig.load(args.config)
     axes = [_parse_set(expr) for expr in args.set]
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    summaries = []
-    failed = False
     flags = _flag_changes(args)
-    from .harness import emit_report, run_experiment
-
+    # Every combination's config is built, and so validated, before the first one runs.
+    runs = []
     for combo in itertools.product(*(values for _, values in axes)):
         pairs = [(key, value) for (key, _), value in zip(axes, combo)]
         tag = "_".join(f"{key}{value}" for key, value in pairs) or "base"
-        changes = {**dict(pairs), "out_dir": os.path.join(out_dir, tag), **flags}
-        config = _with_changes(base, changes)
+        changes = {**dict(pairs), "out_dir": os.path.join(args.out, tag), **flags}
+        runs.append((tag, _with_changes(base, changes)))
+    os.makedirs(args.out, exist_ok=True)
+    summaries = []
+    failed = False
+    from .harness import emit_report, run_experiment
+
+    for tag, config in runs:
         summary, _, _ = run_experiment(config)
         summaries.append(summary)
         failed = failed or not summary["passed"]
         print(f"{tag}: violation_rate={summary['violation_rate']} passed={summary['passed']}")
-    emit_report(summaries, os.path.join(out_dir, "report.csv"))
+    emit_report(summaries, os.path.join(args.out, "report.csv"))
     return EXIT_FAILED if failed else EXIT_OK
 
 

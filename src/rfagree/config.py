@@ -9,9 +9,10 @@ exponent m^2 * (t+1), i.e. every link of every phase must succeed.
 
 The module imports only the standard library, so validating and sizing a
 config loads no numpy.  It holds the estimator's Hoeffding-based
-calculators, and :data:`STRATEGY_PARAMS`, each adversary strategy's
-keyword parameters with their checks, which ``validate`` and
-``adversaries.make_adversary`` both apply.
+calculators; :data:`FIELD_RULES`, each field's type and range; and
+:data:`STRATEGY_PARAMS`, each adversary strategy's keyword parameters with
+their checks, which ``validate`` and ``adversaries.make_adversary`` both
+apply.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ _EXPONENTS = {
     "overall": lambda m, t: m * m,
     "overall_strict": lambda m, t: m * m * (t + 1),
 }
-_SCOPES = tuple(_EXPONENTS)
 
 #: Consistency holds when the correct outputs lie within this many delta_eff.
 CONSISTENCY_FACTOR = 30.0
@@ -88,12 +88,20 @@ def _is_number(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-def _or_none(check):
-    return lambda value: value is None or check(value)
+def _int_from(low: int):
+    """Rule: an integer (not a bool) of at least ``low``."""
+    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
+def _one_of(names):
+    """Rule: one of the strings ``names``."""
+    return (lambda v: isinstance(v, str) and v in names), f"one of {sorted(names)}"
+
+
+def _or_null(rule):
+    """Rule: null, or what ``rule`` accepts."""
+    check, what = rule
+    return (lambda v: v is None or check(v)), f"{what} or null"
 
 
 #: strategy name -> {keyword parameter: (check, what it must be)}; the
@@ -121,28 +129,30 @@ def check_strategy_params(name: str, params: dict) -> None:
             raise ConfigError(f"adversary {name!r}: {key} must be {what}, got {value!r}")
 
 
-#: field -> (type check, what the field must be).  Checked before any value
-#: check, so a JSON document of the wrong types fails as a ConfigError.
-_FIELD_TYPES = {
-    "m": (_is_int, "an integer"),
-    "t": (_is_int, "an integer"),
-    "delta": (_is_number, "a finite number"),
-    "epsilon": (_is_number, "a finite number"),
-    "n": (_or_none(_is_int), "an integer or null"),
-    "q_target": (_or_none(_is_number), "a finite number or null"),
-    "q_target_scope": (_is_str, "a string"),
-    "adversary": (_is_str, "a string"),
+#: field -> (check, what the field must be): each check tests the field's
+#: type and range together, so a JSON document of the wrong types fails as a
+#: ConfigError.  config_version comes first, so that a config of another
+#: version is reported as that.
+FIELD_RULES = {
+    "config_version": (lambda v: _is_int(v) and v == CONFIG_VERSION, str(CONFIG_VERSION)),
+    "m": _int_from(2),
+    "t": _int_from(0),
+    "delta": (lambda v: _is_number(v) and v > 0.0, "a finite number > 0"),
+    "epsilon": (lambda v: _is_number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    "n": _or_null(_int_from(1)),
+    "q_target": _or_null((lambda v: _is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)")),
+    "q_target_scope": _one_of(_EXPONENTS),
+    "adversary": _one_of(STRATEGY_PARAMS),
     "adversary_params": (lambda v: isinstance(v, dict), "an object"),
-    "faulty_ids": (
-        _or_none(lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
-        "a list of integers or null",
-    ),
-    "trials": (_is_int, "an integer"),
+    "faulty_ids": _or_null((
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)) and len(set(v)) == len(v),
+        "a list of distinct integers",
+    )),
+    "trials": _int_from(1),
     "master_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
-    "out_dir": (_or_none(_is_str), "a string or null"),
+    "out_dir": _or_null((lambda v: isinstance(v, str), "a string")),
     "write_transcript": (lambda v: isinstance(v, bool), "true or false"),
-    "jobs": (_is_int, "an integer"),
-    "config_version": (_is_int, "an integer"),
+    "jobs": _int_from(1),
 }
 
 
@@ -166,30 +176,15 @@ class ExperimentConfig:
     config_version: int = CONFIG_VERSION
 
     def validate(self) -> None:
-        for name, (check, what) in _FIELD_TYPES.items():
+        """Check each field alone (:data:`FIELD_RULES`), then the rules that join fields."""
+        for name, (check, what) in FIELD_RULES.items():
             value = getattr(self, name)
             if not check(value):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
-        if self.config_version != CONFIG_VERSION:
-            raise ConfigError(
-                f"config_version {self.config_version} unsupported (expected {CONFIG_VERSION})"
-            )
-        if self.m < 2:
-            raise ConfigError(f"m must be >= 2, got {self.m}")
-        if self.t < 0 or 3 * self.t >= self.m:
+        if 3 * self.t >= self.m:
             raise ConfigError(f"fault bound must satisfy t < m/3, got m={self.m}, t={self.t}")
-        if self.delta <= 0.0:
-            raise ConfigError(f"delta must be > 0, got {self.delta}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if (self.n is None) == (self.q_target is None):
             raise ConfigError("exactly one of n / q_target must be set")
-        if self.n is not None and self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.q_target is not None and not 0.0 < self.q_target < 1.0:
-            raise ConfigError(f"q_target must be in (0, 1), got {self.q_target}")
-        if self.q_target_scope not in _SCOPES:
-            raise ConfigError(f"q_target_scope must be one of {_SCOPES}")
         if self.q_target is not None and not self.per_link_target() < 1.0:
             raise ConfigError(
                 f"q_target {self.q_target!r} at scope {self.q_target_scope!r} rounds to "
@@ -201,22 +196,11 @@ class ExperimentConfig:
             n = math.inf
         if n > 2**63 - 1:  # Generator.binomial takes n as an int64
             raise ConfigError(f"n must be at most 2**63 - 1, the binomial draws' limit; got {n}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.faulty_ids is not None:
-            ids = tuple(self.faulty_ids)
-            if len(set(ids)) != len(ids):
-                raise ConfigError("faulty_ids contains duplicates")
-            if any(not 0 <= i < self.m for i in ids):
-                raise ConfigError(f"faulty_ids outside [0, {self.m})")
-            if len(ids) > self.t:
-                raise ConfigError(f"{len(ids)} faulty ids exceeds fault bound t={self.t}")
-        if self.adversary not in STRATEGY_PARAMS:
-            raise ConfigError(
-                f"unknown adversary {self.adversary!r}; known: {sorted(STRATEGY_PARAMS)}"
-            )
+        ids = self.faulty_ids or ()
+        if any(not 0 <= i < self.m for i in ids):
+            raise ConfigError(f"faulty_ids outside [0, {self.m})")
+        if len(ids) > self.t:
+            raise ConfigError(f"{len(ids)} faulty ids exceeds fault bound t={self.t}")
         check_strategy_params(self.adversary, self.adversary_params)
 
     def per_link_target(self) -> Optional[float]:
@@ -259,13 +243,9 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError covers UnicodeDecodeError, JSONDecodeError and an integer too long to read.
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return ExperimentConfig.from_dict(data)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -41,6 +41,7 @@ import math
 import operator
 import os
 import time
+from collections import deque
 from contextlib import ExitStack, nullcontext, suppress
 from dataclasses import dataclass
 
@@ -458,6 +459,30 @@ def _worker(args):
     return metrics, _ENCODER.encode(record) + "\n", transcript, seconds
 
 
+#: With jobs > 1, trials per worker that are submitted and not yet read.
+_POOL_WINDOW = 2
+
+
+def _pool_map(pool, tasks, window: int):
+    """``pool.map(_worker, tasks)`` with at most ``window`` tasks submitted and not yet yielded.
+
+    ``Executor.map`` submits every task before it yields the first result,
+    so its pending work would grow with the trial count.  As there, a task
+    that raises cancels the tasks not yet started.
+    """
+    pending = deque()
+    try:
+        for task in tasks:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_worker, task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def allowed_violation_rate(bound: float, trials: int) -> float:
     """The acceptance threshold: (1 - bound) plus three binomial sigmas."""
     base = 1.0 - bound
@@ -497,10 +522,11 @@ def run_experiment(config: ExperimentConfig):
                 # Imported here: it loads multiprocessing, which a serial run never needs.
                 from concurrent.futures import ProcessPoolExecutor
 
-                results = stack.enter_context(ProcessPoolExecutor(config.jobs)).map(_worker, jobs)
+                pool = stack.enter_context(ProcessPoolExecutor(config.jobs))
+                results = _pool_map(pool, jobs, _POOL_WINDOW * config.jobs)
             else:
                 results = map(_worker, jobs)
-            # map and pool.map both yield in trial order.
+            # map and _pool_map both yield in trial order.
             for metrics, line, transcript, seconds in results:
                 for fh, text in zip(files, (line, transcript)):
                     fh.write(text)
@@ -683,7 +709,7 @@ LINK_FIELDS = ("estimation_failures", "degenerate", "fully_successful")
 
 
 #: What a malformed line raises while it is read or checked.
-LINE_ERRORS = (ValueError, KeyError, TypeError, IndexError, AttributeError)
+LINE_ERRORS = (ValueError, KeyError, TypeError, IndexError, AttributeError, RecursionError)
 
 
 def _line_mismatch(trial, name: str, lineno: int, exc: Exception) -> str:

@@ -2,6 +2,7 @@ import gc
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from rfagree import adversaries, harness
 from rfagree.adversaries import RandomNoise, make_adversary, strategy_catalog
 from rfagree.config import (
+    FIELD_RULES,
     STRATEGY_PARAMS,
     ConfigError,
     ExperimentConfig,
@@ -124,6 +126,12 @@ def test_config_rejects_just_past_each_range_edge(change):
         small_config(**change).validate()
 
 
+def test_every_config_field_has_one_rule():
+    # So no field reaches a run unchecked; the version is checked first.
+    assert sorted(FIELD_RULES) == sorted(f.name for f in fields(ExperimentConfig))
+    assert next(iter(FIELD_RULES)) == "config_version"
+
+
 def test_config_rejects_n_beyond_int64():
     # Generator.binomial takes n as an int64: 2**63 - 1 runs, a larger n,
     # given or sized from q_target at a tiny delta, is a config error.
@@ -147,7 +155,7 @@ def test_config_rejects_a_seed_that_aliases_another():
 def test_config_round_trip(tmp_path):
     cfg = small_config(adversary="equivocator", adversary_params={"separation": 1.0}, faulty_ids=(0,))
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     loaded = ExperimentConfig.load(path)
     assert loaded == cfg
 
@@ -346,6 +354,53 @@ def test_memory_flat_in_trial_count(tmp_path):
     assert run_40 - run_10 < 100_000
     for at_10, at_40 in zip(verify_10, verify_40):
         assert at_40 - at_10 < 1_500
+
+
+def test_pool_memory_grows_as_a_serial_run_does():
+    # From 50 to 400 trials a run's tracemalloc peak grew by 286 KB at
+    # jobs=1, its TrialMetrics, and by 691 KB at jobs=2 when Executor.map
+    # submitted every trial before it yielded the first.  With at most
+    # 2 * jobs trials submitted and not yet read, jobs=2 grows as jobs=1 does.
+    def growth(jobs):
+        peaks = []
+        for trials in (50, 400):
+            cfg = small_config(adversary="crash", faulty_ids=None, n=200, trials=trials, jobs=jobs)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks[1] - peaks[0]
+
+    gc.disable()
+    try:
+        run_experiment(small_config(trials=2, jobs=2))  # lazy set-up out of the way
+        serial, pooled = growth(1), growth(2)
+    finally:
+        gc.enable()
+    assert pooled - serial < 100_000
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers see the patch only when forked"
+)
+def test_failed_pool_run_starts_no_trial_past_its_window(tmp_path, monkeypatch):
+    # Trial 0 raises; trials 0-3 were submitted before its result was read,
+    # and none after.  Each worker appends the trials it starts to a file.
+    started = tmp_path / "started"
+
+    def failing(config, trial, frames=None):
+        with open(started, "a") as fh:
+            fh.write(f"{trial}\n")
+        raise RuntimeError(f"trial {trial} failed")
+
+    monkeypatch.setattr(harness, "run_trial", failing)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="trial 0 failed"):
+        run_experiment(small_config(out_dir=str(out), trials=40, jobs=2))
+    assert not (out / "trials.jsonl").exists()
+    assert set(started.read_text().split()) <= {"0", "1", "2", "3"}
 
 
 def test_verify_memory_flat_when_a_trial_has_no_readable_line(tmp_path):
@@ -1307,7 +1362,7 @@ def test_cli_calc_rejects_both_alternatives(capsys, argv):
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg = small_config(trials=2)
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
@@ -1410,6 +1465,26 @@ def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+#: Config texts json cannot read: an integer past the int-digit limit
+#: (ValueError), and nesting past the recursion limit (RecursionError).
+UNREADABLE_CONFIGS = {"long-integer": '{"m": ' + "7" * 5000 + "}", "deep-nesting": "[" * 100_000}
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("text", UNREADABLE_CONFIGS.values(), ids=UNREADABLE_CONFIGS.keys())
+def test_cli_rejects_a_config_json_cannot_read(tmp_path, capsys, command, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    argv = [command, "--config", str(path)]
+    if command == "verify":
+        argv += ["--records", str(tmp_path / "trials.jsonl")]
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: cannot read config {path}" in err
+    assert "Traceback" not in err
+
+
 HONEST_SMALL = os.path.join(os.path.dirname(__file__), "..", "configs", "honest_small.json")
 
 
@@ -1439,7 +1514,7 @@ def test_cli_verify(tmp_path, capsys):
     cfg = small_config(out_dir=str(out), write_transcript=True)
     run_experiment(cfg)
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     code = cli_main(
         [
             "verify",
@@ -1466,7 +1541,7 @@ def test_cli_verify_reports_unreadable_file(tmp_path, capsys):
     cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
     run_experiment(cfg)
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     trials, transcript = out / "trials.jsonl", out / "transcript.jsonl"
     missing = tmp_path / "missing.jsonl"
     capsys.readouterr()
@@ -1489,7 +1564,7 @@ def test_cli_verify_reports_line_that_is_not_utf8(tmp_path, capsys, name):
     cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
     run_experiment(cfg)
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     target = out / f"{name}.jsonl"
     target.write_bytes(b"\xff\xfe" + target.read_bytes())
     capsys.readouterr()
@@ -1510,13 +1585,41 @@ def test_cli_verify_reports_line_that_is_not_utf8(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["trials", "transcript"])
+def test_cli_verify_reports_line_nested_too_deep(tmp_path, capsys, name):
+    # Once a RecursionError traceback; now a mismatch on that line.
+    out = tmp_path / "out"
+    cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
+    run_experiment(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    target = out / f"{name}.jsonl"
+    target.write_text("[" * 100_000 + "\n" + target.read_text())
+    capsys.readouterr()
+    code = cli_main(
+        [
+            "verify",
+            "--config",
+            str(path),
+            "--records",
+            str(out / "trials.jsonl"),
+            "--transcript",
+            str(out / "transcript.jsonl"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"{name} line 1: RecursionError: ")
+    assert "Traceback" not in err
+
+
 def test_cli_verify_reports_out_of_range_tally(tmp_path, capsys):
     # A delivered tally with n = 0 once divided by zero inside verify.
     out = tmp_path / "out"
     cfg = small_config(out_dir=str(out), trials=1, write_transcript=True)
     run_experiment(cfg)
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     lineno = rewrite_line(
         out / "transcript.jsonl", is_quantum, lambda rec: rec["tallies"].__setitem__(0, [0, 0, 0, 0])
     )
@@ -1541,7 +1644,7 @@ def test_cli_verify_reports_out_of_range_tally(tmp_path, capsys):
 def test_cli_sweep(tmp_path, capsys):
     cfg = small_config(trials=1)
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     code = cli_main(
         [
             "sweep",
@@ -1559,7 +1662,7 @@ def test_cli_sweep(tmp_path, capsys):
 
     # A config sized by q_target: setting n clears q_target, on both paths.
     sized = tmp_path / "sized.json"
-    small_config(trials=1, n=None, q_target=0.999).save(sized)
+    sized.write_text(json.dumps(small_config(trials=1, n=None, q_target=0.999).to_dict()))
     out = tmp_path / "sized_sweep"
     code = cli_main(["sweep", "--config", str(sized), "--out", str(out), "--set", "n=5000,20000"])
     assert code == 0
@@ -1568,6 +1671,17 @@ def test_cli_sweep(tmp_path, capsys):
     assert [row.split(",")[2] for row in report[1:]] == ["5000", "20000"]
     code = cli_main(["run", "--config", str(sized), "--n", "5000", "--out", str(tmp_path / "run")])
     assert code == 0
+
+
+@pytest.mark.parametrize("values", ["7,bad", "7," + "7" * 5000], ids=["str", "long-integer"])
+def test_cli_sweep_checks_every_combination_before_it_runs(tmp_path, capsys, values):
+    # A value json cannot read is kept as its string, which the config rejects.
+    out = tmp_path / "sweep"
+    code = cli_main(["sweep", "--config", HONEST_SMALL, "--out", str(out), "--set", f"m={values}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: m must be " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_trial_with_explicit_frames():
