@@ -228,8 +228,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = data.keys() - ExperimentConfig.__dataclass_fields__.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = ExperimentConfig(**data)
