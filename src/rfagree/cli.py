@@ -28,6 +28,7 @@ import sys
 
 from .config import (
     CONSISTENCY_FACTOR,
+    FIELD_RULES,
     ConfigError,
     ExperimentConfig,
     success_exponent,
@@ -69,7 +70,7 @@ def _flag_changes(args) -> dict:
     return {
         name: value
         for name, value in vars(args).items()
-        if name in ExperimentConfig.__dataclass_fields__ and value is not None
+        if name in FIELD_RULES and value is not None
     }
 
 
@@ -156,12 +157,32 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _split_values(values: str) -> list:
+    """``values`` split at each comma outside brackets, braces and JSON strings."""
+    parts, depth, quoted, escaped = [""], 0, False, False
+    for ch in values:
+        if ch == "," and not depth and not quoted:
+            parts.append("")
+            continue
+        parts[-1] += ch
+        if escaped:
+            escaped = False
+        elif ch == '"':
+            quoted = not quoted
+        elif quoted:
+            escaped = ch == "\\"
+        elif ch in "[{]}":
+            depth += 1 if ch in "[{" else -1
+    return parts
+
+
 def _parse_set(expr: str):
+    """``key=v1,v2,...`` as ``(key, [v1, v2, ...])``, each value JSON or else its text."""
     key, _, values = expr.partition("=")
     if not values:
         raise ConfigError(f"--set expects key=v1,v2,..., got {expr!r}")
     parsed = []
-    for raw in values.split(","):
+    for raw in _split_values(values):
         try:
             parsed.append(json.loads(raw))
         except (ValueError, RecursionError):  # not JSON, or JSON too long or deep to read

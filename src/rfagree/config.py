@@ -1,4 +1,4 @@
-"""Experiment configuration: a versioned JSON document mapped to a dataclass.
+"""Experiment configuration: a versioned JSON document mapped to a plain class.
 
 Exactly one of ``n`` (explicit per-axis qubit count) or ``q_target``
 (auto-sizing) must be given.  ``q_target_scope`` says what the target
@@ -9,18 +9,16 @@ exponent m^2 * (t+1), i.e. every link of every phase must succeed.
 
 The module imports only the standard library, so validating and sizing a
 config loads no numpy.  It holds the estimator's Hoeffding-based
-calculators; :data:`FIELD_RULES`, each field's type and range; and
-:data:`STRATEGY_PARAMS`, each adversary strategy's keyword parameters with
-their checks, which ``validate`` and ``adversaries.make_adversary`` both
-apply.
+calculators; :data:`FIELD_RULES`, the one list of config fields, each with
+its default, type and range; and :data:`STRATEGY_PARAMS`, each adversary
+strategy's keyword parameters with their checks, which ``validate`` and
+``adversaries.make_adversary`` both apply.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 CONFIG_VERSION = 1
 
@@ -88,20 +86,24 @@ def _is_number(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-def _int_from(low: int):
-    """Rule: an integer (not a bool) of at least ``low``."""
-    return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+#: The default of a field that must be given: m, t and delta.
+REQUIRED = object()
 
 
-def _one_of(names):
-    """Rule: one of the strings ``names``."""
-    return (lambda v: isinstance(v, str) and v in names), f"one of {sorted(names)}"
+def _int_from(low: int, default=REQUIRED):
+    """Entry of :data:`FIELD_RULES`: an integer (not a bool) of at least ``low``."""
+    return default, (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+
+
+def _one_of(names, default):
+    """Entry of :data:`FIELD_RULES`: one of the strings ``names``."""
+    return default, (lambda v: isinstance(v, str) and v in names), f"one of {sorted(names)}"
 
 
 def _or_null(rule):
-    """Rule: null, or what ``rule`` accepts."""
-    check, what = rule
-    return (lambda v: v is None or check(v)), f"{what} or null"
+    """Entry of :data:`FIELD_RULES`: null, the default, or what entry ``rule`` accepts."""
+    _, check, what = rule
+    return None, (lambda v: v is None or check(v)), f"{what} or null"
 
 
 #: strategy name -> {keyword parameter: (check, what it must be)}; the
@@ -129,55 +131,64 @@ def check_strategy_params(name: str, params: dict) -> None:
             raise ConfigError(f"adversary {name!r}: {key} must be {what}, got {value!r}")
 
 
-#: field -> (check, what the field must be): each check tests the field's
-#: type and range together, so a JSON document of the wrong types fails as a
-#: ConfigError.  config_version comes first, so that a config of another
-#: version is reported as that.
+#: field -> (default, check, what the field must be): the one list of
+#: config fields.  A callable default is a factory, called once per config.
+#: Each check tests the field's type and range together, so a JSON document
+#: of the wrong types fails as a ConfigError.  config_version comes first,
+#: so that a config of another version is reported as that.
 FIELD_RULES = {
-    "config_version": (lambda v: _is_int(v) and v == CONFIG_VERSION, str(CONFIG_VERSION)),
+    "config_version": (
+        CONFIG_VERSION, lambda v: _is_int(v) and v == CONFIG_VERSION, str(CONFIG_VERSION)
+    ),
     "m": _int_from(2),
     "t": _int_from(0),
-    "delta": (lambda v: _is_number(v) and v > 0.0, "a finite number > 0"),
-    "epsilon": (lambda v: _is_number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    "delta": (REQUIRED, lambda v: _is_number(v) and v > 0.0, "a finite number > 0"),
+    "epsilon": (0.0, lambda v: _is_number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]"),
     "n": _or_null(_int_from(1)),
-    "q_target": _or_null((lambda v: _is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)")),
-    "q_target_scope": _one_of(_EXPONENTS),
-    "adversary": _one_of(STRATEGY_PARAMS),
-    "adversary_params": (lambda v: isinstance(v, dict), "an object"),
+    "q_target": _or_null((None, lambda v: _is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)")),
+    "q_target_scope": _one_of(_EXPONENTS, "per_link"),
+    "adversary": _one_of(STRATEGY_PARAMS, "honest-shadow"),
+    "adversary_params": (dict, lambda v: isinstance(v, dict), "an object"),
     "faulty_ids": _or_null((
+        None,
         lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)) and len(set(v)) == len(v),
         "a list of distinct integers",
     )),
-    "trials": _int_from(1),
-    "master_seed": (lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
-    "out_dir": _or_null((lambda v: isinstance(v, str), "a string")),
-    "write_transcript": (lambda v: isinstance(v, bool), "true or false"),
-    "jobs": _int_from(1),
+    "trials": _int_from(1, 1),
+    "master_seed": (0, lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
+    "out_dir": _or_null((None, lambda v: isinstance(v, str), "a string")),
+    "write_transcript": (False, lambda v: isinstance(v, bool), "true or false"),
+    "jobs": _int_from(1, 1),
 }
 
 
-@dataclass
 class ExperimentConfig:
-    m: int
-    t: int
-    delta: float
-    epsilon: float = 0.0
-    n: Optional[int] = None
-    q_target: Optional[float] = None
-    q_target_scope: str = "per_link"
-    adversary: str = "honest-shadow"
-    adversary_params: dict = field(default_factory=dict)
-    faulty_ids: Optional[tuple] = None
-    trials: int = 1
-    master_seed: int = 0
-    out_dir: Optional[str] = None
-    write_transcript: bool = False
-    jobs: int = 1
-    config_version: int = CONFIG_VERSION
+    """The fields of :data:`FIELD_RULES`, by keyword; :meth:`validate` checks their values."""
+
+    def __init__(self, /, **fields):
+        unknown = fields.keys() - FIELD_RULES.keys()
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, (default, _, _) in FIELD_RULES.items():
+            if name in fields:
+                value = fields[name]
+            elif default is REQUIRED:
+                raise ConfigError(f"missing config key: {name}")
+            else:
+                value = default() if callable(default) else default
+            setattr(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"ExperimentConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def validate(self) -> None:
         """Check each field alone (:data:`FIELD_RULES`), then the rules that join fields."""
-        for name, (check, what) in FIELD_RULES.items():
+        for name, (_, check, what) in FIELD_RULES.items():
             value = getattr(self, name)
             if not check(value):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
@@ -203,7 +214,7 @@ class ExperimentConfig:
             raise ConfigError(f"{len(ids)} faulty ids exceeds fault bound t={self.t}")
         check_strategy_params(self.adversary, self.adversary_params)
 
-    def per_link_target(self) -> Optional[float]:
+    def per_link_target(self) -> float | None:
         if self.q_target is None:
             return None
         return self.q_target ** (1.0 / success_exponent(self.q_target_scope, self.m, self.t))
@@ -221,16 +232,14 @@ class ExperimentConfig:
         return tuple(range(self.t))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {name: getattr(self, name) for name in FIELD_RULES}
+        d["adversary_params"] = dict(d["adversary_params"])
         if d["faulty_ids"] is not None:
             d["faulty_ids"] = list(d["faulty_ids"])
         return d
 
     @staticmethod
-    def from_dict(data: dict) -> "ExperimentConfig":
-        unknown = data.keys() - ExperimentConfig.__dataclass_fields__.keys()
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    def from_dict(data: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(**data)
         cfg.validate()
         if cfg.faulty_ids is not None:
@@ -238,7 +247,7 @@ class ExperimentConfig:
         return cfg
 
     @staticmethod
-    def load(path) -> "ExperimentConfig":
+    def load(path) -> ExperimentConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)

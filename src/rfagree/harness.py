@@ -60,9 +60,10 @@ from .netsim import QUANTUM_STEPS, rewindable_philox
 from .quantum_link import SENTINEL, ChannelParams, MeasurementTally, ted_receive
 from .rf_protocols import ProtocolParams, TrialResult, phase_steps, run_rf_consensus
 
-#: Encodes every exported JSONL line: the bytes of ``json.dumps(obj, sort_keys=True)``.
-#: Each record is a tree built afresh, with no cycles, so the encoder does
-#: not look for them.
+#: Encodes every exported JSONL line and summary.json: the bytes of
+#: ``json.dumps(obj, sort_keys=True)``.  Each record is a tree built afresh,
+#: with no cycles, so the encoder does not look for them.  With no
+#: ``indent`` it is the C encoder, which leaves no reference cycles behind.
 _ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
@@ -577,8 +578,7 @@ def run_experiment(config: ExperimentConfig):
 
     if config.out_dir:
         with open(os.path.join(config.out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_ENCODER.encode(summary) + "\n")
         emit_report([summary], os.path.join(config.out_dir, "report.csv"))
 
     return summary, None, metrics_list

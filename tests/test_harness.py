@@ -23,7 +23,7 @@ from rfagree.config import (
     ted_accuracy_bound,
     ted_success_bound,
 )
-from rfagree.cli import main as cli_main
+from rfagree.cli import _parse_set, main as cli_main
 from rfagree.geometry import distance, to_global
 from rfagree.harness import (
     LINK_FIELDS,
@@ -127,9 +127,23 @@ def test_config_rejects_just_past_each_range_edge(change):
 
 
 def test_every_config_field_has_one_rule():
-    # So no field reaches a run unchecked; the version is checked first.
-    assert sorted(FIELD_RULES) == sorted(f.name for f in fields(ExperimentConfig))
+    # FIELD_RULES is the one list of fields, so none reaches a run unchecked;
+    # the version comes first, so it is checked first.
+    assert list(small_config().to_dict()) == list(FIELD_RULES)
     assert next(iter(FIELD_RULES)) == "config_version"
+    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        cfg = ExperimentConfig.load(path)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("key", ["m", "t", "delta"])
+def test_config_requires_m_t_and_delta(key):
+    data = {"m": 4, "t": 1, "delta": 0.05, "n": 100}
+    del data[key]
+    with pytest.raises(ConfigError, match=f"missing config key: {key}$"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_config_rejects_n_beyond_int64():
@@ -161,8 +175,9 @@ def test_config_round_trip(tmp_path):
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"m": 4, "t": 1, "delta": 0.05, "n": 10, "bogus_key": 1})
+    for key in ("bogus_key", "self"):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_dict({"m": 4, "t": 1, "delta": 0.05, "n": 10, key: 1})
 
 
 def test_auto_sizing_minimality():
@@ -241,6 +256,20 @@ def test_run_experiment_summary_and_files(tmp_path):
     assert rec["metrics"]["consistency_ok"] is True
 
 
+def test_run_with_out_dir_leaves_no_reference_cycles(tmp_path):
+    # summary.json goes through the C encoder: the pure-Python one, which
+    # an indent selects, left 33 objects in cycles per run.
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(small_config(trials=1, out_dir=str(tmp_path / "out")))
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["trials"] == 1
+
+
 def test_failed_run_leaves_no_partial_export(tmp_path, monkeypatch):
     # Lines are written as trials finish; a run that raises removes them.
     run_trial = harness.run_trial
@@ -259,11 +288,11 @@ def test_failed_run_leaves_no_partial_export(tmp_path, monkeypatch):
     assert not (out / "transcript.jsonl").exists()
 
 
-def run_python(code: str) -> str:
-    """The stripped stdout of ``python -c code``, run on this checkout's package."""
+def run_python(code: str, *flags) -> str:
+    """The stripped stdout of ``python *flags -c code``, run on this checkout's package."""
     src = str(Path(harness.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
@@ -304,6 +333,18 @@ def test_config_validates_and_sizes_without_numpy():
         "print(sorted(m for m in sys.modules if m.startswith('rfagree')), 'numpy' in sys.modules)"
     )
     assert run_python(code) == "['rfagree', 'rfagree.config'] False"
+
+
+def test_config_import_loads_no_heavy_module():
+    # Set-up imports the config alone: no dataclasses and what it pulls in,
+    # no typing, no numpy.  Without site, so typing is not loaded before.
+    code = (
+        "import sys; before = set(sys.modules); import rfagree.config; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    loaded = set(run_python(code, "-S").split())
+    assert "rfagree.config" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "typing", "numpy"}
 
 
 def test_cli_calc_loads_no_numpy():
@@ -1490,6 +1531,20 @@ def test_cli_rejects_a_config_json_cannot_read(tmp_path, capsys, command, text):
 HONEST_SMALL = os.path.join(os.path.dirname(__file__), "..", "configs", "honest_small.json")
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_rejects_a_config_missing_a_required_key(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"t": 1, "delta": 0.1, "n": 100}))
+    argv = [command, "--config", str(path)]
+    if command == "verify":
+        argv += ["--records", str(tmp_path / "trials.jsonl")]
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: missing config key: m" in err
+    assert "Traceback" not in err
+
+
 def test_cli_run_rejects_n_beyond_int64(tmp_path, capsys):
     # Not an OverflowError from Generator.binomial in the first trial.
     argv = ["run", "--config", HONEST_SMALL, "--n", str(10**20), "--out", str(tmp_path / "out")]
@@ -1656,6 +1711,23 @@ def test_cli_sweep_checks_every_combination_before_it_runs(tmp_path, capsys, val
     assert code == 2
     assert "config error: m must be " in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_set_splits_values_only_at_top_level_commas():
+    assert _parse_set("faulty_ids=[0,1],[2]") == ("faulty_ids", [[0, 1], [2]])
+    assert _parse_set('adversary_params={"separation":0.5,"x":[1,2]},{}') == (
+        "adversary_params", [{"separation": 0.5, "x": [1, 2]}, {}]
+    )
+    assert _parse_set('out_dir="a,b","c\\",d",e') == ("out_dir", ["a,b", 'c",d', "e"])
+
+
+def test_cli_sweep_over_list_values(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(m=7, t=2, n=2000, trials=1).to_dict()))
+    out = tmp_path / "sweep"
+    code = cli_main(["sweep", "--config", str(path), "--out", str(out), "--set", "faulty_ids=[0,1],[2]"])
+    assert code == 0
+    assert len((out / "report.csv").read_text().splitlines()) == 3  # header + 2 combos
 
 
 def test_run_trial_with_explicit_frames():

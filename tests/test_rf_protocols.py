@@ -267,11 +267,12 @@ def _adversarial_round(m, t, delta, honest_inputs, rng):
 @pytest.mark.parametrize("seed", range(12))
 def test_weak_consistency_eight_delta(seed):
     # Any two correct nodes that keep their direction are within 8*delta,
-    # for arbitrary faulty estimate columns.
+    # for arbitrary faulty estimate columns.  The honest inputs share one
+    # cluster, so correct nodes keep theirs and the pairs are checked.
     m, t, delta = 7, 2, 0.05
     rng = np.random.default_rng(seed)
-    honest_ids = range(t, m)
-    honest_inputs = {i: random_direction(rng) for i in honest_ids}
+    anchor = random_direction(rng)
+    honest_inputs = {i: _perturbed_estimate(anchor, delta, rng) for i in range(t, m)}
     estimates = _adversarial_round(m, t, delta, honest_inputs, rng)
     kept = {
         i: u
@@ -282,6 +283,7 @@ def test_weak_consistency_eight_delta(seed):
         if u is not None
     }
     ids = sorted(kept)
+    assert len(ids) >= 2
     for x in range(len(ids)):
         for y in range(x + 1, len(ids)):
             assert distance(kept[ids[x]], kept[ids[y]]) <= 8.0 * delta + 1e-12
@@ -302,9 +304,12 @@ def test_weak_persistency_delta(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_graded_consistency_thirty_delta(seed):
+    # Once a correct node grades 1, the correct outputs are within
+    # 30*delta.  The honest inputs share one cluster, so some node grades 1.
     m, t, delta = 7, 2, 0.05
     rng = np.random.default_rng(200 + seed)
-    honest_inputs = {i: random_direction(rng) for i in range(t, m)}
+    anchor = random_direction(rng)
+    honest_inputs = {i: _perturbed_estimate(anchor, delta, rng) for i in range(t, m)}
     estimates = _adversarial_round(m, t, delta, honest_inputs, rng)
     weak_out = {
         i: weak_consensus(honest_inputs[i], estimates[i], m, t, delta)
@@ -322,13 +327,13 @@ def test_graded_consistency_thirty_delta(seed):
         results[i] = graded_consensus(
             honest_inputs[i], estimates[i], flags, own_flag, m, t, delta
         )
-    if any(g == 1 for _, g in results.values()):
-        ids = sorted(results)
-        for x in range(len(ids)):
-            for y in range(x + 1, len(ids)):
-                vx = results[ids[x]][0]
-                vy = results[ids[y]][0]
-                assert distance(vx, vy) <= 30.0 * delta + 1e-12
+    assert any(g == 1 for _, g in results.values())
+    ids = sorted(results)
+    for x in range(len(ids)):
+        for y in range(x + 1, len(ids)):
+            vx = results[ids[x]][0]
+            vy = results[ids[y]][0]
+            assert distance(vx, vy) <= 30.0 * delta + 1e-12
 
 
 @pytest.mark.parametrize("seed", range(12))
