@@ -14,8 +14,10 @@ Subcommands:
              transcript.jsonl if given), compare against the stored ones
              and check the files' structure; exit 1 on any mismatch, 2 on
              a configuration error or a file that cannot be read.
-* ``sweep``  cartesian parameter sweeps over a base config; one summary per
-             combination plus a combined report.csv.
+* ``sweep``  cartesian parameter sweeps over a base config; one run per
+             combination, in ``OUT/<key>=<cell>_...`` (two combinations of
+             one name are a configuration error), plus a combined
+             report.csv, one summary.json flattened per row.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .config import (
     FIELD_RULES,
     ConfigError,
     ExperimentConfig,
+    cell,
     success_exponent,
     ted_accuracy_bound,
     ted_success_bound,
@@ -194,25 +197,25 @@ def cmd_sweep(args) -> int:
     base = ExperimentConfig.load(args.config)
     axes = [_parse_set(expr) for expr in args.set]
     flags = _flag_changes(args)
-    # Every combination's config is built, and so validated, before the first one runs.
-    runs = []
+    # Every combination's name and config are built, and so checked, before the first one runs.
+    runs = {}
     for combo in itertools.product(*(values for _, values in axes)):
         pairs = [(key, value) for (key, _), value in zip(axes, combo)]
-        tag = "_".join(f"{key}{value}" for key, value in pairs) or "base"
+        tag = "_".join(f"{key}={cell(value)}" for key, value in pairs) or "base"
+        if tag in runs:
+            raise ConfigError(f"two sweep combinations share the run name {tag!r}")
         changes = {**dict(pairs), "out_dir": os.path.join(args.out, tag), **flags}
-        runs.append((tag, _with_changes(base, changes)))
+        runs[tag] = _with_changes(base, changes)
     os.makedirs(args.out, exist_ok=True)
-    summaries = []
-    failed = False
     from .harness import emit_report, run_experiment
 
-    for tag, config in runs:
+    summaries = []
+    for tag, config in runs.items():
         summary, _, _ = run_experiment(config)
         summaries.append(summary)
-        failed = failed or not summary["passed"]
         print(f"{tag}: violation_rate={summary['violation_rate']} passed={summary['passed']}")
     emit_report(summaries, os.path.join(args.out, "report.csv"))
-    return EXIT_FAILED if failed else EXIT_OK
+    return EXIT_OK if all(s["passed"] for s in summaries) else EXIT_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

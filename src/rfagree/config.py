@@ -10,9 +10,10 @@ exponent m^2 * (t+1), i.e. every link of every phase must succeed.
 The module imports only the standard library, so validating and sizing a
 config loads no numpy.  It holds the estimator's Hoeffding-based
 calculators; :data:`FIELD_RULES`, the one list of config fields, each with
-its default, type and range; and :data:`STRATEGY_PARAMS`, each adversary
+its default, type and range; :data:`STRATEGY_PARAMS`, each adversary
 strategy's keyword parameters with their checks, which ``validate`` and
-``adversaries.make_adversary`` both apply.
+``adversaries.make_adversary`` both apply; and :func:`cell`, a value as
+report.csv and a sweep's run names write it.
 """
 
 from __future__ import annotations
@@ -160,6 +161,15 @@ FIELD_RULES = {
     "write_transcript": (False, lambda v: isinstance(v, bool), "true or false"),
     "jobs": _int_from(1, 1),
 }
+
+
+#: The bytes of ``json.dumps(value, separators=(",", ":"))``, with the encoder built once.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def cell(value) -> str:
+    """``value`` as a report.csv cell or sweep run-name part: a string as is, else compact JSON."""
+    return value if isinstance(value, str) else _COMPACT.encode(value)
 
 
 class ExperimentConfig:

@@ -26,15 +26,16 @@ calls it again on the exported files:
   sentinel, counted in the same pass over the links.
 
 Files: trials.jsonl (one record per trial), summary.json (aggregates plus
-timing), report.csv (one row per summary), transcript.jsonl (optional, one
-record per round).  Byte-for-byte reproducible except timing fields,
-which appear only in summary.json / report.csv.  The run writes the JSONL
-lines as each trial finishes, and ``verify`` reads the two JSONL files in
-step, so neither holds every trial.
+timing), report.csv (each summary flattened to a row), transcript.jsonl
+(optional, one record per round).  Byte-for-byte reproducible except
+timing fields, which appear only in summary.json / report.csv.  The run
+writes the JSONL lines as each trial finishes, and ``verify`` reads the
+two JSONL files in step, so neither holds every trial.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -51,6 +52,7 @@ from .adversaries import make_adversary
 from .config import (
     CONSISTENCY_FACTOR,
     ExperimentConfig,
+    cell,
     success_exponent,
     ted_accuracy_bound,
     ted_success_bound,
@@ -65,13 +67,6 @@ from .rf_protocols import ProtocolParams, TrialResult, phase_steps, run_rf_conse
 #: with no cycles, so the encoder does not look for them.  With no
 #: ``indent`` it is the C encoder, which leaves no reference cycles behind.
 _ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
-
-
-def _jsonl_lines(records):
-    """Each of ``records`` as one JSONL line, newline included."""
-    encode = _ENCODER.encode
-    for rec in records:
-        yield encode(rec) + "\n"
 
 
 @dataclass
@@ -453,7 +448,7 @@ def _worker(args):
         return metrics, None, None, seconds
     # transcript_records by its module name: tracing replaces it there.
     transcript = (
-        "".join(_jsonl_lines(transcript_records(trial, result.transcript)))
+        "".join(_ENCODER.encode(r) + "\n" for r in transcript_records(trial, result.transcript))
         if config.write_transcript
         else None
     )
@@ -584,47 +579,22 @@ def run_experiment(config: ExperimentConfig):
     return summary, None, metrics_list
 
 
-REPORT_COLUMNS = (
-    "m",
-    "t",
-    "n",
-    "epsilon",
-    "adversary",
-    "trials",
-    "violation_rate",
-    "bound",
-    "mean_eta",
-    "max_eta",
-    "p50_runtime",
-    "p99_runtime",
-)
-
-
 def emit_report(summaries, path) -> None:
-    """One CSV row per summary; header-only file for an empty list."""
-    import csv
-
+    """One CSV row per summary, flattened: an object's keys become ``<key>.<sub>`` columns."""
+    rows = []
+    for summary in summaries:
+        row = {}
+        for key, value in summary.items():
+            if isinstance(value, dict):
+                row.update((f"{key}.{sub}", cell(v)) for sub, v in value.items())
+            else:
+                row[key] = cell(value)
+        rows.append(row)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for s in summaries:
-            cfg = s["config"]
-            writer.writerow(
-                [
-                    cfg["m"],
-                    cfg["t"],
-                    s["n"],
-                    cfg["epsilon"],
-                    cfg["adversary"],
-                    s["trials"],
-                    s["violation_rate"],
-                    s["per_run_success_bound"],
-                    s["mean_eta"],
-                    s["max_eta"],
-                    s["p50_trial_seconds"],
-                    s["p99_trial_seconds"],
-                ]
-            )
+        writer = csv.DictWriter(fh, list(dict.fromkeys(k for row in rows for k in row)))
+        if rows:
+            writer.writeheader()
+        writer.writerows(rows)
 
 
 def _sent_state(segments):

@@ -5,8 +5,9 @@ delivery, the per-link and adversary streams built from scratch, an all-honest
 phase-king run over inbox lists, the array forms of the channel and the
 outcome probability, the per-cell measurement loop, the chord distance
 written out in full, the estimation oracle one link at a time, a round's
-slots as a dict, weak and graded consensus by their full counts, and
-validating direction and frame constructors.
+slots as a dict, weak and graded consensus by their full counts,
+validating direction and frame constructors, and a summary flattened to its
+report.csv row.
 """
 
 import itertools
@@ -518,3 +519,19 @@ def reference_graded_consensus(w, estimates, flags, own_flag, m, t, delta):
             best_j = j
     v = np.array(w if own_flag == 1 else estimates[best_j], dtype=np.float64)
     return v, 1 if best_size >= m - t else 0
+
+
+def flat_summary(summary: dict) -> dict:
+    """``summary`` as its report.csv row of values: an object's keys become ``<key>.<subkey>``."""
+    flat = {}
+    for key, value in summary.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}.{sub}", v) for sub, v in value.items())
+        else:
+            flat[key] = value
+    return flat
+
+
+def read_report_row(row: dict, expected: dict) -> dict:
+    """A csv.DictReader row of report.csv, each cell parsed as JSON unless ``expected``'s is a str."""
+    return {k: v if isinstance(expected.get(k), str) else json.loads(v) for k, v in row.items()}

@@ -1,9 +1,11 @@
+import csv
 import gc
 import inspect
 import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -45,7 +47,7 @@ from rfagree.netsim import QUANTUM_STEPS, substream
 from rfagree.quantum_link import ChannelParams, MeasurementTally, QuantumMessage, ted_receive
 from rfagree.rf_protocols import ProtocolParams
 
-from helpers import random_frame, reference_link_metrics
+from helpers import flat_summary, random_frame, read_report_row, reference_link_metrics
 
 
 def small_config(**overrides):
@@ -136,6 +138,18 @@ def test_every_config_field_has_one_rule():
     for path in paths:
         cfg = ExperimentConfig.load(path)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_readme_config_table_names_every_field():
+    # README's "Configuration file" table, with the version line above it,
+    # names each field of FIELD_RULES once.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration file\n")[1]
+    head, table = section.split("\n| field | meaning |\n|---|---|\n")
+    named = re.findall(r"`(\w+): ", head)
+    for row in table.split("\n\n")[0].splitlines():
+        named += re.findall(r"`(\w+)`", row.split("|")[1])
+    assert sorted(named) == sorted(FIELD_RULES)
 
 
 @pytest.mark.parametrize("key", ["m", "t", "delta"])
@@ -1294,6 +1308,11 @@ def test_allowed_violation_rate_formula():
     assert got == pytest.approx(0.106 + 3 * sigma)
 
 
+def read_report(path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_emit_report_rows_and_empty(tmp_path):
     cfg = small_config()
     summary, _, _ = run_experiment(cfg)
@@ -1301,9 +1320,26 @@ def test_emit_report_rows_and_empty(tmp_path):
     emit_report([summary], path)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
-    assert lines[0].startswith("m,t,n,epsilon,adversary")
+    assert lines[0].startswith("config.config_version,config.m,config.t,config.delta,")
+    assert lines[0].endswith(",passed,runtime_seconds,p50_trial_seconds,p99_trial_seconds")
     emit_report([], path)
-    assert len(path.read_text().splitlines()) == 1
+    assert path.read_text() == ""
+
+
+def test_report_row_round_trips_to_its_summary(tmp_path):
+    # A report.csv row is its summary.json flattened: config's keys become
+    # config.<field> columns, and every other cell is its value's JSON.
+    out = tmp_path / "out"
+    summary, _, _ = run_experiment(small_config(out_dir=str(out)))
+    rows = read_report(out / "report.csv")
+    assert len(rows) == 1
+    assert list(rows[0]) == [f"config.{k}" for k in FIELD_RULES] + [
+        k for k in summary if k != "config"
+    ]
+    stored = flat_summary(json.loads((out / "summary.json").read_text()))
+    assert read_report_row(rows[0], stored) == stored
+    assert rows[0]["config.faulty_ids"] == "[]" and rows[0]["config.out_dir"] == str(out)
+    assert rows[0]["config.adversary_params"] == "{}" and rows[0]["passed"] == "true"
 
 
 def test_trial_frames_deterministic():
@@ -1529,6 +1565,7 @@ def test_cli_rejects_a_config_json_cannot_read(tmp_path, capsys, command, text):
 
 
 HONEST_SMALL = os.path.join(os.path.dirname(__file__), "..", "configs", "honest_small.json")
+NOISY_CHANNEL = os.path.join(os.path.dirname(__file__), "..", "configs", "noisy_channel.json")
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -1695,9 +1732,11 @@ def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "sized_sweep"
     code = cli_main(["sweep", "--config", str(sized), "--out", str(out), "--set", "n=5000,20000"])
     assert code == 0
-    report = (out / "report.csv").read_text().splitlines()
-    assert len(report) == 3
-    assert [row.split(",")[2] for row in report[1:]] == ["5000", "20000"]
+    rows = read_report(out / "report.csv")
+    assert [row["n"] for row in rows] == ["5000", "20000"]
+    assert [row["config.n"] for row in rows] == ["5000", "20000"]
+    assert [row["config.q_target"] for row in rows] == ["null", "null"]
+    assert [row["config.out_dir"] for row in rows] == [str(out / "n=5000"), str(out / "n=20000")]
     code = cli_main(["run", "--config", str(sized), "--n", "5000", "--out", str(tmp_path / "run")])
     assert code == 0
 
@@ -1727,7 +1766,26 @@ def test_cli_sweep_over_list_values(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = cli_main(["sweep", "--config", str(path), "--out", str(out), "--set", "faulty_ids=[0,1],[2]"])
     assert code == 0
-    assert len((out / "report.csv").read_text().splitlines()) == 3  # header + 2 combos
+    rows = read_report(out / "report.csv")
+    assert [row["config.faulty_ids"] for row in rows] == ["[0,1]", "[2]"]
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["faulty_ids=[0,1]", "faulty_ids=[2]"]
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["epsilon=0.1,1e-1", "n=5000,5000", 'adversary="crash",crash'],
+    ids=["float-spellings", "repeated", "json-string"],
+)
+def test_cli_sweep_refuses_combinations_with_one_name(tmp_path, capsys, expr):
+    # Two combinations written alike would run into one directory, the
+    # second's files replacing the first's; the sweep runs neither.
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", NOISY_CHANNEL, "--out", str(out), "--trials", "1", "--set", expr]
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: two sweep combinations share the run name" in err
+    assert not out.exists()
 
 
 def test_run_trial_with_explicit_frames():

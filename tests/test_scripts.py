@@ -1,10 +1,13 @@
 """Smoke tests: the scripts in scripts/ run end to end and write reports."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import flat_summary, read_report_row
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,6 +39,14 @@ def test_adversary_sweep_script(tmp_path):
     assert len(rows) == 8  # one row per battery entry
     assert all(row["trials"] == "1" for row in rows)
     assert "report written to" in proc.stdout
+    # Each row names its run: the entries differ in strategy or parameters,
+    # and each row's config is the one its out_dir's summary.json holds.
+    assert len({(row["config.adversary"], row["config.adversary_params"]) for row in rows}) == 8
+    for row in rows:
+        summary = json.loads((Path(row["config.out_dir"]) / "summary.json").read_text())
+        config = flat_summary({"config": summary["config"]})
+        assert read_report_row({k: row[k] for k in config}, config) == config
+        assert sorted(k for k in row if k.startswith("config.")) == sorted(config)
 
 
 def test_paper_example_script(tmp_path):
