@@ -5,7 +5,7 @@ Subcommands:
 * ``run``    execute an experiment from a JSON config, write trials.jsonl,
              summary.json, report.csv (and transcript.jsonl with
              ``--transcript``); exit 0 on pass, 1 on threshold failure,
-             2 on a configuration error.
+             2 on a configuration error or an output directory it cannot create.
 * ``calc``   sizing and bound tables: given a network size, an overall
              success target, and an accuracy target (the 30-delta consensus
              diameter), print the per-link parameters and the minimal
@@ -16,7 +16,7 @@ Subcommands:
              a configuration error or a file that cannot be read.
 * ``sweep``  cartesian parameter sweeps over a base config; one run per
              combination, in ``OUT/<key>=<cell>_...`` (two combinations of
-             one name are a configuration error), plus a combined
+             one name, or a field set twice, are a configuration error), plus a combined
              report.csv, one summary.json flattened per row.
 """
 
@@ -197,6 +197,11 @@ def cmd_sweep(args) -> int:
     base = ExperimentConfig.load(args.config)
     axes = [_parse_set(expr) for expr in args.set]
     flags = _flag_changes(args)
+    # A field takes one setting, which nothing replaces; --out sets each run's out_dir.
+    named = [key for key, _ in axes] + [*flags, "out_dir"]
+    for key in named:
+        if named.count(key) > 1:
+            raise ConfigError(f"{key} is set more than once by --set, --out or a flag")
     # Every combination's name and config are built, and so checked, before the first one runs.
     runs = {}
     for combo in itertools.product(*(values for _, values in axes)):
@@ -206,7 +211,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"two sweep combinations share the run name {tag!r}")
         changes = {**dict(pairs), "out_dir": os.path.join(args.out, tag), **flags}
         runs[tag] = _with_changes(base, changes)
-    os.makedirs(args.out, exist_ok=True)
+    # Each run makes its directory, OUT included, or refuses one it cannot.
     from .harness import emit_report, run_experiment
 
     summaries = []

@@ -51,6 +51,7 @@ import numpy as np
 from .adversaries import make_adversary
 from .config import (
     CONSISTENCY_FACTOR,
+    ConfigError,
     ExperimentConfig,
     cell,
     success_exponent,
@@ -505,7 +506,10 @@ def run_experiment(config: ExperimentConfig):
     trial_times = []
     paths = []
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {config.out_dir}: {exc.strerror}")
         names = ["trials.jsonl"] + (["transcript.jsonl"] if config.write_transcript else [])
         paths = [os.path.join(config.out_dir, name) for name in names]
 

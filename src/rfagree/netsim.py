@@ -30,11 +30,9 @@ The engine writes each resolved round down once, as a :class:`Round` of its
 step, deliveries and wire payloads; the adversary's view of the previous
 round is the last of them, and the estimation oracle and the transcript
 export read them all.  Both kinds of round are kept per sender
-(:class:`PerSender`): a broadcaster's payload once, checked once, whether
-the sender is correct or faulty, and per slot only what faulty senders
-that equivocate sent, and a quantum round's tallies, one per link.  They
-are read per sender (phase king's symbol counts, the estimation oracle and
-the transcript export) or per receiver (each node's inbox).
+(:class:`PerSender`) and read per sender (phase king's symbol counts, the
+estimation oracle and the transcript export) or per receiver (each node's
+inbox).
 
 Randomness is derived per (trial, round, sender, receiver) from counter-based
 Philox streams, so replays are stable: adding adversary draws or reordering
@@ -81,14 +79,13 @@ class RoundStep(NamedTuple):
 class PerSender:
     """A round's wire payloads or deliveries, held per sender; read per sender or per receiver.
 
-    ``broadcast`` maps each sender whose one entry all its receivers got to
-    that entry, None where nothing was delivered: in a round's payloads,
-    every correct sender, and every faulty sender that the adversary gave
-    no slot key (see :meth:`RoundEngine.run_round`).  ``per_slot`` maps
-    each other sender to the list of its slots' entries, in
-    ``slots[sender]`` order (every other node, ascending); an entry is None
-    where the slot was absent or malformed.  A quantum round's deliveries
-    are tallies, one per link, so every sender is in their ``per_slot``.
+    ``broadcast`` maps each sender whose slots all carry one entry to that
+    entry; ``per_slot`` maps each other sender to its slots' entries, in
+    ``slots[sender]`` order (every other node, ascending).  An entry is None
+    where nothing was delivered.  A round's payloads are its wire (see
+    :meth:`RoundEngine.run_round`): every correct sender and each faulty one
+    given no slot key broadcasts.  A quantum round's deliveries are
+    tallies, one per link, so every sender is in their ``per_slot``.
     Phase king (``rf_protocols.absorb_round``), the adversaries, the
     estimation oracle (``harness.quantum_links``) and the transcript export
     (``harness.transcript_records``) read these two dicts; a receiver reads
@@ -140,9 +137,8 @@ class Round(NamedTuple):
     (tallies, or the symbols), both per sender as a :class:`PerSender`; an
     entry is None exactly where its slot was absent or malformed.  A
     classical round keeps one object as both, since a delivered symbol is
-    its own wire payload.  A quantum round's payloads hold a broadcaster's
-    message once, and per slot only what equivocating faulty senders sent;
-    its deliveries hold every link's tally.
+    its own wire payload.  A quantum round's deliveries hold every link's
+    tally.
     """
 
     step: RoundStep
@@ -258,9 +254,10 @@ class RoundEngine:
 
     def __post_init__(self):
         self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
-        # Per receiver: its axes for measure_batch; per sender: its slots.
+        # Per receiver: its axes for measure_batch; per sender: its slots and their places.
         self._axes = [frame_axes(frame) for frame in self.frames]
         self._slots = [tuple((s, r) for r in range(self.m) if r != s) for s in range(self.m)]
+        self._slot_index = {slot: i for row in self._slots for i, slot in enumerate(row)}
         bits, gen, state = rewindable_philox(self.master_seed, self.trial)
         # The counter list inside ``state``, rewritten in place per link.
         self._link_philox = (bits, gen, state, state["state"]["counter"])
@@ -289,31 +286,30 @@ class RoundEngine:
         ``bool``), whose one payload goes on every slot of that sender, or a
         ``(sender, receiver)`` slot, whose payload goes on that slot alone
         and overrides the sender's broadcast there; slots given neither are
-        absent.  So only the adversary can equivocate.  Deliveries are
-        MeasurementTally for quantum payloads, int for bits, and None for
-        absent or malformed messages.  A classical symbol must be a Python
-        ``int`` (not ``bool``); anything else, numpy integers included, is
-        delivered as absent.  The resolved round is appended to
-        ``transcript`` as one :class:`Round`, whose ``deliveries`` this
+        absent.  So only the adversary can equivocate.  A key naming a
+        correct node raises :class:`AuthenticationError`; a faulty node's
+        key that names no sender or slot of ``step`` is ignored.
+        Deliveries are MeasurementTally for quantum payloads, int for bits,
+        and None for absent or malformed messages.  A classical symbol must
+        be a Python ``int`` (not ``bool``); anything else, numpy integers
+        included, is delivered as absent.  The resolved round is appended
+        to ``transcript`` as one :class:`Round`, whose ``deliveries`` this
         returns, for either kind of round.
 
-        Work that depends on the payload alone runs once per sender and
-        payload, whether the sender is correct or faulty: a broadcaster's
-        symbol is checked and stored once, and its quantum message taken
-        through ``link_cells`` once.  Each link then gets only its stream
-        rewind, written where the link is measured (its counter set in the
-        engine's one Philox state in place, see :func:`rewindable_philox`),
-        and ``measure_batch``; a one-segment message takes the fast paths of
-        both, anything else their loops.  Only the
-        senders given slot keys are resolved slot by slot.  The faulty
-        senders' slots that ``emit`` is offered are built once per
+        Each sender's wire is built once: a broadcaster's one payload, or a
+        payload per slot of a faulty sender given slot keys.  A classical
+        round checks its symbols in one pass.  A quantum round takes each
+        distinct message of a sender through :func:`prepare_message` once;
+        each link that carries a well-formed one then gets only its stream
+        rewind (see :func:`rewindable_philox`) and ``measure_batch``.  The
+        faulty senders' slots that ``emit`` is offered are built once per
         ``(step.senders, faulty_set)`` and kept, so ``faulty_set`` must be
         hashable (a frozenset); the keys ``emit`` returns are checked
         against the round's own ``faulty_set`` every round.
         """
-        broadcast = {}  # faulty sender -> the payload on all of its slots
-        per_slot = {}  # slot -> payload
-        equivocators = set()  # the faulty senders given slot keys
+        slots = self._slots
+        wire = {s: None if s in faulty_set else honest_payloads[s] for s in step.senders}
+        rows = {}  # faulty sender given slot keys -> its payload per slot
         if faulty_set:
 
             def faulty_node_rng(node):
@@ -336,25 +332,30 @@ class RoundEngine:
             if faulty_slots is None:
                 faulty_slots = self._faulty_slots[cache_key] = tuple(
                     itertools.chain.from_iterable(
-                        self._slots[s] for s in step.senders if s in faulty_set
+                        slots[s] for s in step.senders if s in faulty_set
                     )
                 )
-            for key, payload in adversary.emit(view, faulty_slots).items():
-                if isinstance(key, int) and not isinstance(key, bool):
-                    sender = key
-                    broadcast[sender] = payload
-                else:
-                    sender = key[0]
-                    per_slot[key] = payload
-                    equivocators.add(sender)
+            emitted = adversary.emit(view, faulty_slots)
+            slot_index = self._slot_index
+            # A node that sends nothing in the step is in neither dict: its keys are ignored.
+            for key, payload in emitted.items():
+                slot_key = not isinstance(key, int) or isinstance(key, bool)
+                sender = key[0] if slot_key else key
                 if sender not in faulty_set:
                     raise AuthenticationError(
                         f"adversary emitted {key!r} for correct sender {sender}"
                     )
+                if not slot_key:
+                    if sender in wire:
+                        wire[sender] = payload
+                    continue
+                if sender in wire:  # its first slot key; the others carry its broadcast
+                    rows[sender] = [emitted.get(sender)] * len(slots[sender])
+                    del wire[sender]
+                index = slot_index.get(key)
+                if index is not None and sender in rows:
+                    rows[sender][index] = payload
 
-        slots = self._slots
-        sent = {}  # broadcaster -> its one payload, None where nothing was delivered
-        slot_sent = {}  # sender given slot keys -> its payload per slot
         if step.kind in QUANTUM_STEPS:
             # Looked up here, not at import: tracing replaces the module's name.
             measure = measure_batch
@@ -366,57 +367,39 @@ class RoundEngine:
             tag = 1 + self.round_index
             tallies = {}  # sender -> its tally per slot
             for sender in step.senders:
-                if sender in equivocators:
-                    default = broadcast.get(sender)
-                    # id(payload) -> its link cells, or None: each message
-                    # is prepared once per sender, however many slots carry
-                    # it.  Nothing is kept on the message: its state arrays
-                    # may change between rounds.
-                    prepared = {}
-                    tallies[sender] = slot_tallies = []
-                    slot_sent[sender] = slot_payloads = []
-                    for slot in slots[sender]:
-                        payload = per_slot.get(slot, default)
-                        key = id(payload)
-                        if key not in prepared:
-                            prepared[key] = prepare_message(payload, frames[sender], channel)
-                        cells, r = prepared[key], slot[1]
-                        delivery = None
-                        if cells is not None:
-                            counter[1:] = tag, sender, r
-                            bits.state = state
-                            delivery = measure(cells, axes[r], channel, gen)
-                        slot_tallies.append(delivery)
-                        slot_payloads.append(None if delivery is None else payload)
-                    continue
-                payload = broadcast.get(sender) if sender in faulty_set else honest_payloads[sender]
-                cells = prepare_message(payload, frames[sender], channel)
-                sent[sender] = None if cells is None else payload
-                if cells is None:
-                    tallies[sender] = [None] * (self.m - 1)
-                    continue
-                tallies[sender] = row = []
-                for _, r in slots[sender]:
-                    counter[1:] = tag, sender, r
-                    bits.state = state
-                    row.append(measure(cells, axes[r], channel, gen))
-            payloads = PerSender(step.senders, slots, sent, slot_sent)
+                row = rows[sender] if sender in rows else [wire[sender]] * len(slots[sender])
+                # id(payload) -> its link cells, or None: each message is prepared
+                # once per sender, however many slots carry it.  Nothing is kept on
+                # the message: its state arrays may change between rounds.
+                prepared = {}
+                tallies[sender] = slot_tallies = []
+                for payload, (_, r) in zip(row, slots[sender]):
+                    key = id(payload)
+                    if key not in prepared:
+                        prepared[key] = prepare_message(payload, frames[sender], channel)
+                    cells = prepared[key]
+                    delivery = None
+                    if cells is not None:
+                        counter[1:] = tag, sender, r
+                        bits.state = state
+                        delivery = measure(cells, axes[r], channel, gen)
+                    slot_tallies.append(delivery)
+                # The wire as delivered: None where a slot's message was malformed.
+                if sender in rows:
+                    rows[sender] = [None if t is None else p for p, t in zip(row, slot_tallies)]
+                elif slot_tallies[0] is None:
+                    wire[sender] = None
+            payloads = PerSender(step.senders, slots, wire, rows)
             deliveries = PerSender(step.senders, slots, {}, tallies)
         else:
-            for sender in step.senders:
-                if sender in equivocators:
-                    default = broadcast.get(sender)
-                    slot_sent[sender] = [
-                        _symbol(per_slot.get(slot, default)) for slot in slots[sender]
-                    ]
-                elif sender in faulty_set:
-                    sent[sender] = _symbol(broadcast.get(sender))
-                else:
-                    sent[sender] = _symbol(honest_payloads[sender])
             # A delivered symbol is its own wire payload.  Not copied:
             # correct nodes absorb these deliveries before the next round
             # shows them to the adversary.
-            deliveries = payloads = PerSender(step.senders, slots, sent, slot_sent)
+            for s, p in wire.items():
+                wire[s] = _symbol(p)
+            for s, row in rows.items():
+                rows[s] = [_symbol(p) for p in row]
+            deliveries = payloads = PerSender(step.senders, slots, wire, rows)
         self.round_index += 1
         self.transcript.append(Round(step, deliveries, payloads))
         return deliveries

@@ -1788,6 +1788,49 @@ def test_cli_sweep_refuses_combinations_with_one_name(tmp_path, capsys, expr):
     assert not out.exists()
 
 
+#: Sweeps in which a later setting would silently replace a --set axis.
+SWEEP_FIELD_SET_TWICE = {
+    "set-and-seed": ("master_seed", ["--set", "master_seed=1,2", "--seed", "9", "--trials", "1"]),
+    "set-and-trials": ("trials", ["--set", "trials=1,2", "--trials", "1"]),
+    "set-and-jobs": ("jobs", ["--set", "jobs=1,2", "--jobs", "1", "--trials", "1"]),
+    "set-twice": ("n", ["--set", "n=1000,2000", "--set", "n=3000", "--trials", "1"]),
+    "set-out-dir": ("out_dir", ["--set", "out_dir=elsewhere", "--trials", "1"]),
+}
+
+
+@pytest.mark.parametrize(
+    "key, args", SWEEP_FIELD_SET_TWICE.values(), ids=SWEEP_FIELD_SET_TWICE.keys()
+)
+def test_cli_sweep_refuses_a_field_set_twice(tmp_path, capsys, monkeypatch, key, args):
+    # --out sets every run's out_dir, so out_dir in --set is set twice too.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "sweep"
+    code = cli_main(["sweep", "--config", HONEST_SMALL, "--out", str(out), *args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: {key} is set more than once by --set, --out or a flag\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, run_dir, reason",
+    [("run", "", "File exists"), ("sweep", "base", "Not a directory")],
+    ids=["run", "sweep"],
+)
+def test_cli_refuses_an_output_path_it_cannot_create(tmp_path, capsys, command, run_dir, reason):
+    # An existing file where the output directory goes: exit 2 and one line
+    # naming the path and the reason, not a traceback (exit 1 is a failed run).
+    # A sweep names the directory of its first run, inside OUT.
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = cli_main([command, "--config", HONEST_SMALL, "--out", str(out), "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    path = os.path.join(out, run_dir) if run_dir else out
+    assert err == f"config error: cannot create output directory {path}: {reason}\n"
+    assert out.read_text() == "" and list(tmp_path.iterdir()) == [out]
+
+
 def test_run_trial_with_explicit_frames():
     cfg = small_config(trials=1)
     frames = trial_frames(cfg.master_seed, 0, cfg.m)

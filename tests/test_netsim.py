@@ -177,6 +177,35 @@ def test_faulty_slots_follow_each_rounds_faulty_set():
             run(faulty, forged)
 
 
+@pytest.mark.parametrize("slot_key", [False, True], ids=["broadcast-key", "slot-key"])
+@pytest.mark.parametrize("quantum", [False, True], ids=["classical", "quantum"])
+def test_faulty_node_that_does_not_send_puts_nothing_on_the_round(quantum, slot_key):
+    # Node 0 is the king and the round's only sender; faulty node 3's keys
+    # name no sender or slot of it, so they are ignored, not forged.
+    m, n = 4, 1000
+    engine, _ = make_engine(m=m, n=n)
+    if quantum:
+        step = RoundStep(KING_BROADCAST, 0, 0, None, (0,))
+        honest = {0: QuantumMessage.uniform(UP, n)}
+        payload = QuantumMessage.uniform(UP, n)
+    else:
+        step = RoundStep(CLASSICAL_ROUND, 0, 0, 2, (0,))
+        honest, payload = {0: 0}, 1
+    key = (3, 1) if slot_key else 3
+    deliveries = engine.run_round(step, honest, frozenset({3}), Emitting({key: payload}))
+    rnd = engine.transcript[-1]
+    for entries in (rnd.payloads, rnd.deliveries):
+        assert entries.senders == (0,)
+        assert [s for s, _ in slot_view(entries)] == [0] * (m - 1)
+        assert set(entries.broadcast) | set(entries.per_slot) == {0}
+    assert rnd.payloads.broadcast == {0: honest[0]} and rnd.payloads.per_slot == {}
+    if quantum:
+        assert None not in deliveries.per_slot[0]
+    else:
+        assert deliveries.broadcast == {0: 0} and deliveries.per_slot == {}
+        assert all(deliveries.inbox(r) == {0: 0} for r in range(1, m))
+
+
 @pytest.mark.parametrize("quantum", [False, True], ids=["classical", "quantum"])
 def test_broadcast_for_correct_sender_raises(quantum):
     engine, _ = make_engine(m=4)
