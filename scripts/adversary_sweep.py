@@ -62,7 +62,8 @@ def main():
             f"{tag:24s} violations {summary['violations']}/{args.trials} "
             f"max_eta {summary['max_eta']}"
         )
-    emit_report(summaries, os.path.join(args.out, "report.csv"))
+    with open(os.path.join(args.out, "report.csv"), "w", newline="") as fh:
+        emit_report(summaries, fh)
     print(f"report written to {os.path.join(args.out, 'report.csv')}")
 
 

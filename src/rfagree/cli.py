@@ -219,7 +219,8 @@ def cmd_sweep(args) -> int:
         summary, _, _ = run_experiment(config)
         summaries.append(summary)
         print(f"{tag}: violation_rate={summary['violation_rate']} passed={summary['passed']}")
-    emit_report(summaries, os.path.join(args.out, "report.csv"))
+    with open(os.path.join(args.out, "report.csv"), "w", newline="") as fh:
+        emit_report(summaries, fh)
     return EXIT_OK if all(s["passed"] for s in summaries) else EXIT_FAILED
 
 

@@ -36,6 +36,7 @@ two JSONL files in step, so neither holds every trial.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -374,63 +375,65 @@ def trial_record(config: ExperimentConfig, trial: int, result: TrialResult) -> d
     return record
 
 
-def _segments(msg) -> list:
-    return [[[float(c) for c in state], int(count)] for state, count in msg.segments]
+@functools.cache
+def _step_text(step) -> tuple:
+    """A transcript line of ``step`` as text, split where ``round``, ``trial`` and the wire go."""
+    quantum = ("payloads", "slot_payloads", "tallies")
+    fields = quantum if step.kind in QUANTUM_STEPS else ("symbols", "slot_symbols")
+    record = {"phase": step.phase, "step": step.kind, "cc_round": step.cc_round}
+    record.update(dict.fromkeys(("round", "trial", *fields), "\0"), senders=list(step.senders))
+    return tuple(_ENCODER.encode(record).split(_ENCODER.encode("\0")))
 
 
-def _per_sender(entries, encode=None) -> tuple:
-    """(shared, per_slot) of a round's :class:`~rfagree.netsim.PerSender` ``entries``.
+def transcript_records(trial: int, transcript) -> str:
+    """The trial's transcript.jsonl text, one line per round in order; README "Output files".
 
-    ``shared`` has one entry per sender, in ``entries.senders`` order: what
-    every one of its slots carried, or None when its slots differ;
-    ``per_slot`` maps ``str(sender)`` to its list for each sender whose
-    slots differ.  Slots are compared by value, after ``encode`` maps each
-    entry but None to its JSON form.
+    Each line is assembled from text: its step's fields, built once per
+    step (:func:`_step_text`), the tallies in one encode, the symbols in
+    one and each distinct payload object of the round in one.  Its bytes
+    are those of ``json.dumps(record, sort_keys=True)`` of the round's
+    record dict (built in ``tests/helpers.py``).  What a sender sent is
+    written once when its slots all carry one value, as a correct sender's
+    always do, and otherwise per slot under ``"<sender>"``, in the engine's
+    slot order: a quantum round its payloads, a classical round its symbols.
     """
-    shared, per_slot = [], {}
-    broadcast, lists = entries.broadcast, entries.per_slot
-    for sender in entries.senders:
-        wire = [broadcast[sender]] if sender in broadcast else lists[sender]
-        if encode is not None:
-            wire = [None if entry is None else encode(entry) for entry in wire]
-        if wire.count(wire[0]) == len(wire):
-            shared.append(wire[0])
-        else:
-            shared.append(None)
-            per_slot[str(sender)] = wire
-    return shared, per_slot
-
-
-def transcript_records(trial: int, transcript) -> list:
-    """One record per round, rounds in order; README "Output files" has the schema.
-
-    Per-slot lists follow the engine's slot order (each of ``senders`` to
-    every other node, receivers ascending), so they carry no slot keys.
-    Both kinds of round are read per sender from their
-    :class:`~rfagree.netsim.PerSender` payloads, and write what a sender
-    sent once when all of its slots carry the same thing, as a correct
-    sender's always do, and per slot otherwise (:func:`_per_sender`): a
-    quantum round its payloads, a classical round its symbols.  Only a
-    quantum round's tallies are per slot.
-    """
-    records = []
+    encode = _ENCODER.encode
+    trial = encode(trial)
+    lines = []
     for index, rnd in enumerate(transcript):
-        step = rnd.step
-        rec = {
-            "trial": trial,
-            "round": index,
-            "phase": step.phase,
-            "step": step.kind,
-            "cc_round": step.cc_round,
-            "senders": list(step.senders),
-        }
-        if step.kind in QUANTUM_STEPS:
-            rec["payloads"], rec["slot_payloads"] = _per_sender(rnd.payloads, _segments)
-            rec["tallies"] = rnd.deliveries.values()  # a tally encodes as [k_x, k_y, k_z, n]
-        else:
-            rec["symbols"], rec["slot_symbols"] = _per_sender(rnd.payloads)
-        records.append(rec)
-    return records
+        payloads = rnd.payloads
+        senders, broadcast, rows = payloads.senders, payloads.broadcast, payloads.per_slot
+        if rnd.step.kind not in QUANTUM_STEPS:
+            symbols, slot = [broadcast.get(s) for s in senders], {}
+            for sender, row in rows.items():
+                if row.count(row[0]) == len(row):
+                    symbols[senders.index(sender)] = row[0]
+                else:
+                    slot[str(sender)] = row
+            a, b, c, d, z = _step_text(rnd.step)
+            slot = encode(slot) if slot else "{}"
+            lines.append(f"{a}{index}{b}{slot}{c}{encode(symbols)}{d}{trial}{z}\n")
+            continue
+        texts = {id(None): (None, "null")}  # id(payload) -> (its segments, their text)
+        shared, slot = [], []
+        for sender in senders:
+            row = [broadcast[sender]] if sender in broadcast else rows[sender]
+            for msg in row:
+                if id(msg) not in texts:
+                    value = [[[float(x) for x in state], int(k)] for state, k in msg.segments]
+                    texts[id(msg)] = value, encode(value)
+            row = [texts[id(msg)] for msg in row]
+            if all(value == row[0][0] for value, _ in row):  # equal by value, as read back
+                shared.append(row[0][1])
+            else:
+                shared.append("null")
+                slot.append(f'"{sender}": [{", ".join(text for _, text in row)}]')
+        slot.sort()  # the keys' string order: '"10": ' before '"2": '
+        shared, slot = ", ".join(shared), ", ".join(slot)
+        tallies = encode(rnd.deliveries.values())  # a tally encodes as [k_x, k_y, k_z, n]
+        a, b, c, d, e, z = _step_text(rnd.step)
+        lines.append(f"{a}[{shared}]{b}{index}{c}{{{slot}}}{d}{tallies}{e}{trial}{z}\n")
+    return "".join(lines)
 
 
 def _worker(args):
@@ -448,11 +451,7 @@ def _worker(args):
     if not config.out_dir:
         return metrics, None, None, seconds
     # transcript_records by its module name: tracing replaces it there.
-    transcript = (
-        "".join(_ENCODER.encode(r) + "\n" for r in transcript_records(trial, result.transcript))
-        if config.write_transcript
-        else None
-    )
+    transcript = transcript_records(trial, result.transcript) if config.write_transcript else None
     return metrics, _ENCODER.encode(record) + "\n", transcript, seconds
 
 
@@ -495,95 +494,95 @@ def run_experiment(config: ExperimentConfig):
     in trial order, and summary.json and report.csv after the last one.
     The run holds only each trial's :class:`TrialMetrics` and run time, so
     its memory does not grow with the trial count beyond those.  The middle
-    element is None: the records are in trials.jsonl.  A run that raises
-    removes the JSONL files it opened, so it leaves no partial export.
+    element is None: the records are in trials.jsonl.  Every output file is
+    opened before the first trial (one that cannot be is a ConfigError), and
+    a run that raises removes them, so it leaves no partial export.
     """
     config.validate()
     n = config.resolved_n()
     start = time.monotonic()
     jobs = ((config, k) for k in range(config.trials))
-    metrics_list = []
-    trial_times = []
-    paths = []
+    metrics_list, trial_times, names = [], [], []
     if config.out_dir:
         try:
             os.makedirs(config.out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {config.out_dir}: {exc.strerror}")
-        names = ["trials.jsonl"] + (["transcript.jsonl"] if config.write_transcript else [])
-        paths = [os.path.join(config.out_dir, name) for name in names]
+        names = ["trials.jsonl", "summary.json", "report.csv"]
+        if config.write_transcript:
+            names.insert(1, "transcript.jsonl")
 
-    files = []
+    files = {}  # name -> its file, open for writing
     try:
         with ExitStack() as stack:
-            for path in paths:
-                files.append(stack.enter_context(open(path, "w")))
+            for name in names:
+                path = os.path.join(config.out_dir, name)
+                try:
+                    files[name] = stack.enter_context(open(path, "w", newline=""))
+                except OSError as exc:
+                    raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
             if config.jobs > 1:
                 # Imported here: it loads multiprocessing, which a serial run never needs.
                 from concurrent.futures import ProcessPoolExecutor
 
-                pool = stack.enter_context(ProcessPoolExecutor(config.jobs))
+                pool = ProcessPoolExecutor(config.jobs)
                 results = _pool_map(pool, jobs, _POOL_WINDOW * config.jobs)
             else:
-                results = map(_worker, jobs)
-            # map and _pool_map both yield in trial order.
-            for metrics, line, transcript, seconds in results:
-                for fh, text in zip(files, (line, transcript)):
-                    fh.write(text)
-                metrics_list.append(metrics)
-                trial_times.append(seconds)
+                pool, results = nullcontext(), map(_worker, jobs)
+            with pool:
+                # map and _pool_map both yield in trial order.
+                for metrics, line, transcript, seconds in results:
+                    for name, text in (("trials.jsonl", line), ("transcript.jsonl", transcript)):
+                        if name in files:
+                            files[name].write(text)
+                    metrics_list.append(metrics)
+                    trial_times.append(seconds)
+            elapsed = time.monotonic() - start
+            violations = sum(1 for m in metrics_list if not (m.consistency_ok and m.termination_ok))
+            violation_rate = violations / config.trials
+            etas = [m.eta_emp for m in metrics_list if m.eta_emp is not None]
+            q_link = ted_success_bound(n, config.delta)
+            bound = q_link ** success_exponent("overall_strict", config.m, config.t)
+            allowed = allowed_violation_rate(bound, config.trials)
+            trial_times.sort()
+
+            def percentile(q):
+                idx = min(len(trial_times) - 1, int(math.ceil(q * len(trial_times))) - 1)
+                return trial_times[max(0, idx)]
+
+            summary = {
+                "config": config.to_dict(),
+                "n": n,
+                "delta_eff": ted_accuracy_bound(config.delta, config.epsilon),
+                "trials": config.trials,
+                "violations": violations,
+                "violation_rate": violation_rate,
+                "allowed_violation_rate": allowed,
+                "per_link_success_bound": q_link,
+                "per_run_success_bound": bound,
+                "termination_failures": sum(1 for m in metrics_list if not m.termination_ok),
+                "mean_eta": (sum(etas) / len(etas)) if etas else None,
+                "max_eta": max(etas) if etas else None,
+                "fully_successful_trials": sum(1 for m in metrics_list if m.fully_successful),
+                "estimation_failures": sum(m.estimation_failures for m in metrics_list),
+                "degenerate_tallies": sum(m.degenerate for m in metrics_list),
+                "passed": violation_rate <= allowed,
+                "runtime_seconds": elapsed,
+                "p50_trial_seconds": percentile(0.50),
+                "p99_trial_seconds": percentile(0.99),
+            }
+            if config.out_dir:
+                files["summary.json"].write(_ENCODER.encode(summary) + "\n")
+                emit_report([summary], files["report.csv"])
     except BaseException:
-        for fh in files:
+        for fh in files.values():
             with suppress(OSError):
                 os.remove(fh.name)
         raise
-
-    elapsed = time.monotonic() - start
-    violations = sum(
-        1 for m in metrics_list if not (m.consistency_ok and m.termination_ok)
-    )
-    violation_rate = violations / config.trials
-    etas = [m.eta_emp for m in metrics_list if m.eta_emp is not None]
-    q_link = ted_success_bound(n, config.delta)
-    bound = q_link ** success_exponent("overall_strict", config.m, config.t)
-    allowed = allowed_violation_rate(bound, config.trials)
-    trial_times.sort()
-
-    def percentile(q):
-        idx = min(len(trial_times) - 1, int(math.ceil(q * len(trial_times))) - 1)
-        return trial_times[max(0, idx)]
-
-    summary = {
-        "config": config.to_dict(),
-        "n": n,
-        "delta_eff": ted_accuracy_bound(config.delta, config.epsilon),
-        "trials": config.trials,
-        "violations": violations,
-        "violation_rate": violation_rate,
-        "allowed_violation_rate": allowed,
-        "per_link_success_bound": q_link,
-        "per_run_success_bound": bound,
-        "termination_failures": sum(1 for m in metrics_list if not m.termination_ok),
-        "mean_eta": (sum(etas) / len(etas)) if etas else None,
-        "max_eta": max(etas) if etas else None,
-        "fully_successful_trials": sum(1 for m in metrics_list if m.fully_successful),
-        "estimation_failures": sum(m.estimation_failures for m in metrics_list),
-        "degenerate_tallies": sum(m.degenerate for m in metrics_list),
-        "passed": violation_rate <= allowed,
-        "runtime_seconds": elapsed,
-        "p50_trial_seconds": percentile(0.50),
-        "p99_trial_seconds": percentile(0.99),
-    }
-
-    if config.out_dir:
-        with open(os.path.join(config.out_dir, "summary.json"), "w") as fh:
-            fh.write(_ENCODER.encode(summary) + "\n")
-        emit_report([summary], os.path.join(config.out_dir, "report.csv"))
-
     return summary, None, metrics_list
 
 
-def emit_report(summaries, path) -> None:
+def emit_report(summaries, fh) -> None:
     """One CSV row per summary, flattened: an object's keys become ``<key>.<sub>`` columns."""
     rows = []
     for summary in summaries:
@@ -594,11 +593,10 @@ def emit_report(summaries, path) -> None:
             else:
                 row[key] = cell(value)
         rows.append(row)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, list(dict.fromkeys(k for row in rows for k in row)))
-        if rows:
-            writer.writeheader()
-        writer.writerows(rows)
+    writer = csv.DictWriter(fh, list(dict.fromkeys(k for row in rows for k in row)))
+    if rows:
+        writer.writeheader()
+    writer.writerows(rows)
 
 
 def _sent_state(segments):

@@ -5,9 +5,9 @@ delivery, the per-link and adversary streams built from scratch, an all-honest
 phase-king run over inbox lists, the array forms of the channel and the
 outcome probability, the per-cell measurement loop, the chord distance
 written out in full, the estimation oracle one link at a time, a round's
-slots as a dict, weak and graded consensus by their full counts,
-validating direction and frame constructors, and a summary flattened to its
-report.csv row.
+slots as a dict, the transcript export built as record dicts, weak and
+graded consensus by their full counts, validating direction and frame
+constructors, and a summary flattened to its report.csv row.
 """
 
 import itertools
@@ -419,13 +419,82 @@ def result_metrics(result):
     return compute_metrics(record, quantum_links(result.transcript), p.delta_eff)
 
 
+def exported_records(trial: int, transcript) -> list:
+    """The lines ``harness.transcript_records`` exports, each parsed back to its record."""
+    return [json.loads(line) for line in transcript_records(trial, transcript).splitlines()]
+
+
 def transcript_signature(transcript):
     """Canonical form of a transcript for equality checks: its exported records.
 
     The export is lossless (see :func:`expand_round_record`), so equal
     signatures mean every slot carried and delivered the same thing.
     """
-    return json.dumps(transcript_records(0, transcript), sort_keys=True)
+    return exported_records(0, transcript)
+
+
+def _segments(msg) -> list:
+    return [[[float(c) for c in state], int(count)] for state, count in msg.segments]
+
+
+def _per_sender(entries, encode=None) -> tuple:
+    """(shared, per_slot) of a round's :class:`~rfagree.netsim.PerSender` ``entries``.
+
+    ``shared`` has one entry per sender, in ``entries.senders`` order: what
+    every one of its slots carried, or None when its slots differ;
+    ``per_slot`` maps ``str(sender)`` to its list for each sender whose
+    slots differ.  Slots are compared by value, after ``encode`` maps each
+    entry but None to its JSON form.
+    """
+    shared, per_slot = [], {}
+    broadcast, lists = entries.broadcast, entries.per_slot
+    for sender in entries.senders:
+        wire = [broadcast[sender]] if sender in broadcast else lists[sender]
+        if encode is not None:
+            wire = [None if entry is None else encode(entry) for entry in wire]
+        if wire.count(wire[0]) == len(wire):
+            shared.append(wire[0])
+        else:
+            shared.append(None)
+            per_slot[str(sender)] = wire
+    return shared, per_slot
+
+
+def reference_transcript_records(trial: int, transcript) -> list:
+    """One record dict per round, rounds in order: the transcript export built as dicts.
+
+    The oracle for ``harness.transcript_records``, which writes each line as
+    ``json.dumps(record, sort_keys=True) + "\\n"`` of these records.
+    Both kinds of round are read per sender from their
+    :class:`~rfagree.netsim.PerSender` payloads, and write what a sender
+    sent once when all of its slots carry the same thing and per slot
+    otherwise (:func:`_per_sender`): a quantum round its payloads, a
+    classical round its symbols.  Only a quantum round's tallies are per slot.
+    """
+    records = []
+    for index, rnd in enumerate(transcript):
+        step = rnd.step
+        rec = {
+            "trial": trial,
+            "round": index,
+            "phase": step.phase,
+            "step": step.kind,
+            "cc_round": step.cc_round,
+            "senders": list(step.senders),
+        }
+        if step.kind in QUANTUM_STEPS:
+            rec["payloads"], rec["slot_payloads"] = _per_sender(rnd.payloads, _segments)
+            rec["tallies"] = rnd.deliveries.values()  # a tally encodes as [k_x, k_y, k_z, n]
+        else:
+            rec["symbols"], rec["slot_symbols"] = _per_sender(rnd.payloads)
+        records.append(rec)
+    return records
+
+
+def reference_transcript_text(trial: int, transcript) -> str:
+    """:func:`reference_transcript_records` as the text of transcript.jsonl."""
+    records = reference_transcript_records(trial, transcript)
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def slot_view(entries) -> dict:

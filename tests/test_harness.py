@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import inspect
 import json
@@ -47,7 +48,13 @@ from rfagree.netsim import QUANTUM_STEPS, substream
 from rfagree.quantum_link import ChannelParams, MeasurementTally, QuantumMessage, ted_receive
 from rfagree.rf_protocols import ProtocolParams
 
-from helpers import flat_summary, random_frame, read_report_row, reference_link_metrics
+from helpers import (
+    flat_summary,
+    random_frame,
+    read_report_row,
+    reference_link_metrics,
+    reference_transcript_text,
+)
 
 
 def small_config(**overrides):
@@ -244,7 +251,8 @@ def test_report_eta_decreases_with_n(tmp_path):
     # Statistical monotonicity: larger batches estimate better.
     assert means[0] > means[1] > means[2]
     path = tmp_path / "sweep.csv"
-    emit_report(summaries, path)
+    with open(path, "w", newline="") as fh:
+        emit_report(summaries, fh)
     assert len(path.read_text().splitlines()) == 4
 
 
@@ -298,8 +306,21 @@ def test_failed_run_leaves_no_partial_export(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="trial 1 failed"):
         run_experiment(small_config(out_dir=str(out), write_transcript=True))
     assert out.is_dir()
-    assert not (out / "trials.jsonl").exists()
-    assert not (out / "transcript.jsonl").exists()
+    assert list(out.iterdir()) == []  # the JSONL files, summary.json and report.csv
+
+
+def test_failed_report_write_leaves_no_partial_export(tmp_path, monkeypatch):
+    # Every trial is written when report.csv fails: the run still removes
+    # every file it opened, the JSONL files and summary.json included.
+    def full_disk(summaries, fh):
+        fh.write("config.")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(harness, "emit_report", full_disk)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="No space left on device"):
+        run_experiment(small_config(out_dir=str(out), write_transcript=True))
+    assert out.is_dir() and list(out.iterdir()) == []
 
 
 def run_python(code: str, *flags) -> str:
@@ -507,6 +528,39 @@ def test_trials_jsonl_byte_identical_across_runs(tmp_path):
     a = (tmp_path / "a" / "trials.jsonl").read_bytes()
     b = (tmp_path / "b" / "trials.jsonl").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("n", [2, 1000])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+@pytest.mark.parametrize("m, t", [(4, 1), (7, 2)])
+@pytest.mark.parametrize("adversary", sorted(strategy_catalog()))
+def test_transcript_text_equals_the_dict_builder(adversary, m, t, epsilon, n):
+    # Each line is json.dumps(record, sort_keys=True) of the dict builder's
+    # record; at n = 2 most tallies are degenerate and many links fail.
+    cfg = small_config(
+        m=m, t=t, epsilon=epsilon, n=n, adversary=adversary, faulty_ids=None, master_seed=5
+    )
+    result, _, _ = run_trial(cfg, 1)
+    text = transcript_records(1, result.transcript)
+    assert text == reference_transcript_text(1, result.transcript)
+    assert text.count("\n") == len(result.transcript)
+
+
+def test_transcript_slot_keys_in_string_order_past_ten_nodes():
+    # No golden digest has m >= 11.  Faulty 2, 10 and 11 equivocate in phase
+    # 2's direction exchange, and sort_keys writes "10" and "11" before "2".
+    cfg = small_config(
+        m=12, t=3, n=5000, adversary="equivocator", adversary_params={"separation": 2.0},
+        faulty_ids=[2, 10, 11], master_seed=3,
+    )
+    result, _, _ = run_trial(cfg, 0)
+    text = transcript_records(0, result.transcript)
+    assert text == reference_transcript_text(0, result.transcript)
+    (rec,) = [
+        json.loads(line) for line in text.splitlines()
+        if '"phase": 2, ' in line and '"step": "direction_exchange"' in line
+    ]
+    assert list(rec["slot_payloads"]) == ["10", "11", "2"]
 
 
 def test_parallel_jobs_match_serial(tmp_path):
@@ -1266,8 +1320,8 @@ def test_link_metrics_equal_reference(adversary, n, epsilon, seed):
         faulty = frozenset(record["faulty_ids"])
         run_links = quantum_links(result.transcript)
         exported = []
-        for rec in transcript_records(trial, result.transcript):
-            exported += round_links(json.loads(json.dumps(rec)), cfg.m, n)
+        for line in transcript_records(trial, result.transcript).splitlines():
+            exported += round_links(json.loads(line), cfg.m, n)
         want = reference_link_metrics(run_links, frames, faulty, delta_eff)
         assert link_metrics(run_links, frames, faulty, delta_eff) == want
         assert link_metrics(exported, frames, faulty, delta_eff) == want
@@ -1317,12 +1371,14 @@ def test_emit_report_rows_and_empty(tmp_path):
     cfg = small_config()
     summary, _, _ = run_experiment(cfg)
     path = tmp_path / "report.csv"
-    emit_report([summary], path)
+    with open(path, "w", newline="") as fh:
+        emit_report([summary], fh)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("config.config_version,config.m,config.t,config.delta,")
     assert lines[0].endswith(",passed,runtime_seconds,p50_trial_seconds,p99_trial_seconds")
-    emit_report([], path)
+    with open(path, "w", newline="") as fh:
+        emit_report([], fh)
     assert path.read_text() == ""
 
 
@@ -1829,6 +1885,33 @@ def test_cli_refuses_an_output_path_it_cannot_create(tmp_path, capsys, command, 
     path = os.path.join(out, run_dir) if run_dir else out
     assert err == f"config error: cannot create output directory {path}: {reason}\n"
     assert out.read_text() == "" and list(tmp_path.iterdir()) == [out]
+
+
+OUTPUT_FILES = ["trials.jsonl", "transcript.jsonl", "summary.json", "report.csv"]
+
+
+@pytest.mark.parametrize("name", OUTPUT_FILES)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_refuses_an_output_file_it_cannot_write(tmp_path, capsys, monkeypatch, command, name):
+    # A directory where an output file goes: exit 2 and one line naming it,
+    # not a traceback, before the first trial, and no file left written.  A
+    # sweep's run goes in a directory of OUT named after its setting.
+    def unexpected(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", unexpected)
+    out = tmp_path / "out"
+    if command == "run":
+        run_dir, flags = out, ["--transcript"]
+    else:
+        run_dir, flags = out / "write_transcript=true", ["--set", "write_transcript=true"]
+    (run_dir / name).mkdir(parents=True)
+    code = cli_main([command, "--config", HONEST_SMALL, "--out", str(out), "--trials", "1", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: cannot write {run_dir / name}: Is a directory\n"
+    assert [path for path in out.rglob("*") if not path.is_dir()] == []
+    assert list((run_dir / name).iterdir()) == []
 
 
 def test_run_trial_with_explicit_frames():

@@ -28,10 +28,12 @@ from helpers import (
     adversary_rng,
     deliver_quantum,
     expand_round_record,
+    exported_records,
     link_rng,
     octahedral_rotations,
     random_frame,
     reference_link_cells,
+    reference_transcript_text,
     slot_view,
     transcript_signature,
 )
@@ -239,7 +241,7 @@ def test_slot_keys_override_a_classical_broadcast():
     assert [slots[(5, r)] for r in range(m) if r != 5] == [1, 0, None, 1, 1, 1]
     assert [slots[(6, r)] for r in range(m) if r != 6] == [0] * 6
     assert deliveries.inbox(2) == {0: 0, 1: 1, 3: 1, 4: 0, 5: None, 6: 0}
-    (record,) = transcript_records(0, engine.transcript)
+    (record,) = exported_records(0, engine.transcript)
     # One symbol per sender; 5's slots differ, so they are exported per slot.
     assert record["symbols"] == [0, 1, 0, 1, 0, None, 0]
     assert record["slot_symbols"] == {"5": [1, 0, None, 1, 1, 1]}
@@ -255,7 +257,7 @@ def test_classical_slots_that_agree_are_exported_once():
     emitted = {(3, r): 1 for r in range(3)}
     deliveries = engine.run_round(step, {0: 0, 1: 1, 2: 0}, frozenset({3}), Emitting(emitted))
     assert deliveries.per_slot == {3: [1, 1, 1]}
-    (record,) = transcript_records(0, engine.transcript)
+    (record,) = exported_records(0, engine.transcript)
     assert record["symbols"] == [0, 1, 0, 1] and record["slot_symbols"] == {}
     assert [slot["payload"] for slot in expand_round_record(record, m)] == deliveries.values()
 
@@ -290,9 +292,41 @@ def test_slot_keys_override_a_quantum_broadcast(monkeypatch):
     # One link_cells per sender and message; one measure_batch per delivered link.
     assert [msg for msg, _, _ in rotations] == [*honest.values(), a, b, c]
     assert len(measurements) == len(sent) - 1
-    (record,) = transcript_records(0, engine.transcript)
+    (record,) = exported_records(0, engine.transcript)
     assert record["payloads"][6] == [[c.segments[0][0].tolist(), 3 * n]]
     assert record["payloads"][5] is None and list(record["slot_payloads"]) == ["5"]
+
+
+def test_odd_rounds_export_the_dict_builders_bytes():
+    # Hand-driven rounds past what a catalog strategy sends; each line must
+    # be json.dumps(record, sort_keys=True) of the dict builder's record.
+    m, n = 5, 1000
+    engine, _ = make_engine(m=m, n=n, seed=7)
+    rng = np.random.default_rng(7)
+    quantum = RoundStep(DIRECTION_EXCHANGE, 0, 0, None, tuple(range(m)))
+    honest = {i: QuantumMessage.uniform(random_direction(rng), n) for i in range(3)}
+    a = QuantumMessage.uniform(random_direction(rng), n)
+    bad = QuantumMessage(((np.array([2.0, 0.0, 0.0]), 3 * n),))  # |r| > 1: malformed
+    up, signed_up = (QuantumMessage.uniform([z, 0.0, 1.0], n) for z in (0.0, -0.0))
+    # 3 sends a, a malformed message on (3, 1) and nothing on (3, 2); 4 sends
+    # two objects equal by value on its slots, so it is exported once.
+    emitted = {
+        3: a, (3, 1): bad, (3, 2): None,
+        (4, 0): up, (4, 1): up, (4, 2): signed_up, (4, 3): signed_up,
+    }
+    engine.run_round(quantum, honest, frozenset({3, 4}), Emitting(emitted))
+    # Classical: 3 sends None, a bool and a numpy int on slots (all absent);
+    # 4 broadcasts 1 with one None slot.
+    classical = RoundStep(CLASSICAL_ROUND, 0, 0, 0, tuple(range(m)))
+    emitted = {3: 1, (3, 0): None, (3, 1): True, (3, 2): np.int64(0), 4: 1, (4, 3): None}
+    engine.run_round(classical, {0: 0, 1: 1, 2: 0}, frozenset({3, 4}), Emitting(emitted))
+    records = exported_records(9, engine.transcript)
+    assert records[0]["payloads"][3] is None and records[0]["slot_payloads"]["3"][1:3] == [None] * 2
+    assert list(records[0]["slot_payloads"]) == ["3"]
+    assert records[0]["payloads"][4] == [[[0.0, 0.0, 1.0], 3 * n]]
+    assert records[1]["slot_symbols"] == {"3": [None, None, None, 1], "4": [1, 1, 1, None]}
+    text = transcript_records(9, engine.transcript)
+    assert text == reference_transcript_text(9, engine.transcript)
 
 
 def test_rushing_adversary_sees_current_round():
@@ -369,7 +403,7 @@ def test_absent_payload_recorded_and_none_delivered():
     assert list(slot_view(deliveries)) == [(0, 1), (0, 2), (0, 3)]
     assert set(deliveries.values()) == {None}
     assert set(engine.transcript[0].payloads.values()) == {None}
-    (record,) = transcript_records(0, engine.transcript)
+    (record,) = exported_records(0, engine.transcript)
     assert record["symbols"] == [None] and record["slot_symbols"] == {}
     expanded = expand_round_record(record, 4)
     assert [(s["kind"], s["payload"]) for s in expanded] == [("absent", None)] * 3
@@ -431,7 +465,7 @@ def test_non_finite_faulty_state_becomes_absent(state):
         assert all(slots[slot] is None for slot in faulty_slots)
         assert all(p is None for (s, _), p in slot_view(transcript[0].payloads).items() if s == 3)
         # Sender 3's three slots are exported with no payload and no tally.
-        (record,) = transcript_records(0, transcript)
+        (record,) = exported_records(0, transcript)
         assert record["senders"] == [0, 1, 2, 3]
         assert record["payloads"][3] is None and record["slot_payloads"] == {}
         assert record["tallies"][9:] == [None, None, None]
@@ -496,7 +530,7 @@ def test_numpy_integer_classical_symbol_is_absent():
     assert [slot_view(deliveries)[(3, r)] for r in range(3)] == [None, None, None]
     payloads = slot_view(engine.transcript[0].payloads)
     assert [payloads[(3, r)] for r in range(3)] == [None, None, None]
-    (record,) = transcript_records(0, engine.transcript)
+    (record,) = exported_records(0, engine.transcript)
     assert record["senders"] == [0, 1, 2, 3]
     assert record["symbols"] == [1, 1, 1, None] and record["slot_symbols"] == {}
     assert [s["payload"] for s in expand_round_record(record, 4)][9:] == [None, None, None]
@@ -1014,7 +1048,7 @@ def test_per_slot_view_equals_the_expanded_export(name):
         make_adversary(name, faulty, params),
         master_seed=13,
     )
-    records = transcript_records(0, result.transcript)
+    records = exported_records(0, result.transcript)
     assert len(records) == len(result.transcript)
     for rnd, record in zip(result.transcript, records):
         expanded = expand_round_record(record, m)
