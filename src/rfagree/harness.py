@@ -27,7 +27,8 @@ calls it again on the exported files:
 
 Files: trials.jsonl (one record per trial), summary.json (aggregates plus
 timing), report.csv (each summary flattened to a row), transcript.jsonl
-(optional, one record per round).  Byte-for-byte reproducible except
+(optional, one record per round, assembled as text from the round's wire
+by :func:`transcript_records`).  Byte-for-byte reproducible except
 timing fields, which appear only in summary.json / report.csv.  The run
 writes the JSONL lines as each trial finishes, and ``verify`` reads the
 two JSONL files in step, so neither holds every trial.

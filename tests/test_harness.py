@@ -1887,10 +1887,7 @@ def test_cli_refuses_an_output_path_it_cannot_create(tmp_path, capsys, command, 
     assert out.read_text() == "" and list(tmp_path.iterdir()) == [out]
 
 
-OUTPUT_FILES = ["trials.jsonl", "transcript.jsonl", "summary.json", "report.csv"]
-
-
-@pytest.mark.parametrize("name", OUTPUT_FILES)
+@pytest.mark.parametrize("name", ["trials.jsonl", "transcript.jsonl", "summary.json", "report.csv"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_refuses_an_output_file_it_cannot_write(tmp_path, capsys, monkeypatch, command, name):
     # A directory where an output file goes: exit 2 and one line naming it,
