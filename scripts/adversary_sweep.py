@@ -8,10 +8,12 @@ reaches --q-run, runs every entry of ``adversaries.standard_battery``
 
 import argparse
 import os
+import sys
 
 from rfagree.adversaries import standard_battery
+from rfagree.cli import exit_status
 from rfagree.config import ExperimentConfig, ted_accuracy_bound
-from rfagree.harness import emit_report, run_experiment
+from rfagree.harness import run_sweep
 
 
 def main():
@@ -27,45 +29,20 @@ def main():
     parser.add_argument("--out", default="sweep_out")
     args = parser.parse_args()
 
-    sizing = ExperimentConfig(
-        m=args.m,
-        t=args.t,
-        delta=args.delta,
-        epsilon=args.epsilon,
-        q_target=args.q_run,
-        q_target_scope="overall_strict",
-        trials=1,
-    )
-    n = sizing.resolved_n()
     delta_eff = ted_accuracy_bound(args.delta, args.epsilon)
-
-    os.makedirs(args.out, exist_ok=True)
-    summaries = []
+    runs = {}
     for idx, (name, kwargs) in enumerate(standard_battery(delta_eff)):
         tag = name if not kwargs else f"{name}_{idx}"
-        config = ExperimentConfig(
-            m=args.m,
-            t=args.t,
-            delta=args.delta,
-            epsilon=args.epsilon,
-            n=n,
-            adversary=name,
-            adversary_params=kwargs,
-            trials=args.trials,
-            master_seed=args.seed + idx,
-            jobs=args.jobs,
-            out_dir=os.path.join(args.out, tag),
+        runs[tag] = ExperimentConfig.from_dict(
+            {"m": args.m, "t": args.t, "delta": args.delta, "epsilon": args.epsilon,
+             "q_target": args.q_run, "q_target_scope": "overall_strict",
+             "adversary": name, "adversary_params": kwargs, "trials": args.trials,
+             "master_seed": args.seed + idx, "jobs": args.jobs,
+             "out_dir": os.path.join(args.out, tag)}
         )
-        summary, _, _ = run_experiment(config)
-        summaries.append(summary)
-        print(
-            f"{tag:24s} violations {summary['violations']}/{args.trials} "
-            f"max_eta {summary['max_eta']}"
-        )
-    with open(os.path.join(args.out, "report.csv"), "w", newline="") as fh:
-        emit_report(summaries, fh)
+    run_sweep(runs, args.out)
     print(f"report written to {os.path.join(args.out, 'report.csv')}")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_status(main))

@@ -9,14 +9,10 @@ per link) scale and prints the observed agreement quality.
 
 import argparse
 import json
+import sys
 
-from rfagree.config import (
-    CONSISTENCY_FACTOR,
-    ExperimentConfig,
-    required_qubits,
-    success_exponent,
-    ted_success_bound,
-)
+from rfagree.cli import exit_status
+from rfagree.config import CONSISTENCY_FACTOR, ExperimentConfig, ted_success_bound
 from rfagree.harness import run_experiment
 
 
@@ -31,24 +27,17 @@ def main():
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    delta = args.accuracy / CONSISTENCY_FACTOR
-    q_link = args.overall_success ** (1.0 / success_exponent("overall", args.m))
-    n = required_qubits(delta, q_link)
-    print(f"delta = {delta:.6g}, per-link target = {q_link:.8f}")
-    print(f"sized n = {n} qubits per axis ({3 * n} per link per phase)")
-    print(f"per-link success bound at that n: {ted_success_bound(n, delta):.8f}")
-
-    config = ExperimentConfig(
-        m=args.m,
-        t=args.t,
-        delta=delta,
-        n=n,
-        adversary="honest-shadow",
-        faulty_ids=(),
-        trials=args.trials,
-        master_seed=args.seed,
-        out_dir=args.out,
+    # No faulty node: every node runs the honest protocol.
+    config = ExperimentConfig.from_dict(
+        {"m": args.m, "t": args.t, "delta": args.accuracy / CONSISTENCY_FACTOR,
+         "q_target": args.overall_success, "q_target_scope": "overall", "faulty_ids": [],
+         "trials": args.trials, "master_seed": args.seed, "out_dir": args.out}
     )
+    n = config.resolved_n()
+    print(f"delta = {config.delta:.6g}, per-link target = {config.per_link_target():.8f}")
+    print(f"sized n = {n} qubits per axis ({3 * n} per link per phase)")
+    print(f"per-link success bound at that n: {ted_success_bound(n, config.delta):.8f}")
+
     summary, _, metrics = run_experiment(config)
     print(json.dumps({k: summary[k] for k in (
         "violation_rate", "mean_eta", "max_eta", "per_run_success_bound", "runtime_seconds"
@@ -59,4 +48,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_status(main))

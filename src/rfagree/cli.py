@@ -17,7 +17,7 @@ Subcommands:
 * ``sweep``  cartesian parameter sweeps over a base config; one run per
              combination, in ``OUT/<key>=<cell>_...`` (two combinations of
              one name, or a field set twice, are a configuration error), plus a combined
-             report.csv, one summary.json flattened per row.
+             report.csv, opened first, one summary.json flattened per row.
 """
 
 from __future__ import annotations
@@ -211,16 +211,9 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"two sweep combinations share the run name {tag!r}")
         changes = {**dict(pairs), "out_dir": os.path.join(args.out, tag), **flags}
         runs[tag] = _with_changes(base, changes)
-    # Each run makes its directory, OUT included, or refuses one it cannot.
-    from .harness import emit_report, run_experiment
+    from .harness import run_sweep
 
-    summaries = []
-    for tag, config in runs.items():
-        summary, _, _ = run_experiment(config)
-        summaries.append(summary)
-        print(f"{tag}: violation_rate={summary['violation_rate']} passed={summary['passed']}")
-    with open(os.path.join(args.out, "report.csv"), "w", newline="") as fh:
-        emit_report(summaries, fh)
+    summaries = run_sweep(runs, args.out)
     return EXIT_OK if all(s["passed"] for s in summaries) else EXIT_FAILED
 
 
@@ -264,14 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_status(func, *args):
+    """``func(*args)``, or EXIT_CONFIG after a ConfigError, reported as one line on stderr."""
     try:
-        return args.func(args)
+        return func(*args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_status(args.func, args)
 
 
 if __name__ == "__main__":

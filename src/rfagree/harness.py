@@ -31,7 +31,9 @@ timing), report.csv (each summary flattened to a row), transcript.jsonl
 by :func:`transcript_records`).  Byte-for-byte reproducible except
 timing fields, which appear only in summary.json / report.csv.  The run
 writes the JSONL lines as each trial finishes, and ``verify`` reads the
-two JSONL files in step, so neither holds every trial.
+two JSONL files in step, so neither holds every trial.  :func:`run_sweep`
+writes a sweep's combined report.csv, opened before its first run as a
+run's files are before its first trial.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import operator
 import os
 import time
 from collections import deque
-from contextlib import ExitStack, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -487,6 +489,34 @@ def allowed_violation_rate(bound: float, trials: int) -> float:
     return base + 3.0 * sigma
 
 
+@contextmanager
+def _outputs(directory, names):
+    """``{name: file}`` for ``names`` in ``directory`` (made first), open for writing.
+
+    A directory it cannot make or a file it cannot open is a ConfigError;
+    if the body raises, every file opened is removed.
+    """
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory}: {exc.strerror}")
+    files = {}
+    try:
+        with ExitStack() as stack:
+            for name in names:
+                path = os.path.join(directory, name)
+                try:
+                    files[name] = stack.enter_context(open(path, "w", newline=""))
+                except OSError as exc:
+                    raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+            yield files
+    except BaseException:
+        for fh in files.values():
+            with suppress(OSError):
+                os.remove(fh.name)
+        raise
+
+
 def run_experiment(config: ExperimentConfig):
     """Run all trials; returns (summary, None, metrics_list).
 
@@ -496,91 +526,87 @@ def run_experiment(config: ExperimentConfig):
     The run holds only each trial's :class:`TrialMetrics` and run time, so
     its memory does not grow with the trial count beyond those.  The middle
     element is None: the records are in trials.jsonl.  Every output file is
-    opened before the first trial (one that cannot be is a ConfigError), and
-    a run that raises removes them, so it leaves no partial export.
+    opened before the first trial by :func:`_outputs`, which removes them
+    if the run raises, so it leaves no partial export.
     """
     config.validate()
     n = config.resolved_n()
     start = time.monotonic()
     jobs = ((config, k) for k in range(config.trials))
-    metrics_list, trial_times, names = [], [], []
-    if config.out_dir:
-        try:
-            os.makedirs(config.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {config.out_dir}: {exc.strerror}")
-        names = ["trials.jsonl", "summary.json", "report.csv"]
-        if config.write_transcript:
-            names.insert(1, "transcript.jsonl")
+    metrics_list, trial_times = [], []
+    names = ["trials.jsonl", "summary.json", "report.csv"]
+    if config.write_transcript:
+        names.insert(1, "transcript.jsonl")
+    with _outputs(config.out_dir, names) if config.out_dir else nullcontext({}) as files:
+        if config.jobs > 1:
+            # Imported here: it loads multiprocessing, which a serial run never needs.
+            from concurrent.futures import ProcessPoolExecutor
 
-    files = {}  # name -> its file, open for writing
-    try:
-        with ExitStack() as stack:
-            for name in names:
-                path = os.path.join(config.out_dir, name)
-                try:
-                    files[name] = stack.enter_context(open(path, "w", newline=""))
-                except OSError as exc:
-                    raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-            if config.jobs > 1:
-                # Imported here: it loads multiprocessing, which a serial run never needs.
-                from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(config.jobs)
+            results = _pool_map(pool, jobs, _POOL_WINDOW * config.jobs)
+        else:
+            pool, results = nullcontext(), map(_worker, jobs)
+        with pool:
+            # map and _pool_map both yield in trial order.
+            for metrics, line, transcript, seconds in results:
+                for name, text in (("trials.jsonl", line), ("transcript.jsonl", transcript)):
+                    if name in files:
+                        files[name].write(text)
+                metrics_list.append(metrics)
+                trial_times.append(seconds)
+        elapsed = time.monotonic() - start
+        violations = sum(1 for m in metrics_list if not (m.consistency_ok and m.termination_ok))
+        violation_rate = violations / config.trials
+        etas = [m.eta_emp for m in metrics_list if m.eta_emp is not None]
+        q_link = ted_success_bound(n, config.delta)
+        bound = q_link ** success_exponent("overall_strict", config.m, config.t)
+        allowed = allowed_violation_rate(bound, config.trials)
+        trial_times.sort()
 
-                pool = ProcessPoolExecutor(config.jobs)
-                results = _pool_map(pool, jobs, _POOL_WINDOW * config.jobs)
-            else:
-                pool, results = nullcontext(), map(_worker, jobs)
-            with pool:
-                # map and _pool_map both yield in trial order.
-                for metrics, line, transcript, seconds in results:
-                    for name, text in (("trials.jsonl", line), ("transcript.jsonl", transcript)):
-                        if name in files:
-                            files[name].write(text)
-                    metrics_list.append(metrics)
-                    trial_times.append(seconds)
-            elapsed = time.monotonic() - start
-            violations = sum(1 for m in metrics_list if not (m.consistency_ok and m.termination_ok))
-            violation_rate = violations / config.trials
-            etas = [m.eta_emp for m in metrics_list if m.eta_emp is not None]
-            q_link = ted_success_bound(n, config.delta)
-            bound = q_link ** success_exponent("overall_strict", config.m, config.t)
-            allowed = allowed_violation_rate(bound, config.trials)
-            trial_times.sort()
+        def percentile(q):
+            idx = min(len(trial_times) - 1, int(math.ceil(q * len(trial_times))) - 1)
+            return trial_times[max(0, idx)]
 
-            def percentile(q):
-                idx = min(len(trial_times) - 1, int(math.ceil(q * len(trial_times))) - 1)
-                return trial_times[max(0, idx)]
-
-            summary = {
-                "config": config.to_dict(),
-                "n": n,
-                "delta_eff": ted_accuracy_bound(config.delta, config.epsilon),
-                "trials": config.trials,
-                "violations": violations,
-                "violation_rate": violation_rate,
-                "allowed_violation_rate": allowed,
-                "per_link_success_bound": q_link,
-                "per_run_success_bound": bound,
-                "termination_failures": sum(1 for m in metrics_list if not m.termination_ok),
-                "mean_eta": (sum(etas) / len(etas)) if etas else None,
-                "max_eta": max(etas) if etas else None,
-                "fully_successful_trials": sum(1 for m in metrics_list if m.fully_successful),
-                "estimation_failures": sum(m.estimation_failures for m in metrics_list),
-                "degenerate_tallies": sum(m.degenerate for m in metrics_list),
-                "passed": violation_rate <= allowed,
-                "runtime_seconds": elapsed,
-                "p50_trial_seconds": percentile(0.50),
-                "p99_trial_seconds": percentile(0.99),
-            }
-            if config.out_dir:
-                files["summary.json"].write(_ENCODER.encode(summary) + "\n")
-                emit_report([summary], files["report.csv"])
-    except BaseException:
-        for fh in files.values():
-            with suppress(OSError):
-                os.remove(fh.name)
-        raise
+        summary = {
+            "config": config.to_dict(),
+            "n": n,
+            "delta_eff": ted_accuracy_bound(config.delta, config.epsilon),
+            "trials": config.trials,
+            "violations": violations,
+            "violation_rate": violation_rate,
+            "allowed_violation_rate": allowed,
+            "per_link_success_bound": q_link,
+            "per_run_success_bound": bound,
+            "termination_failures": sum(1 for m in metrics_list if not m.termination_ok),
+            "mean_eta": (sum(etas) / len(etas)) if etas else None,
+            "max_eta": max(etas) if etas else None,
+            "fully_successful_trials": sum(1 for m in metrics_list if m.fully_successful),
+            "estimation_failures": sum(m.estimation_failures for m in metrics_list),
+            "degenerate_tallies": sum(m.degenerate for m in metrics_list),
+            "passed": violation_rate <= allowed,
+            "runtime_seconds": elapsed,
+            "p50_trial_seconds": percentile(0.50),
+            "p99_trial_seconds": percentile(0.99),
+        }
+        if files:
+            files["summary.json"].write(_ENCODER.encode(summary) + "\n")
+            emit_report([summary], files["report.csv"])
     return summary, None, metrics_list
+
+
+def run_sweep(runs: dict, out: str) -> list:
+    """Run each config of ``runs`` (``{name: config}``) in order; returns their summaries.
+
+    ``out``/report.csv is opened before the first run and gets one row per run.
+    """
+    with _outputs(out, ["report.csv"]) as files:
+        summaries = []
+        for name, config in runs.items():
+            summary, _, _ = run_experiment(config)
+            summaries.append(summary)
+            print(f"{name}: violation_rate={summary['violation_rate']} passed={summary['passed']}")
+        emit_report(summaries, files["report.csv"])
+    return summaries
 
 
 def emit_report(summaries, fh) -> None:

@@ -1868,23 +1868,60 @@ def test_cli_sweep_refuses_a_field_set_twice(tmp_path, capsys, monkeypatch, key,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "command, run_dir, reason",
-    [("run", "", "File exists"), ("sweep", "base", "Not a directory")],
-    ids=["run", "sweep"],
-)
-def test_cli_refuses_an_output_path_it_cannot_create(tmp_path, capsys, command, run_dir, reason):
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_refuses_an_output_path_it_cannot_create(tmp_path, capsys, command):
     # An existing file where the output directory goes: exit 2 and one line
     # naming the path and the reason, not a traceback (exit 1 is a failed run).
-    # A sweep names the directory of its first run, inside OUT.
+    # A sweep makes OUT itself before its first run.
     out = tmp_path / "taken"
     out.write_text("")
     code = cli_main([command, "--config", HONEST_SMALL, "--out", str(out), "--trials", "1"])
     err = capsys.readouterr().err
     assert code == 2
-    path = os.path.join(out, run_dir) if run_dir else out
-    assert err == f"config error: cannot create output directory {path}: {reason}\n"
+    assert err == f"config error: cannot create output directory {out}: File exists\n"
     assert out.read_text() == "" and list(tmp_path.iterdir()) == [out]
+
+
+def test_cli_sweep_opens_its_report_before_the_first_run(tmp_path, capsys):
+    # A directory where the combined report.csv goes is refused before any
+    # run, not after all of them: exit 2, one line, no run directory.
+    out = tmp_path / "out"
+    (out / "report.csv").mkdir(parents=True)
+    code = cli_main(["sweep", "--config", HONEST_SMALL, "--out", str(out), "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"config error: cannot write {out / 'report.csv'}: Is a directory\n"
+    assert captured.out == ""
+    assert list(out.iterdir()) == [out / "report.csv"]
+    assert list((out / "report.csv").iterdir()) == []
+
+
+def test_failed_sweep_run_leaves_earlier_runs_and_no_report(tmp_path, monkeypatch):
+    # The second run raises: the first run's four files stay complete, and
+    # the combined report.csv, opened before the first run, is removed.
+    run_trial = harness.run_trial
+
+    def failing(config, trial, frames=None):
+        if config.n == 20000:
+            raise RuntimeError("second run failed")
+        return run_trial(config, trial, frames)
+
+    monkeypatch.setattr(harness, "run_trial", failing)
+    config = small_config(write_transcript=True)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config.to_dict()))
+    out = tmp_path / "sweep"
+    with pytest.raises(RuntimeError, match="second run failed"):
+        cli_main(["sweep", "--config", str(path), "--out", str(out), "--set", "n=5000,20000"])
+    assert sorted(p.name for p in out.iterdir()) == ["n=20000", "n=5000"]
+    assert list((out / "n=20000").iterdir()) == []
+    first = out / "n=5000"
+    names = ["report.csv", "summary.json", "transcript.jsonl", "trials.jsonl"]
+    assert sorted(p.name for p in first.iterdir()) == names
+    first_config = ExperimentConfig.from_dict({**config.to_dict(), "n": 5000})
+    assert verify_records(first / "trials.jsonl", first / "transcript.jsonl", first_config) == []
+    assert json.loads((first / "summary.json").read_text())["trials"] == config.trials
+    assert len(read_report(first / "report.csv")) == 1
 
 
 @pytest.mark.parametrize("name", ["trials.jsonl", "transcript.jsonl", "summary.json", "report.csv"])
